@@ -27,6 +27,7 @@ from .manifold import (
     SchwarzschildMetric,
     christoffel_at,
     curvature_packet,
+    geodesic_acceleration,
     metric_at,
     metric_from_config,
     scalar_laplacian,
@@ -46,6 +47,7 @@ from .geodesics import (
     embed_sphere,
     exp_map,
     geodesic_sphere_surface,
+    sphere_fan,
     surface_tangents,
 )
 from .harmonics import (

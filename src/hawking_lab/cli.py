@@ -25,7 +25,7 @@ from .expansion import (
     predicted_coefficients,
     radius_ladder,
 )
-from .geodesics import GeodesicConfig, geodesic_sphere_surface
+from .geodesics import GeodesicConfig, geodesic_sphere_surface, sphere_fan
 from .harmonics import optimal_perturbation, willmore_el_residual
 from .manifold import curvature_packet, metric_from_config, metric_to_config
 from .optimizer import (
@@ -299,6 +299,7 @@ def cmd_expansion(config, out_dir):
         "willmore": ladder.willmore_floor,
         "area": ladder.area_floor,
     }
+    report["fan"] = ladder.fan.diagnostics()
     _add_check(report, "c3_match", comparison.c3_pass, value=comparison.c3_delta)
     _add_check(report, "c5_match", comparison.c5_pass, value=comparison.c5_delta)
     if out_dir is not None:
@@ -377,8 +378,9 @@ def cmd_el_residual(config, out_dir):
     packet = curvature_packet(metric, config.point)
     pert = optimal_perturbation(packet, grid)
     w = pert.w_values(rho, grid)
+    fan = sphere_fan(metric, config.point, rho, w, grid, geo, packet=packet)
     surf = geodesic_sphere_surface(
-        metric, config.point, rho, w, grid, geo, fd_order=fd_order, packet=packet
+        metric, config.point, rho, w, grid, geo, fan=fan, fd_order=fd_order
     )
     residual = willmore_el_residual(surf, metric, pert.lam)
     scale = 2.0 / rho**3  # magnitude of the leading Euler-Lagrange terms
@@ -395,6 +397,7 @@ def cmd_el_residual(config, out_dir):
     }
     rep = hawking_mass(surf, metric, config.data["K"])
     report["surface"] = rep.as_dict()
+    report["fan"] = fan.diagnostics()
     if out_dir is not None:
         surface_to_csv(surf, Path(out_dir) / "el_residual_surface.csv")
     _emit(report, out_dir, "el_residual")

@@ -36,6 +36,7 @@ from .surface import extrinsic_geometry, hawking_mass_from
 __all__ = [
     "LadderResult",
     "grid_floor",
+    "floor_corrected_mass",
     "radius_ladder",
     "ExpansionFit",
     "fit_coefficients",
@@ -77,6 +78,19 @@ def grid_floor(grid, fd_order):
     return _FLOOR_CACHE[key]
 
 
+def floor_corrected_mass(surface, K=0):
+    """Hawking mass report of ``surface`` with the grid floor removed.
+
+    W is lowered by the flat unit sphere's Willmore error and the area
+    divided by ``1 + area_floor`` (:func:`grid_floor` on the surface's grid
+    and stencil order) before the mass is evaluated.
+    """
+    floor_w, floor_a = grid_floor(surface.grid, surface.fd_order)
+    return hawking_mass_from(
+        surface.area / (1.0 + floor_a), surface.willmore_energy - floor_w, K
+    )
+
+
 @dataclass
 class LadderResult:
     """Geometric radius ladder with per-radius mass data.
@@ -85,7 +99,7 @@ class LadderResult:
     W is lowered by ``willmore_floor`` and its area divided by
     ``1 + area_floor``, the flat unit sphere's errors on the same grid and
     stencil order (:func:`grid_floor`), and the mass is evaluated from the
-    corrected pair.
+    corrected pair.  ``fan`` is the geodesic fan every rung was read from.
     """
 
     mode: str
@@ -97,6 +111,7 @@ class LadderResult:
     willmore_floor: float = 0.0
     area_floor: float = 0.0
     packet: object = field(repr=False, default=None)
+    fan: object = field(repr=False, default=None)
 
 
 def radius_ladder(
@@ -152,16 +167,14 @@ def radius_ladder(
     for k, rho in enumerate(radii):
         w = rho**2 * wbar
         surf = geodesic_sphere_surface(metric, p, rho, w, grid, cfg, fan=fan, fd_order=fd_order)
-        report = hawking_mass_from(
-            surf.area / (1.0 + floor_a), surf.willmore_energy - floor_w, K
-        )
+        report = floor_corrected_mass(surf, K)
         masses[k] = report.generalized
         areas[k] = report.area
         willmores[k] = report.willmore
     return LadderResult(
         mode=mode, K=int(K), radii=radii, masses=masses, areas=areas,
         willmores=willmores, willmore_floor=float(floor_w),
-        area_floor=float(floor_a), packet=packet,
+        area_floor=float(floor_a), packet=packet, fan=fan,
     )
 
 

@@ -1,14 +1,20 @@
 """Exponential map and perturbed-sphere embedding by geodesic integration.
 
 Geodesics solve x'' + Gamma(x)(x', x') = 0 with an adaptive embedded
-Runge-Kutta pair (DOP853).  Building a surface needs one geodesic per grid
-node; :class:`GeodesicFan` integrates the whole fan of unit-speed radial
-geodesics in a single stacked ODE solve, samples it on Chebyshev-Lobatto
-arclength nodes, and reconstructs positions at arbitrary per-node radii by
-barycentric interpolation.  Re-embedding the same fan at a new radius or
+Runge-Kutta pair (DOP853).  The right-hand side contracts the metric
+derivative with the velocity (:func:`manifold.geodesic_acceleration`) and
+never forms g^{-1} or the full Christoffel tensor; each evaluation reads g
+and dg once on the whole stacked batch.
+
+Building a surface needs one geodesic per grid node; :class:`GeodesicFan`
+integrates the whole fan of unit-speed radial geodesics in a single stacked
+ODE solve, samples it on Chebyshev-Lobatto arclength nodes, and reconstructs
+positions at arbitrary per-node radii by barycentric interpolation.  Re-embedding the same fan at a new radius or
 graph function is then just interpolation, which is what makes radius
 ladders and coefficient optimizers affordable.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -20,13 +26,14 @@ from .errors import (
     PerturbationTooLarge,
     StepLimit,
 )
-from .manifold import _christoffel_from, curvature_packet
+from .manifold import curvature_packet, geodesic_acceleration
 from .surface import extrinsic_geometry
 
 __all__ = [
     "GeodesicConfig",
     "exp_map",
     "GeodesicFan",
+    "sphere_fan",
     "embed_sphere",
     "surface_tangents",
     "geodesic_sphere_surface",
@@ -60,10 +67,9 @@ def _geodesic_rhs(metric, n_points, cfg, counter):
             raise StepLimit("geodesic integration exceeded the step budget")
         state = y.reshape(2, n_points, 3)
         x, v = state[0], state[1]
-        # raw (unguarded) Christoffel evaluation: the terminal domain event
-        # owns boundary handling, and trial steps may probe past the margin
-        gamma = _christoffel_from(np.linalg.inv(metric.metric(x)), metric.metric_deriv(x))
-        acc = -np.einsum("ncab,na,nb->nc", gamma, v, v)
+        # raw (unguarded) metric evaluation: the terminal domain event owns
+        # boundary handling, and trial steps may probe past the margin
+        acc = geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
         return np.concatenate([v.ravel(), acc.ravel()])
 
     return rhs
@@ -130,7 +136,9 @@ class GeodesicFan:
     The fan shoots the unit-speed geodesic in direction Theta(node) for every
     grid node, records states on Chebyshev-Lobatto arclength nodes in
     ``[0, s_max]``, and exposes barycentric interpolants for positions and
-    velocities at per-node arclengths.
+    velocities at per-node arclengths.  ``rhs_evals`` counts the right-hand
+    side evaluations of the stacked solve and ``speed_drift`` is the largest
+    ``|g(v, v) - 1|`` over the last arclength sample.
     """
 
     def __init__(self, metric, p, grid, s_max, cfg=None, packet=None, n_samples=33):
@@ -156,6 +164,7 @@ class GeodesicFan:
         nodes[-1] = self.s_max
         x0 = np.broadcast_to(self.p, (n, 3))
         sol = _integrate(metric, x0, directions, self.s_max, cfg, t_eval=nodes)
+        self.rhs_evals = int(sol.nfev)
         states = sol.y.reshape(2, n, 3, nodes.size)
         self._nodes = nodes
         self._positions = np.moveaxis(states[0], -1, 0)   # (M, N, 3)
@@ -165,6 +174,18 @@ class GeodesicFan:
         w[0] *= 0.5
         w[-1] *= 0.5
         self._bary_w = w
+
+    @cached_property
+    def speed_drift(self):
+        # evaluated on first use, so a fan build reads the metric only in
+        # the integrator's right-hand side
+        x, v = self._positions[-1], self._velocities[-1]
+        speed_sq = np.einsum("na,nab,nb->n", v, self.metric.metric(x), v)
+        return float(np.max(np.abs(speed_sq - 1.0)))
+
+    def diagnostics(self):
+        """Integrator statistics for reports: ``{rhs_evals, speed_drift}``."""
+        return {"rhs_evals": self.rhs_evals, "speed_drift": self.speed_drift}
 
     def _interpolate(self, samples, s):
         s = np.asarray(s, dtype=float)
@@ -203,16 +224,21 @@ def _as_w_values(w, grid):
     return w
 
 
-def embed_sphere(metric, p, rho, w, grid, cfg=None, fan=None, injectivity_bound=None):
-    """Positions of the perturbed geodesic sphere Exp_p[rho (1 - w) Theta].
-
-    ``w`` may be None, a scalar, a node array or a callable of the grid.
-    Directions are taken in the orthonormal frame at ``p``.  A prebuilt
-    :class:`GeodesicFan` may be passed to skip re-integration.
-    """
+def _radial_w(w, grid):
     w_values = _as_w_values(w, grid)
     if np.max(np.abs(w_values)) >= 1.0:
         raise PerturbationTooLarge("need |w| < 1 for a radial graph")
+    return w_values
+
+
+def sphere_fan(metric, p, rho, w, grid, cfg=None, packet=None, injectivity_bound=None):
+    """The :class:`GeodesicFan` that reaches the sphere Exp_p[rho (1 - w) Theta].
+
+    Checks ``|w| < 1`` and ``rho`` against the injectivity bound (the
+    metric's own unless ``injectivity_bound`` is given), then shoots the fan
+    out to the largest radius ``rho (1 - w)`` needs.
+    """
+    w_values = _radial_w(w, grid)
     bound = injectivity_bound
     if bound is None:
         bound = metric.injectivity_bound(p)
@@ -220,9 +246,20 @@ def embed_sphere(metric, p, rho, w, grid, cfg=None, fan=None, injectivity_bound=
         raise DomainError(
             f"radius {rho} exceeds the injectivity bound {bound:.6g}"
         )
+    s_max = rho * float(np.max(1.0 - w_values)) * (1.0 + 1e-9)
+    return GeodesicFan(metric, p, grid, s_max, cfg, packet=packet)
+
+
+def embed_sphere(metric, p, rho, w, grid, cfg=None, fan=None, injectivity_bound=None):
+    """Positions of the perturbed geodesic sphere Exp_p[rho (1 - w) Theta].
+
+    ``w`` may be None, a scalar, a node array or a callable of the grid.
+    Directions are taken in the orthonormal frame at ``p``.  A prebuilt
+    :class:`GeodesicFan` may be passed to skip re-integration.
+    """
+    w_values = _radial_w(w, grid)
     if fan is None:
-        s_max = rho * float(np.max(1.0 - w_values)) * (1.0 + 1e-9)
-        fan = GeodesicFan(metric, p, grid, s_max, cfg)
+        fan = sphere_fan(metric, p, rho, w_values, grid, cfg, injectivity_bound=injectivity_bound)
     return fan.positions_at(rho * (1.0 - w_values))
 
 
@@ -255,19 +292,12 @@ def geodesic_sphere_surface(
     """Full pipeline: embed a perturbed geodesic sphere and compute its
     extrinsic geometry, orienting the normal against the outward geodesic
     velocities."""
-    w_values = _as_w_values(w, grid)
-    if np.max(np.abs(w_values)) >= 1.0:
-        raise PerturbationTooLarge("need |w| < 1 for a radial graph")
+    w_values = _radial_w(w, grid)
     if fan is None:
-        bound = injectivity_bound
-        if bound is None:
-            bound = metric.injectivity_bound(p)
-        if rho > bound:
-            raise DomainError(
-                f"radius {rho} exceeds the injectivity bound {bound:.6g}"
-            )
-        s_max = rho * float(np.max(1.0 - w_values)) * (1.0 + 1e-9)
-        fan = GeodesicFan(metric, p, grid, s_max, cfg, packet=packet)
+        fan = sphere_fan(
+            metric, p, rho, w_values, grid, cfg, packet=packet,
+            injectivity_bound=injectivity_bound,
+        )
     radii = rho * (1.0 - w_values)
     positions = fan.positions_at(radii)
     velocities = fan.velocities_at(radii)

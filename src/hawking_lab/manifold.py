@@ -1,12 +1,15 @@
 """Analytic Riemannian 3-metrics and pointwise curvature.
 
 Every metric kind exposes the metric tensor together with its first and second
-coordinate derivatives on batches of chart points.  The built-in kinds
-(Euclidean, round sphere, hyperbolic, Schwarzschild) carry closed-form
-derivative data; the user-defined kinds (conformal factor, polynomial
-perturbation) fall back to Richardson-extrapolated central differences.  All
-curvature tensors are assembled from ``(g, dg, ddg)`` by the standard
-Levi-Civita formulas.
+coordinate derivatives on batches of chart points.  Every kind carries exact
+derivative data: closed forms for the built-in kinds (Euclidean, round
+sphere, hyperbolic, Schwarzschild), and monomial exponent shifts for the
+polynomial ones (polynomial perturbation, polynomial conformal factor).  Only
+a conformal factor given as a bare callable is differentiated by
+Richardson-extrapolated central differences.  All curvature tensors are
+assembled from ``(g, dg, ddg)`` by the standard Levi-Civita formulas;
+:func:`geodesic_acceleration` contracts ``dg`` with a velocity directly,
+without inverting g or forming Gamma.
 
 Index conventions for the arrays returned here:
 
@@ -36,6 +39,7 @@ __all__ = [
     "CurvaturePacket",
     "metric_at",
     "christoffel_at",
+    "geodesic_acceleration",
     "riemann_at",
     "ricci_at",
     "scalar_curvature_at",
@@ -53,27 +57,28 @@ _EPS = np.finfo(float).eps
 # tensor assembly
 # ---------------------------------------------------------------------------
 
-def _christoffel_from(g_inv, dg):
-    """Gamma^c_ab = 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)."""
-    braces = (
+def _braces(dg):
+    """d_a g_db + d_b g_da - d_d g_ab, indexed ``[..., a, b, d]``."""
+    return (
         np.einsum("...adb->...abd", dg)
         + np.einsum("...bda->...abd", dg)
         - np.einsum("...dab->...abd", dg)
     )
+
+
+def _christoffel_from(g_inv, braces):
+    """Gamma^c_ab = 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab) from the
+    braces of :func:`_braces`."""
     return 0.5 * np.einsum("...cd,...abd->...cab", g_inv, braces)
 
 
 def _curvature_from(g, dg, ddg):
     """Return (gamma, riemann04, ricci, scalar) from metric derivative data."""
     g_inv = np.linalg.inv(g)
-    gamma = _christoffel_from(g_inv, dg)
+    braces = _braces(dg)
+    gamma = _christoffel_from(g_inv, braces)
     # d_e g^{cd} = -g^{ca} (d_e g_ab) g^{bd}
     dg_inv = -np.einsum("...ca,...eab,...bd->...ecd", g_inv, dg, g_inv)
-    braces = (
-        np.einsum("...adb->...abd", dg)
-        + np.einsum("...bda->...abd", dg)
-        - np.einsum("...dab->...abd", dg)
-    )
     dbraces = (
         np.einsum("...eadb->...eabd", ddg)
         + np.einsum("...ebda->...eabd", ddg)
@@ -93,8 +98,97 @@ def _curvature_from(g, dg, ddg):
     )
     riemann = np.einsum("...ae,...ebcd->...abcd", g, riem_up)
     ricci = np.einsum("...abad->...bd", riem_up)
-    scalar = np.einsum("...bd,...bd->...", np.linalg.inv(g), ricci)
+    scalar = np.einsum("...bd,...bd->...", g_inv, ricci)
     return gamma, riemann, ricci, scalar
+
+
+def geodesic_acceleration(g, dg, v):
+    """Geodesic acceleration -Gamma(v, v) from metric data, batched.
+
+    Returns ``a = -g^{-1} ((v.d) g v - 1/2 dg(v, v))``, which equals
+    ``-Gamma^c_ab v^a v^b``: ``dg`` is contracted with ``v`` directly and the
+    symmetric 3x3 system is solved by cofactors, with no inverse and no full
+    Christoffel tensor.  ``g`` is (..., 3, 3), ``dg`` (..., 3, 3, 3) indexed
+    ``[..., c, a, b]`` and ``v`` (..., 3).
+    """
+    # dv[..., c, a] = d_c g_ab v^b
+    dv = (dg.reshape(dg.shape[:-3] + (9, 3)) @ v[..., np.newaxis]).reshape(
+        dg.shape[:-1]
+    )
+    vdv = (v[..., np.newaxis, :] @ dv)[..., 0, :]     # (v.d) g_ab v^b
+    dvv = (dv @ v[..., np.newaxis])[..., 0]           # d_c g(v, v)
+    return -_solve_sym3(g, vdv - 0.5 * dvv)
+
+
+def _solve_sym3(g, r):
+    """g^{-1} r for symmetric 3x3 ``g`` (..., 3, 3) by cofactors."""
+    g00, g01, g02 = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2]
+    g11, g12, g22 = g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
+    c00 = g11 * g22 - g12 * g12
+    c01 = g02 * g12 - g01 * g22
+    c02 = g01 * g12 - g02 * g11
+    c11 = g00 * g22 - g02 * g02
+    c12 = g01 * g02 - g00 * g12
+    c22 = g00 * g11 - g01 * g01
+    inv_det = 1.0 / (g00 * c00 + g01 * c01 + g02 * c02)
+    r0, r1, r2 = r[..., 0], r[..., 1], r[..., 2]
+    return np.stack(
+        [
+            (c00 * r0 + c01 * r1 + c02 * r2) * inv_det,
+            (c01 * r0 + c11 * r1 + c12 * r2) * inv_det,
+            (c02 * r0 + c12 * r1 + c22 * r2) * inv_det,
+        ],
+        axis=-1,
+    )
+
+
+class _Polynomial:
+    """Sum of array coefficients times monomials x1^e1 x2^e2 x3^e3.
+
+    ``exps`` is (M, 3) and ``coefs`` (M, *shape); evaluation at points of
+    shape (..., 3) returns (..., *shape).  Repeated exponents are merged and
+    vanishing terms dropped, so derivatives by exponent shifts stay short.
+    """
+
+    def __init__(self, exps, coefs):
+        exps = np.asarray(exps, dtype=int).reshape(-1, 3)
+        coefs = np.asarray(coefs, dtype=float)
+        self.shape = coefs.shape[1:]
+        merged, where = np.unique(exps, axis=0, return_inverse=True)
+        summed = np.zeros((len(merged),) + self.shape)
+        np.add.at(summed, where.ravel(), coefs)
+        size = int(np.prod(self.shape, dtype=int))
+        keep = np.any(summed.reshape(len(merged), size) != 0.0, axis=1)
+        self.exps = merged[keep]
+        self._flat = summed[keep].reshape(-1, size)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        # powers[..., k, e] = x_k^e by repeated multiplication
+        powers = np.ones(x.shape + (int(self.exps.max(initial=0)) + 1,))
+        for e in range(1, powers.shape[-1]):
+            powers[..., e] = powers[..., e - 1] * x
+        mono = (
+            powers[..., 0, self.exps[:, 0]]
+            * powers[..., 1, self.exps[:, 1]]
+            * powers[..., 2, self.exps[:, 2]]
+        )  # (..., M)
+        return (mono @ self._flat).reshape(x.shape[:-1] + self.shape)
+
+    def gradient(self):
+        """The polynomial of partial derivatives, new axis first: (3, *shape)."""
+        exps, coefs = [], []
+        for k in range(3):
+            has = self.exps[:, k] > 0
+            shifted = self.exps[has].copy()
+            shifted[:, k] -= 1
+            slot = np.zeros((int(has.sum()), 3) + self.shape)
+            slot[:, k] = (self._flat[has] * self.exps[has, k, np.newaxis]).reshape(
+                (-1,) + self.shape
+            )
+            exps.append(shifted)
+            coefs.append(slot)
+        return _Polynomial(np.concatenate(exps), np.concatenate(coefs))
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +198,8 @@ def _curvature_from(g, dg, ddg):
 class MetricField:
     """Base class for analytic 3-metrics on a chart of R^3.
 
-    Subclasses provide :meth:`metric` and either closed-form
-    :meth:`metric_deriv` / :meth:`metric_deriv2` or inherit the
-    finite-difference fallbacks.  ``curvature_noise`` estimates the absolute
+    Subclasses provide :meth:`metric`, :meth:`metric_deriv` and
+    :meth:`metric_deriv2`.  ``curvature_noise`` estimates the absolute
     accuracy of assembled curvature tensors and steers the step sizes of the
     nested scalar-curvature stencils.
     """
@@ -118,16 +211,10 @@ class MetricField:
         raise NotImplementedError
 
     def metric_deriv(self, x):
-        # pinned first-derivative step: eps^(1/3) * max(1, |x|); the
-        # difference helpers put the derivative axis first, the documented
-        # layout puts it after the batch axes
-        d = _fd.diff1_richardson(self.metric, x, step=_fd.EPS_THIRD)
-        return np.moveaxis(d, 0, -3)
+        raise NotImplementedError
 
     def metric_deriv2(self, x):
-        # second differences need a larger step to beat rounding
-        d = _fd.diff2_richardson(self.metric, x, step=_fd.EPS_SIXTH)
-        return np.moveaxis(d, (0, 1), (-4, -3))
+        raise NotImplementedError
 
     def domain_guard(self, x):
         """Boolean chart-validity mask for points ``x`` of shape (..., 3)."""
@@ -326,22 +413,19 @@ class SchwarzschildMetric(MetricField):
     def metric_deriv(self, x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
-        u = x / r[..., np.newaxis]
         m = self.mass
-        psi = self._psi(r)
+        # built with the batch axes last, so every product runs over
+        # contiguous batch rows
+        k = self._psi(r) / r
         dpsi = -2.0 * m / (r - 2.0 * m) ** 2
-        uu = np.einsum("...a,...b->...ab", u, u)
-        uuu = np.einsum("...c,...ab->...cab", u, uu)
-        eye = np.eye(3)
-        sym = (
-            np.einsum("ca,...b->...cab", eye, u)
-            + np.einsum("cb,...a->...cab", eye, u)
-            - 2.0 * uuu
+        ut = np.ascontiguousarray(np.moveaxis(x, -1, 0)) / r  # (3, ...)
+        eye = np.eye(3).reshape((3, 3) + (1,) * r.ndim)
+        uuu = ut[:, None, None] * ut[None, :, None] * ut[None, None, :]
+        # dpsi u_c u_a u_b + (psi / r) (delta_ca u_b + delta_cb u_a - 2 u_c u_a u_b)
+        out = (dpsi - 2.0 * k) * uuu + k * (
+            eye[:, :, None] * ut[None, None, :] + eye[:, None, :] * ut[None, :, None]
         )
-        return (
-            dpsi[..., None, None, None] * uuu
-            + (psi / r)[..., None, None, None] * sym
-        )
+        return np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (-3, -2, -1)))
 
     def metric_deriv2(self, x):
         x = np.asarray(x, dtype=float)
@@ -412,12 +496,14 @@ class SchwarzschildMetric(MetricField):
         return {"mass": self.mass, "horizon_margin": self.horizon_margin}
 
 
-class ConformalMetric(MetricField):
+class ConformalMetric(_ConformallyFlat):
     """g = exp(2 phi) * delta for a user-supplied smooth scalar field.
 
-    ``phi`` must accept points of shape (..., 3) and return shape (...,).
-    Derivatives of phi are approximated by Richardson-extrapolated central
-    differences, so curvature carries a noise floor of roughly 1e-10.
+    ``phi`` must accept points of shape (..., 3) and return shape (...,).  A
+    polynomial phi (:meth:`from_polynomial`) has exact derivatives.  The
+    derivatives of a bare callable are approximated by Richardson-extrapolated
+    central differences, so its curvature carries a noise floor of roughly
+    1e-10.
     """
 
     kind = "conformal"
@@ -426,46 +512,32 @@ class ConformalMetric(MetricField):
     def __init__(self, phi, poly_terms=None):
         self.phi = phi
         self.poly_terms = poly_terms  # retained for config round-trips
+        if isinstance(phi, _Polynomial):
+            self._grad = phi.gradient()
+            self._hess = self._grad.gradient()
+            self.curvature_noise = _EPS
 
     @classmethod
     def from_polynomial(cls, terms):
         """Build from ``[(coef, (e1, e2, e3)), ...]`` monomial terms."""
         terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
-
-        def phi(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[:-1])
-            for c, (e1, e2, e3) in terms:
-                out += c * x[..., 0] ** e1 * x[..., 1] ** e2 * x[..., 2] ** e3
-            return out
-
+        phi = _Polynomial([e for _, e in terms], [c for c, _ in terms])
         return cls(phi, poly_terms=terms)
 
-    def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        conf = np.exp(2.0 * np.asarray(self.phi(x)))
-        return conf[..., np.newaxis, np.newaxis] * np.eye(3)
+    def _phi(self, x):
+        return np.asarray(self.phi(x))
 
-    def metric_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        conf = np.exp(2.0 * np.asarray(self.phi(x)))
-        grad = np.moveaxis(
-            _fd.diff1_richardson(lambda q: np.asarray(self.phi(q)), x, step=_fd.EPS_THIRD),
-            0,
-            -1,
-        )
-        out = 2.0 * grad * conf[..., np.newaxis]
-        return out[..., :, np.newaxis, np.newaxis] * np.eye(3)
+    def _phi_grad(self, x):
+        if isinstance(self.phi, _Polynomial):
+            return self._grad(x)
+        d = _fd.diff1_richardson(self._phi, x, step=_fd.EPS_THIRD)
+        return np.moveaxis(d, 0, -1)
 
-    def metric_deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        conf = np.exp(2.0 * np.asarray(self.phi(x)))
-        fn = lambda q: np.asarray(self.phi(q))
-        grad = np.moveaxis(_fd.diff1_richardson(fn, x, step=_fd.EPS_THIRD), 0, -1)
-        hess = np.moveaxis(_fd.diff2_richardson(fn, x, step=_fd.EPS_SIXTH), (0, 1), (-2, -1))
-        core = 2.0 * hess + 4.0 * np.einsum("...d,...c->...dc", grad, grad)
-        out = core * conf[..., np.newaxis, np.newaxis]
-        return out[..., :, :, np.newaxis, np.newaxis] * np.eye(3)
+    def _phi_hess(self, x):
+        if isinstance(self.phi, _Polynomial):
+            return self._hess(x)
+        d = _fd.diff2_richardson(self._phi, x, step=_fd.EPS_SIXTH)
+        return np.moveaxis(d, (0, 1), (-2, -1))
 
     def params(self):
         if self.poly_terms is None:
@@ -477,40 +549,39 @@ class PolynomialMetric(MetricField):
     """g = delta + h with polynomial entries h_ab of total degree <= 4.
 
     ``terms`` is an iterable of ``(a, b, coef, (e1, e2, e3))``; entries are
-    symmetrized automatically.  The chart guard accepts points where g stays
-    positive-definite.
+    symmetrized automatically.  Derivatives are exact, by exponent shifts.
+    The chart guard accepts points where g stays positive-definite.
     """
 
     kind = "polynomial_perturbation"
-    curvature_noise = 1e-10
     MAX_DEGREE = 4
 
     def __init__(self, terms):
-        coeffs = np.zeros((3, 3, 5, 5, 5))
-        stored = []
-        for a, b, c, exps in terms:
-            e1, e2, e3 = (int(e) for e in exps)
-            if e1 + e2 + e3 > self.MAX_DEGREE:
+        exps, coefs, stored = [], [], []
+        for a, b, c, e in terms:
+            a, b, c, e = int(a), int(b), float(c), tuple(int(k) for k in e)
+            if sum(e) > self.MAX_DEGREE:
                 raise ValueError("perturbation terms must have total degree <= 4")
-            coeffs[a, b, e1, e2, e3] += float(c)
+            coef = np.zeros((3, 3))
+            coef[a, b] += c
             if a != b:
-                coeffs[b, a, e1, e2, e3] += float(c)
-            stored.append((int(a), int(b), float(c), (e1, e2, e3)))
+                coef[b, a] += c
+            exps.append(e)
+            coefs.append(coef)
+            stored.append((a, b, c, e))
         self.terms = stored
-        # nonzero symmetrized coefficients as (a, b, coef, exponents); the
-        # metric sums only these, a few monomials per point
-        self._entries = [
-            (a, b, coeffs[a, b, e1, e2, e3], (e1, e2, e3))
-            for a, b, e1, e2, e3 in np.argwhere(coeffs)
-        ]
+        self._h = _Polynomial(exps, np.reshape(coefs, (-1, 3, 3)))
+        self._dh = self._h.gradient()
+        self._ddh = self._dh.gradient()
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (3, 3))
-        g[...] = np.eye(3)
-        for a, b, c, (e1, e2, e3) in self._entries:
-            g[..., a, b] += c * x[..., 0] ** e1 * x[..., 1] ** e2 * x[..., 2] ** e3
-        return g
+        return np.eye(3) + self._h(x)
+
+    def metric_deriv(self, x):
+        return self._dh(x)
+
+    def metric_deriv2(self, x):
+        return self._ddh(x)
 
     @staticmethod
     def domain_guard_values(g):
@@ -590,37 +661,30 @@ def christoffel_at(metric, x):
     x = _as_points(x)
     _guard(metric, x)
     g_inv = np.linalg.inv(metric.metric(x))
-    return _christoffel_from(g_inv, metric.metric_deriv(x))
+    return _christoffel_from(g_inv, _braces(metric.metric_deriv(x)))
+
+
+def _curvature_at(metric, x):
+    x = _as_points(x)
+    _guard(metric, x)
+    return _curvature_from(
+        metric.metric(x), metric.metric_deriv(x), metric.metric_deriv2(x)
+    )
 
 
 def riemann_at(metric, x):
     """Covariant Riemann tensor Rm_abcd in chart components."""
-    x = _as_points(x)
-    _guard(metric, x)
-    _, riemann, _, _ = _curvature_from(
-        metric.metric(x), metric.metric_deriv(x), metric.metric_deriv2(x)
-    )
-    return riemann
+    return _curvature_at(metric, x)[1]
 
 
 def ricci_at(metric, x):
     """Ricci tensor Ric_ab in chart components (batched)."""
-    x = _as_points(x)
-    _guard(metric, x)
-    _, _, ricci, _ = _curvature_from(
-        metric.metric(x), metric.metric_deriv(x), metric.metric_deriv2(x)
-    )
-    return ricci
+    return _curvature_at(metric, x)[2]
 
 
 def scalar_curvature_at(metric, x):
     """Scalar curvature Sc as a batched field of chart points."""
-    x = _as_points(x)
-    _guard(metric, x)
-    _, _, _, scalar = _curvature_from(
-        metric.metric(x), metric.metric_deriv(x), metric.metric_deriv2(x)
-    )
-    return scalar
+    return _curvature_at(metric, x)[3]
 
 
 def _orthonormal_frame(g):
@@ -674,7 +738,7 @@ def scalar_laplacian(metric, p):
     grad = scalar_gradient(metric, p)
     g = metric.metric(p)
     g_inv = np.linalg.inv(g)
-    gamma = _christoffel_from(g_inv, metric.metric_deriv(p))
+    gamma = _christoffel_from(g_inv, _braces(metric.metric_deriv(p)))
     cov_hess = hess - np.einsum("cab,c->ab", gamma, grad)
     return float(np.einsum("ab,ab->", g_inv, cov_hess))
 

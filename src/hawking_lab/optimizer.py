@@ -7,7 +7,9 @@ every trial coefficient vector the radius is rescaled so the surface area
 matches the target, making the ascent an unconstrained problem in the shape
 coefficients.  Gradients are central finite differences per coefficient;
 every surface evaluation reuses one geodesic fan, so the inner loop is pure
-interpolation and quadrature.
+interpolation and quadrature.  Masses are floor-corrected like ladder rungs
+(:func:`expansion.floor_corrected_mass`); the area constraint matches raw
+surface areas.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .expansion import floor_corrected_mass
 from .geodesics import GeodesicConfig, GeodesicFan, surface_tangents
 from .harmonics import (
     HarmonicField,
@@ -23,7 +26,7 @@ from .harmonics import (
     willmore_el_residual,
 )
 from .manifold import curvature_packet, metric_at
-from .surface import extrinsic_geometry, hawking_mass
+from .surface import extrinsic_geometry
 
 __all__ = [
     "OptimizeConfig",
@@ -171,7 +174,7 @@ class _SurfaceEvaluator:
         w = self.w_values(coeffs)
         rho, _ = self.solve_radius(rho_guess, w, target_area)
         surf = self.surface_at(rho, w)
-        report = hawking_mass(surf, self.metric, self.K)
+        report = floor_corrected_mass(surf, self.K)
         value = report.generalized if self.K != 0 else report.hawking
         return value, rho, surf, report
 
@@ -316,7 +319,8 @@ def closed_form_reference(metric, p, rho, grid, geo_cfg=None, fd_order=8, K=0, m
 
     Returns ``(target_area, mass, w_field)`` for optimizer comparisons: the
     optimizer searching at this target area can only do at least as well as
-    this surface.
+    this surface.  The target is the raw surface area, which the optimizer's
+    area solve matches; the mass is floor-corrected, as the optimizer's are.
     """
     from .geodesics import geodesic_sphere_surface
 
@@ -328,9 +332,9 @@ def closed_form_reference(metric, p, rho, grid, geo_cfg=None, fd_order=8, K=0, m
     surf = geodesic_sphere_surface(
         metric, p, rho, w, grid, geo_cfg, fd_order=fd_order, packet=packet
     )
-    report = hawking_mass(surf, metric, K)
+    report = floor_corrected_mass(surf, K)
     mass = report.generalized if K != 0 else report.hawking
-    return report.area, mass, pert.w_field(rho)
+    return surf.area, mass, pert.w_field(rho)
 
 
 def trace_to_csv(trace, path):

@@ -14,6 +14,16 @@ every stencil centred.
 Quadrature weights integrate against the measure ``d(cos theta) d(phi)``, so
 surface integrals divide the area element sqrt(det g) by sin(theta1) before
 applying the weights.
+
+Second fundamental form
+-----------------------
+h_ij = -g(D_i N, Z_j), symmetrised, needs no Christoffel symbols: the
+Christoffel part of -g(D_i N, Z_j) is
+
+    -1/2 [(Z_i.d)g(Z_j, N) - (Z_j.d)g(Z_i, N) + (N.d)g(Z_i, Z_j)],
+
+whose first two terms are antisymmetric in i, j.  After symmetrisation only
+-1/2 (N.d)g(Z_i, Z_j) remains, one contraction of the metric derivative.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +32,7 @@ import numpy as np
 
 from ._fd import stencil_weights
 from .errors import DegenerateSurface, FitUnstable, GridTooCoarse
-from .manifold import christoffel_at, metric_at
+from .manifold import _solve_sym3, metric_at
 
 __all__ = [
     "SphereGrid",
@@ -251,35 +261,39 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
     positions = np.asarray(positions, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
     g = metric_at(metric, positions)
-    z1, z2 = tangents[:, 0], tangents[:, 1]
+    z_cols = np.swapaxes(tangents, 1, 2)  # (N, 3, 2), columns Z_j
+    g_z = g @ z_cols
 
-    first = np.empty((grid.n_nodes, 2, 2))
-    first[:, 0, 0] = np.einsum("na,nab,nb->n", z1, g, z1)
-    first[:, 0, 1] = first[:, 1, 0] = np.einsum("na,nab,nb->n", z1, g, z2)
-    first[:, 1, 1] = np.einsum("na,nab,nb->n", z2, g, z2)
-    det_first = np.linalg.det(first)
+    first = tangents @ g_z
+    first = 0.5 * (first + np.swapaxes(first, 1, 2))
+    det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
     if np.any(det_first <= 0.0):
         raise DegenerateSurface("first fundamental form is singular at a node")
 
-    # normal: g N is euclidean-orthogonal to Z_1, Z_2
-    cross = np.cross(z1, z2)
-    n_raw = np.linalg.solve(g, cross[..., np.newaxis])[..., 0]
-    norm = np.sqrt(np.einsum("na,nab,nb->n", n_raw, g, n_raw))
-    normal = n_raw / norm[:, None]
-    sign = np.einsum("na,nab,nb->n", normal, g, np.asarray(outward, dtype=float))
-    normal[sign > 0.0] *= -1.0
+    # normal: g N is euclidean-orthogonal to Z_1, Z_2, so g N = cross / |.|,
+    # g(N, N) = N . cross and g(N, outward) has the sign of cross . outward
+    cross = np.cross(tangents[:, 0], tangents[:, 1])
+    n_raw = _solve_sym3(g, cross)
+    normal = n_raw / np.sqrt(np.sum(n_raw * cross, axis=1))[:, None]
+    normal[np.sum(cross * np.asarray(outward, dtype=float), axis=1) > 0.0] *= -1.0
 
-    gamma = christoffel_at(metric, positions)
     dn = np.stack(
         [grid.dtheta(normal, fd_order), grid.dphi(normal, fd_order)], axis=1
     )  # (N, 2, 3) partial derivatives of the normal components
-    cov = dn + np.einsum("nsab,nia,nb->nis", gamma, tangents, normal)
-    second = -np.einsum("nis,nst,njt->nij", cov, g, tangents)
+    # symmetrised, the Christoffel part of -g(D_i N, Z_j) is
+    # -1/2 (N.d)g(Z_i, Z_j) (module docstring); positions are guarded above
+    dg = metric.metric_deriv(positions)
+    dg_n = (normal[:, np.newaxis, :] @ dg.reshape(-1, 3, 9)).reshape(-1, 3, 3)
+    second = -(dn @ g_z) - 0.5 * (tangents @ (dg_n @ z_cols))
     second = 0.5 * (second + np.swapaxes(second, 1, 2))
 
-    shape = np.linalg.solve(first, second)
-    mean = np.trace(shape, axis1=1, axis2=2)
-    gauss = np.linalg.det(second) / det_first
+    # trace and determinant of the shape operator first^{-1} second
+    mean = (
+        first[:, 1, 1] * second[:, 0, 0]
+        - 2.0 * first[:, 0, 1] * second[:, 0, 1]
+        + first[:, 0, 0] * second[:, 1, 1]
+    ) / det_first
+    gauss = (second[:, 0, 0] * second[:, 1, 1] - second[:, 0, 1] ** 2) / det_first
     return EmbeddedSurface(
         grid=grid,
         positions=positions,

@@ -36,3 +36,15 @@ def test_expansion_reports_grid_floor(capsys, tmp_path):
     assert floor_w != 0.0 and floor_a != 0.0
     # the rung masses are floor-corrected: flat space leaves rounding only
     assert np.max(np.abs(report["fit"]["masses"])) < 1e-14
+
+
+def test_reports_carry_fan_diagnostics(capsys, tmp_path):
+    config = {"grid": {"n_theta": 24, "n_phi": 48}, "ladder": {"rho0": 0.2, "n": 5}}
+    for command in ("expansion", "el-residual"):
+        code, report = run(capsys, tmp_path, command, config)
+        assert code in (0, 1), command
+        assert set(report["fan"]) == {"rhs_evals", "speed_drift"}
+        assert report["fan"]["rhs_evals"] > 0
+        assert report["fan"]["speed_drift"] <= 1e-12
+        # reports repeat exactly from run to run
+        assert run(capsys, tmp_path, command, config)[1] == report

@@ -197,6 +197,12 @@ class TestGeodesicFan:
         pos = fan.positions_at(np.zeros(grid.n_nodes))
         assert np.max(np.abs(pos)) < 1e-13
 
+    def test_flat_fan_diagnostics(self, grid, cfg):
+        fan = GeodesicFan(EuclideanMetric(), np.array([0.2, 0.0, -0.1]), grid, 0.8, cfg)
+        diag = fan.diagnostics()
+        assert diag["rhs_evals"] > 0
+        assert diag["speed_drift"] <= 1e-12
+
     def test_deterministic_rebuild(self, grid, cfg):
         metric = RoundSphereMetric()
         p = np.array([0.1, 0.0, 0.0])

@@ -12,6 +12,7 @@ from hawking_lab.manifold import (
     SchwarzschildMetric,
     christoffel_at,
     curvature_packet,
+    geodesic_acceleration,
     metric_at,
     metric_from_config,
     metric_to_config,
@@ -146,6 +147,72 @@ class TestBatchedDerivatives:
             for x, dg_row, ddg_row in zip(batch, dg, ddg):
                 assert_allclose(dg_row, metric.metric_deriv(x), rtol=1e-12, atol=1e-12)
                 assert_allclose(ddg_row, metric.metric_deriv2(x), rtol=1e-12, atol=1e-12)
+
+
+def kernel_cases(rng):
+    """(metric, (N, 3) chart points) for every kind and a bare-callable phi."""
+    bare = ConformalMetric(lambda x: 0.05 * x[..., 0] ** 2 - 0.03 * x[..., 1] * x[..., 2])
+    cases = []
+    for metric in all_builtin_metrics():
+        cases.append((metric, np.array([sample_point(metric, rng) for _ in range(40)])))
+    for metric in (
+        ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))]),
+        PolynomialMetric(POLY_TERMS),
+        bare,
+    ):
+        cases.append((metric, rng.uniform(-0.4, 0.4, size=(40, 3))))
+    return cases
+
+
+class TestGeodesicAcceleration:
+    def test_matches_christoffel_contraction(self):
+        rng = np.random.default_rng(23)
+        for metric, x in kernel_cases(rng):
+            v = rng.normal(size=x.shape)
+            acc = geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
+            ref = -np.einsum("ncab,na,nb->nc", christoffel_at(metric, x), v, v)
+            assert acc.shape == x.shape
+            scale = np.max(np.abs(ref))
+            if metric.kind == "euclidean":
+                assert np.all(acc == 0.0)
+                continue
+            assert np.max(np.abs(acc - ref)) <= 1e-13 * scale, metric.kind
+
+    def test_single_point(self):
+        metric = SchwarzschildMetric(mass=1.0)
+        x, v = np.array([4.0, 1.0, -0.5]), np.array([0.3, -0.2, 0.9])
+        acc = geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
+        ref = -np.einsum("cab,a,b->c", christoffel_at(metric, x), v, v)
+        assert_allclose(acc, ref, rtol=1e-13, atol=1e-15)
+
+
+class TestExactPolynomialDerivatives:
+    def _check(self, metric, oracle, points):
+        for x in points:
+            _, dg, ddg = oracle._data(x)
+            assert_allclose(metric.metric_deriv(x), dg, rtol=0.0, atol=1e-13)
+            assert_allclose(metric.metric_deriv2(x), ddg, rtol=0.0, atol=1e-13)
+
+    def test_polynomial_perturbation(self):
+        points = np.random.default_rng(29).uniform(-0.5, 0.5, size=(6, 3))
+        self._check(
+            PolynomialMetric(POLY_TERMS), oracles.polynomial_symbolic(POLY_TERMS), points
+        )
+
+    def test_polynomial_conformal(self):
+        import sympy as sp
+
+        metric = ConformalMetric.from_polynomial(
+            [(0.05, (2, 0, 0)), (-0.03, (0, 1, 1)), (0.02, (1, 1, 2))]
+        )
+        oracle = oracles.conformal_symbolic(
+            lambda x1, x2, x3: sp.Rational(1, 20) * x1**2
+            - sp.Rational(3, 100) * x2 * x3
+            + sp.Rational(1, 50) * x1 * x2 * x3**2
+        )
+        points = np.random.default_rng(31).uniform(-0.5, 0.5, size=(6, 3))
+        self._check(metric, oracle, points)
+        assert metric.curvature_noise < 1e-15
 
 
 class TestCurvature:

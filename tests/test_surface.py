@@ -10,10 +10,13 @@ from hawking_lab.geodesics import (
     surface_tangents,
 )
 from hawking_lab.manifold import (
+    ConformalMetric,
     EuclideanMetric,
     HyperbolicMetric,
     RoundSphereMetric,
     SchwarzschildMetric,
+    christoffel_at,
+    metric_at,
 )
 from hawking_lab.surface import (
     build_grid,
@@ -156,6 +159,37 @@ class TestExtrinsicGeometry:
         n_tilde = -theta_field + np.einsum("nj,nja->na", a, surf.tangents)
         n_tilde /= np.linalg.norm(n_tilde, axis=1)[:, None]
         assert np.max(np.abs(n_tilde - surf.normal)) < 1e-8
+
+
+def christoffel_second_form(metric, surf):
+    """h_ij = -g(D_i N, Z_j), symmetrised, with D_i N from the full Gamma."""
+    grid, order = surf.grid, surf.fd_order
+    g = metric_at(metric, surf.positions)
+    gamma = christoffel_at(metric, surf.positions)
+    dn = np.stack(
+        [grid.dtheta(surf.normal, order), grid.dphi(surf.normal, order)], axis=1
+    )
+    cov = dn + np.einsum("nsab,nia,nb->nis", gamma, surf.tangents, surf.normal)
+    second = -np.einsum("nis,nst,njt->nij", cov, g, surf.tangents)
+    return 0.5 * (second + np.swapaxes(second, 1, 2))
+
+
+class TestSecondFormWithoutChristoffel:
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (SchwarzschildMetric(1.0), np.array([4.0, 0.5, -0.3])),
+            (
+                ConformalMetric.from_polynomial([(0.3, (2, 0, 0)), (-0.2, (0, 1, 1))]),
+                np.array([0.1, -0.2, 0.05]),
+            ),
+        ],
+    )
+    def test_matches_christoffel_path(self, grid, cfg, metric, p):
+        w = 0.05 * (grid.unit[:, 0] ** 2 - grid.unit[:, 2]) + 0.02 * grid.unit[:, 1]
+        surf = geodesic_sphere_surface(metric, p, 0.4, w, grid, cfg, fd_order=8)
+        ref = christoffel_second_form(metric, surf)
+        assert np.max(np.abs(surf.second_form - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestHawkingMass:
