@@ -58,7 +58,6 @@ _DEFAULTS = {
         "initial_step": 1e-4,
         "shrink": 0.5,
         "grow": 1.6,
-        "gradient_step": 1e-6,
         "gradient_tol": 1e-9,
         "seed": 0,
         "init_jitter": 1e-7,

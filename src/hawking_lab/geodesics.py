@@ -17,7 +17,6 @@ ladders and coefficient optimizers affordable.
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DomainError,
@@ -87,6 +86,8 @@ def _domain_event(metric, n_points):
 
 def _integrate(metric, x0, v0, t_end, cfg, t_eval=None):
     """Integrate a stack of geodesics; returns the solve_ivp solution."""
+    from scipy.integrate import solve_ivp
+
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     n = x0.shape[0]

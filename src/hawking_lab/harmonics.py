@@ -13,7 +13,6 @@ degree-1 modes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from .errors import BandLimitExceeded
 from .manifold import ricci_at
@@ -29,7 +28,9 @@ __all__ = [
     "OptimalPerturbation",
     "optimal_perturbation",
     "pde_residual",
+    "willmore_el_operator",
     "willmore_el_residual",
+    "willmore_first_variation",
     "coefficients_to_csv",
 ]
 
@@ -50,6 +51,8 @@ def mode_degrees(max_degree):
 
 def _basis_matrix(grid, max_degree):
     """Real orthonormal spherical harmonics at the grid nodes, (modes, N)."""
+    from scipy.special import sph_harm_y
+
     key = (grid.n_theta, grid.n_phi, max_degree)
     if key in _BASIS_CACHE:
         return _BASIS_CACHE[key]
@@ -212,21 +215,73 @@ def pde_residual(packet, wbar, grid=None):
     return float(np.linalg.norm(lhs - rhs))
 
 
-def willmore_el_residual(surface, metric, lam):
+def _willmore_potential(surface, metric):
+    """Zeroth-order part ``H (H^2 - 4 D + 2 Ric(N, N))`` of the Willmore
+    first variation at the surface nodes."""
+    H = surface.mean_curvature
+    ric = ricci_at(metric, surface.positions)
+    ric_nn = np.einsum("nab,na,nb->n", ric, surface.normal, surface.normal)
+    return H * (H**2 - 4.0 * surface.gauss_product + 2.0 * ric_nn)
+
+
+def willmore_el_operator(surface, metric):
+    """Left-hand side ``2 Lap_Sigma H + H (H^2 - 4 D + 2 Ric(N, N))`` of the
+    area-constrained Willmore equation at the surface nodes, with the surface
+    Laplacian assembled from the first fundamental form by the same grid
+    stencils used for the geometry."""
+    H = surface.mean_curvature
+    lap_h = surface.grid.surface_laplacian(
+        H, surface.first_form, surface.area_element, order=surface.fd_order
+    )
+    return 2.0 * lap_h + _willmore_potential(surface, metric)
+
+
+def least_squares_multiplier(surface, lhs):
+    """The ``lam`` minimizing ``|| lhs - lam H ||_L2`` on the surface."""
+    H = surface.mean_curvature
+    return float(surface.integrate(lhs * H) / surface.integrate(H * H))
+
+
+def willmore_el_residual(surface, metric, lam=None):
     """Pointwise residual of the area-constrained Willmore equation.
 
     Evaluates ``2 Lap_Sigma H + H (H^2 - 4 D + 2 Ric(N, N)) - lam H`` on the
-    surface nodes, with the surface Laplacian assembled from the first
-    fundamental form by the same grid stencils used for the geometry.
+    surface nodes (:func:`willmore_el_operator`).  Without ``lam`` the
+    least-squares multiplier of the same assembly is used.
+    """
+    lhs = willmore_el_operator(surface, metric)
+    if lam is None:
+        lam = least_squares_multiplier(surface, lhs)
+    return lhs - lam * surface.mean_curvature
+
+
+def willmore_first_variation(surface, metric, speeds):
+    """First variations of the Willmore energy and the area.
+
+    ``speeds`` is a stack ``psi = g(V, N)`` of normal speeds, shape (N, K),
+    of variations V of the node positions; N is the surface's stored inward
+    normal, so a positive speed moves the surface inwards.  Returns
+    ``(dW, dA)``, each of shape (K,), with
+
+        dW = int [-2 <grad H, grad psi> + H (H^2 - 4 D + 2 Ric(N, N)) psi] dmu,
+        dA = -int H psi dmu.
+
+    dW is the integral of the Euler-Lagrange left-hand side
+    (:func:`willmore_el_operator`) against psi with ``2 Lap H`` tested weakly,
+    so no fourth derivative of the positions is formed.  Tangential parts of
+    V only reparametrize the closed surface and do not contribute.
     """
     grid = surface.grid
+    order = surface.fd_order
     H = surface.mean_curvature
-    lap_h = grid.surface_laplacian(
-        H, surface.first_form, surface.area_element, order=surface.fd_order
-    )
-    ric = ricci_at(metric, surface.positions)
-    ric_nn = np.einsum("nab,na,nb->n", ric, surface.normal, surface.normal)
-    return 2.0 * lap_h + H * (H**2 - 4.0 * surface.gauss_product + 2.0 * ric_nn) - lam * H
+    dh = np.stack([grid.dtheta(H, order), grid.dphi(H, order)], axis=-1)   # (N, 2)
+    dpsi = np.stack([grid.dtheta(speeds, order), grid.dphi(speeds, order)], axis=1)
+    grad_h = np.linalg.inv(surface.first_form) @ dh[:, :, np.newaxis]      # (N, 2, 1)
+    gradient_term = np.sum(dpsi * grad_h, axis=1)                          # (N, K)
+    potential = _willmore_potential(surface, metric)
+    integrand = potential[:, np.newaxis] * speeds - 2.0 * gradient_term
+    dmu = grid.weights * surface.area_element / grid.sin_theta
+    return dmu @ integrand, -(dmu * H) @ speeds
 
 
 def coefficients_to_csv(field, path):

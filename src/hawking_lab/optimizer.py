@@ -5,11 +5,24 @@ The search space is the span of real spherical harmonics of degree 2..L
 (degrees 0 and 1 are excluded: they move area and centre, not shape).  After
 every trial coefficient vector the radius is rescaled so the surface area
 matches the target, making the ascent an unconstrained problem in the shape
-coefficients.  Gradients are central finite differences per coefficient;
-every surface evaluation reuses one geodesic fan, so the inner loop is pure
-interpolation and quadrature.  Masses are floor-corrected like ladder rungs
-(:func:`expansion.floor_corrected_mass`); the area constraint matches raw
-surface areas.
+coefficients.  Every surface evaluation reuses one geodesic fan, so the
+inner loop is pure interpolation and quadrature.  Masses are floor-corrected
+like ladder rungs (:func:`expansion.floor_corrected_mass`); the area
+constraint matches raw surface areas.
+
+The gradient is analytic and comes from the surface the iteration already
+holds.  Mode k of the shape moves the nodes along the fan by
+``-rho phi_k gamma'``, the radius by ``(1 - w) gamma'``; their normal speeds
+``psi = g(V, N)`` go through the area-constrained Willmore first variation
+(:func:`harmonics.willmore_first_variation`, Lamm and Metzger, IMRN 2010).
+The radial variation fixes the multiplier ``lam = int E psi_rho / int H psi_rho``
+that keeps the area, and at fixed area
+
+    dm/dc_k = -sqrt(A / (16 pi)^3) int (E - lam H) psi_k dmu,
+
+with E the Euler-Lagrange left-hand side and A the floor-corrected area.
+The ``-4 K |Sigma|`` term of the generalized mass is constant at fixed area,
+so the same formula holds for every K.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +35,11 @@ from .geodesics import GeodesicConfig, GeodesicFan, surface_tangents
 from .harmonics import (
     HarmonicField,
     _basis_matrix,
+    least_squares_multiplier,
     optimal_perturbation,
+    willmore_el_operator,
     willmore_el_residual,
+    willmore_first_variation,
 )
 from .manifold import curvature_packet, metric_at
 from .surface import extrinsic_geometry
@@ -46,7 +62,6 @@ class OptimizeConfig:
     initial_step: float = 1e-4      # coefficient-space step along the unit gradient
     shrink: float = 0.5
     grow: float = 1.6
-    gradient_step: float = 1e-6     # central-difference step per coefficient
     gradient_tol: float = 1e-9
     seed: int = 0
     init_jitter: float = 1e-7       # scale of the seeded random start around w = 0
@@ -56,7 +71,7 @@ class OptimizeConfig:
     def validate(self):
         if self.max_degree < 2:
             raise ValueError("max_degree must be at least 2")
-        for name in ("initial_step", "gradient_step", "gradient_tol", "area_rtol"):
+        for name in ("initial_step", "gradient_tol", "area_rtol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iters < 1:
@@ -69,7 +84,6 @@ class OptimizeConfig:
             "initial_step": self.initial_step,
             "shrink": self.shrink,
             "grow": self.grow,
-            "gradient_step": self.gradient_step,
             "gradient_tol": self.gradient_tol,
             "seed": self.seed,
             "init_jitter": self.init_jitter,
@@ -161,22 +175,41 @@ class _SurfaceEvaluator:
         raise DomainError("area constraint did not converge")
 
     def surface_at(self, rho, w):
+        """The surface at radius ``rho`` and shape ``w``, and the outward
+        geodesic velocities at its nodes."""
         radii = rho * (1.0 - w)
         positions = self.fan.positions_at(radii)
         velocities = self.fan.velocities_at(radii)
         tangents = surface_tangents(positions, self.grid, self.fd_order)
-        return extrinsic_geometry(
+        surf = extrinsic_geometry(
             self.metric, self.grid, positions, tangents, velocities, self.fd_order
         )
+        return surf, velocities
 
     def constrained_mass(self, coeffs, rho_guess, target_area):
-        """Hawking mass at the area-matched radius for the given shape."""
+        """Hawking mass at the area-matched radius for the given shape.
+
+        Returns ``(mass, rho, surface, velocities)``.
+        """
         w = self.w_values(coeffs)
         rho, _ = self.solve_radius(rho_guess, w, target_area)
-        surf = self.surface_at(rho, w)
+        surf, velocities = self.surface_at(rho, w)
         report = floor_corrected_mass(surf, self.K)
         value = report.generalized if self.K != 0 else report.hawking
-        return value, rho, surf, report
+        return value, rho, surf, velocities
+
+    def mass_gradient(self, coeffs, rho, surf, velocities):
+        """Gradient of :meth:`constrained_mass` in the shape coefficients,
+        from the first variation at ``surf`` (module docstring)."""
+        w = self.w_values(coeffs)
+        g = metric_at(self.metric, surf.positions)
+        v_n = np.einsum("na,nab,nb->n", velocities, g, surf.normal)  # g(gamma', N)
+        # column 0 moves the radius, (1 - w) gamma'; column 1 + k is mode k
+        speeds = np.column_stack([(1.0 - w) * v_n, -rho * (self.shape_basis * v_n).T])
+        d_w, d_a = willmore_first_variation(surf, self.metric, speeds)
+        lam = -d_w[0] / d_a[0]  # int E psi_rho / int H psi_rho
+        area = floor_corrected_mass(surf, self.K).area
+        return -np.sqrt(area / (16.0 * np.pi) ** 3) * (d_w[1:] + lam * d_a[1:])
 
 
 def maximize_hawking(
@@ -192,8 +225,10 @@ def maximize_hawking(
     """Projected-gradient ascent of the Hawking mass at fixed area.
 
     Starts from the round sphere (plus a seeded jitter of size
-    ``cfg.init_jitter``), takes central-difference gradients in the shape
-    coefficients, backtracks along the normalized gradient, and rescales the
+    ``cfg.init_jitter``), takes the analytic gradient in the shape
+    coefficients from the first variation of the surface it holds
+    (:meth:`_SurfaceEvaluator.mass_gradient`, no extra surface or area
+    solve), backtracks along the normalized gradient, and rescales the
     radius after every trial step so the area constraint holds exactly.
     Terminates on the gradient norm, on step collapse, or at ``max_iters``
     (in which case ``converged`` is False and the best iterate is returned).
@@ -215,7 +250,7 @@ def maximize_hawking(
     rng = np.random.default_rng(cfg.seed)
     coeffs = cfg.init_jitter * rng.standard_normal(ev.n_coeff)
 
-    value, rho, surf, _ = ev.constrained_mass(coeffs, rho_flat, target_area)
+    value, rho, surf, velocities = ev.constrained_mass(coeffs, rho_flat, target_area)
     step = cfg.initial_step
     trace = []
     grad_norm = np.inf
@@ -223,15 +258,7 @@ def maximize_hawking(
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        grad = np.empty(ev.n_coeff)
-        h = cfg.gradient_step
-        for k in range(ev.n_coeff):
-            probe = coeffs.copy()
-            probe[k] = coeffs[k] + h
-            up, _, _, _ = ev.constrained_mass(probe, rho, target_area)
-            probe[k] = coeffs[k] - h
-            dn, _, _, _ = ev.constrained_mass(probe, rho, target_area)
-            grad[k] = (up - dn) / (2.0 * h)
+        grad = ev.mass_gradient(coeffs, rho, surf, velocities)
         grad_norm = float(np.linalg.norm(grad))
         trace.append(
             {
@@ -251,14 +278,15 @@ def maximize_hawking(
         while step >= cfg.min_step:
             candidate = coeffs + step * direction
             try:
-                cand_value, cand_rho, cand_surf, _ = ev.constrained_mass(
+                cand_value, cand_rho, cand_surf, cand_vel = ev.constrained_mass(
                     candidate, rho, target_area
                 )
             except DomainError:
                 step *= cfg.shrink
                 continue
             if cand_value > value:
-                coeffs, value, rho, surf = candidate, cand_value, cand_rho, cand_surf
+                coeffs, value, rho = candidate, cand_value, cand_rho
+                surf, velocities = cand_surf, cand_vel
                 step = min(step * cfg.grow, 1.0)
                 improved = True
                 break
@@ -272,8 +300,7 @@ def maximize_hawking(
         np.concatenate([np.zeros(4), coeffs]),
         grid,
     )
-    lam = lagrange_multiplier_from_surface(surf, metric)
-    res_field = willmore_el_residual(surf, metric, lam)
+    res_field = willmore_el_residual(surf, metric)
     el_norm = float(np.sqrt(surf.integrate(res_field**2)))
     return OptimizeResult(
         w_star=w_star,
@@ -292,19 +319,7 @@ def maximize_hawking(
 
 def lagrange_multiplier_from_surface(surface, metric):
     """Least-squares multiplier: lam minimizing || EL(lam) ||_L2 on the surface."""
-    from .manifold import ricci_at
-
-    grid = surface.grid
-    H = surface.mean_curvature
-    lap_h = grid.surface_laplacian(
-        H, surface.first_form, surface.area_element, order=surface.fd_order
-    )
-    ric = ricci_at(metric, surface.positions)
-    ric_nn = np.einsum("nab,na,nb->n", ric, surface.normal, surface.normal)
-    lhs = 2.0 * lap_h + H * (H**2 - 4.0 * surface.gauss_product + 2.0 * ric_nn)
-    num = surface.integrate(lhs * H)
-    den = surface.integrate(H * H)
-    return float(num / den)
+    return least_squares_multiplier(surface, willmore_el_operator(surface, metric))
 
 
 def lagrange_multiplier_estimate(result, metric, p=None):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from hawking_lab.cli import main
+import hawking_lab
+from hawking_lab.cli import RunConfig, main
+from hawking_lab.errors import ConfigError
 from hawking_lab.expansion import grid_floor
 from hawking_lab.surface import build_grid
 
@@ -48,3 +55,47 @@ def test_reports_carry_fan_diagnostics(capsys, tmp_path):
         assert report["fan"]["speed_drift"] <= 1e-12
         # reports repeat exactly from run to run
         assert run(capsys, tmp_path, command, config)[1] == report
+
+
+OPTIMIZE_FLAT = {
+    "grid": {"n_theta": 24, "n_phi": 48},
+    "optimizer": {"max_degree": 2, "max_iters": 2},
+}
+
+
+def test_optimize_flat_report(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(OPTIMIZE_FLAT))
+    code = main(["optimize", "--config", str(path)])
+    text = capsys.readouterr().out
+    assert code in (0, 1)  # exit 1 is a failed physics check, not an error
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert checks["area_constraint"]["passed"]
+    # the report repeats byte for byte
+    assert main(["optimize", "--config", str(path)]) == code
+    assert capsys.readouterr().out == text
+
+
+def test_optimize_rejects_removed_gradient_step(capsys, tmp_path):
+    config = {"optimizer": {**OPTIMIZE_FLAT["optimizer"], "gradient_step": 1e-6}}
+    with pytest.raises(ConfigError, match="gradient_step"):
+        RunConfig(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(path)]) == 2
+    assert "gradient_step" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # scipy.integrate alone takes most of a second to import; commands that
+    # shoot no geodesic and build no harmonic basis should not pay for it
+    src = str(Path(hawking_lab.__file__).resolve().parent.parent)
+    code = (
+        "import sys, hawking_lab.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -255,6 +255,19 @@ class TestWillmoreEl:
             lam = lagrange_multiplier_from_surface(surf, metric)
             assert abs(lam - 4.0) < 1e-7
 
+    def test_least_squares_residual_is_orthogonal_to_h(self, grid):
+        metric = SchwarzschildMetric(1.0)
+        p = np.array([4.0, 0.0, 0.0])
+        pert = optimal_perturbation(curvature_packet(metric, p), grid)
+        surf = geodesic_sphere_surface(
+            metric, p, 0.2, pert.w_values(0.2, grid), grid, GeodesicConfig(), fd_order=8
+        )
+        res = willmore_el_residual(surf, metric)
+        lam = lagrange_multiplier_from_surface(surf, metric)
+        assert_allclose(res, willmore_el_residual(surf, metric, lam), rtol=0, atol=0)
+        H = surf.mean_curvature
+        assert abs(surf.integrate(res * H)) <= 1e-12 * surf.integrate(H * H)
+
     def test_optimal_surface_residual_order(self, grid):
         # criticality holds to expansion order: the residual relative to the
         # leading 1/rho^3 scale shrinks at least linearly in rho

@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 
 from hawking_lab.expansion import grid_floor, predicted_coefficients
-from hawking_lab.manifold import EuclideanMetric, SchwarzschildMetric, curvature_packet
-from hawking_lab.optimizer import OptimizeConfig, closed_form_reference, maximize_hawking
+from hawking_lab.geodesics import GeodesicConfig
+from hawking_lab.manifold import (
+    ConformalMetric,
+    EuclideanMetric,
+    HyperbolicMetric,
+    RoundSphereMetric,
+    SchwarzschildMetric,
+    curvature_packet,
+)
+from hawking_lab.optimizer import (
+    OptimizeConfig,
+    _SurfaceEvaluator,
+    closed_form_reference,
+    maximize_hawking,
+)
 from hawking_lab.surface import build_grid
 
 
@@ -33,3 +46,62 @@ class TestGridFloor:
         result = maximize_hawking(EuclideanMetric(), np.zeros(3), target, cfg, grid)
         assert abs(result.m_H_star) < 1e-14
         assert abs(result.area - target) <= 1e-9 * target
+
+
+def central_difference_gradient(ev, coeffs, rho, target_area, h=1e-6):
+    """Reference gradient of the area-constrained mass: two area solves and
+    surfaces per coefficient."""
+    grad = np.empty(ev.n_coeff)
+    for k in range(ev.n_coeff):
+        probe = coeffs.copy()
+        probe[k] = coeffs[k] + h
+        up = ev.constrained_mass(probe, rho, target_area)[0]
+        probe[k] = coeffs[k] - h
+        dn = ev.constrained_mass(probe, rho, target_area)[0]
+        grad[k] = (up - dn) / (2.0 * h)
+    return grad
+
+
+def evaluator_at(metric, p, rho, grid, K=0):
+    cfg = OptimizeConfig(max_degree=4)
+    p = np.asarray(p, dtype=float)
+    return _SurfaceEvaluator(metric, p, grid, 1.05 * rho, cfg, GeodesicConfig(), K)
+
+
+class TestMassGradient:
+    @pytest.mark.parametrize(
+        "metric, p, K",
+        [
+            (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0], 0),
+            (
+                ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]),
+                [0.1, 0.0, 0.0],
+                0,
+            ),
+            (RoundSphereMetric(), [0.0, 0.0, 0.0], 1),
+            (HyperbolicMetric(), [0.0, 0.0, 0.0], -1),
+        ],
+        ids=["schwarzschild", "conformal", "sphere_K+1", "hyperbolic_K-1"],
+    )
+    def test_matches_central_differences(self, grid, metric, p, K):
+        rho0 = 0.2
+        ev = evaluator_at(metric, p, rho0, grid, K)
+        target = 4.0 * np.pi * rho0**2
+        coeffs = 1e-3 * np.random.default_rng(0).standard_normal(ev.n_coeff)
+        _, rho, surf, velocities = ev.constrained_mass(coeffs, rho0, target)
+        grad = ev.mass_gradient(coeffs, rho, surf, velocities)
+        reference = central_difference_gradient(ev, coeffs, rho, target)
+        # measured 1.8e-5 to 2.8e-5 relative on every metric kind here
+        assert np.linalg.norm(grad - reference) <= 1e-3 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize(
+        "metric", [EuclideanMetric(), RoundSphereMetric()], ids=["flat", "sphere"]
+    )
+    def test_vanishes_at_round_sphere(self, grid, metric):
+        # geodesic spheres of space forms are critical; central differences
+        # read about 2e-8 here from the stencil floor's shape dependence
+        rho0 = 0.05
+        ev = evaluator_at(metric, np.zeros(3), rho0, grid)
+        coeffs = np.zeros(ev.n_coeff)
+        _, rho, surf, velocities = ev.constrained_mass(coeffs, rho0, 4.0 * np.pi * rho0**2)
+        assert np.linalg.norm(ev.mass_gradient(coeffs, rho, surf, velocities)) <= 1e-11
