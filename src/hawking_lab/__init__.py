@@ -75,6 +75,5 @@ from .optimizer import (
     OptimizeConfig,
     OptimizeResult,
     closed_form_reference,
-    lagrange_multiplier_estimate,
     maximize_hawking,
 )

@@ -11,6 +11,7 @@ byte-identical.
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from .expansion import (
     predicted_coefficients,
     radius_ladder,
 )
-from .geodesics import GeodesicConfig, geodesic_sphere_surface, sphere_fan
+from .geodesics import GeodesicConfig, sphere_fan
 from .harmonics import optimal_perturbation, willmore_el_residual
-from .manifold import curvature_packet, metric_from_config, metric_to_config
+from .manifold import curvature_packet, metric_from_config
 from .optimizer import (
     OptimizeConfig,
     closed_form_reference,
@@ -51,42 +52,19 @@ _DEFAULTS = {
     "mode": "optimal",
     "K": 0,
     "fd_order": 8,
-    "geodesic": {"rel_tol": 1e-10, "abs_tol": 1e-12, "max_steps": 100000},
-    "optimizer": {
-        "max_degree": 4,
-        "max_iters": 500,
-        "initial_step": 1e-4,
-        "shrink": 0.5,
-        "grow": 1.6,
-        "gradient_tol": 1e-9,
-        "seed": 0,
-        "init_jitter": 1e-7,
-        "area_rtol": 1e-10,
-        "min_step": 1e-13,
-        "reference_rho": 0.05,
-        "target_area": None,
-    },
+    "geodesic": asdict(GeodesicConfig()),
+    "optimizer": {**asdict(OptimizeConfig()), "reference_rho": 0.05, "target_area": None},
     "bartnik": {"rho": 0.1, "validity_radius": 1.0},
     "tolerances": {"c3_rel": 0.01, "c3_abs": 0.0, "c5_rel": 0.05, "c5_abs": 0.0},
 }
 
-_SECTION_KEYS = {
-    "metric": None,  # validated by metric_from_config
-    "point": None,
-    "grid": {"n_theta", "n_phi"},
-    "ladder": {"rho0", "n"},
-    "mode": None,
-    "K": None,
-    "fd_order": None,
-    "geodesic": {"rel_tol", "abs_tol", "max_steps"},
-    "optimizer": set(_DEFAULTS["optimizer"]),
-    "bartnik": {"rho", "validity_radius"},
-    "tolerances": {"c3_rel", "c3_abs", "c5_rel", "c5_abs"},
-}
-
 
 class RunConfig:
-    """Normalized run configuration with strict key checking."""
+    """Normalized run configuration with strict key checking.
+
+    Sections with object defaults accept exactly the default's keys; the
+    metric section is checked by :func:`metric_from_config`.
+    """
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -97,11 +75,10 @@ class RunConfig:
         merged = {}
         for key, default in _DEFAULTS.items():
             value = data.get(key, default)
-            allowed = _SECTION_KEYS[key]
-            if isinstance(default, dict) and allowed is not None:
+            if isinstance(default, dict) and key != "metric":
                 if not isinstance(value, dict):
                     raise ConfigError(f"section {key!r} must be an object")
-                bad = set(value) - allowed
+                bad = set(value) - set(default)
                 if bad:
                     raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
                 value = {**default, **value}
@@ -110,7 +87,15 @@ class RunConfig:
             raise ConfigError("mode must be 'optimal' or 'unperturbed'")
         if merged["K"] not in (-1, 0, 1):
             raise ConfigError("K must be -1, 0 or +1")
-        metric_from_config(merged["metric"])  # validates kind and params
+        # reference_rho and target_area configure the command, not the search
+        search = {f.name: merged["optimizer"][f.name] for f in fields(OptimizeConfig)}
+        try:
+            metric_from_config(merged["metric"])  # validates kind and params
+            self.geodesic_config = GeodesicConfig(**merged["geodesic"])
+            self.optimizer_config = OptimizeConfig(**search)
+            self.optimizer_config.validate()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config value: {exc}") from exc
         self.data = merged
 
     @classmethod
@@ -133,18 +118,6 @@ class RunConfig:
     def grid(self):
         g = self.data["grid"]
         return build_grid(int(g["n_theta"]), int(g["n_phi"]))
-
-    @property
-    def geodesic_config(self):
-        g = self.data["geodesic"]
-        return GeodesicConfig(g["rel_tol"], g["abs_tol"], int(g["max_steps"]))
-
-    @property
-    def optimizer_config(self):
-        o = dict(self.data["optimizer"])
-        o.pop("reference_rho", None)
-        o.pop("target_area", None)
-        return OptimizeConfig(**o)
 
 
 def dump_stable(obj, indent=0):
@@ -357,7 +330,7 @@ def cmd_bartnik(config, out_dir):
     b = config.data["bartnik"]
     bound = bartnik_lower_bound(packet, float(b["rho"]), float(b["validity_radius"]))
     report = _report_skeleton("bartnik", config)
-    report["bound"] = bound.as_dict()
+    report["bound"] = asdict(bound)
     _add_check(
         report,
         "scalar_curvature_nonnegative",
@@ -378,9 +351,7 @@ def cmd_el_residual(config, out_dir):
     pert = optimal_perturbation(packet, grid)
     w = pert.w_values(rho, grid)
     fan = sphere_fan(metric, config.point, rho, w, grid, geo, packet=packet)
-    surf = geodesic_sphere_surface(
-        metric, config.point, rho, w, grid, geo, fan=fan, fd_order=fd_order
-    )
+    surf = fan.surface(rho, w, fd_order)
     residual = willmore_el_residual(surf, metric, pert.lam)
     scale = 2.0 / rho**3  # magnitude of the leading Euler-Lagrange terms
     sup = float(np.max(np.abs(residual)))
@@ -394,8 +365,7 @@ def cmd_el_residual(config, out_dir):
         "sup_norm_relative": sup / scale,
         "leading_scale": scale,
     }
-    rep = hawking_mass(surf, metric, config.data["K"])
-    report["surface"] = rep.as_dict()
+    report["surface"] = asdict(hawking_mass(surf, config.data["K"]))
     report["fan"] = fan.diagnostics()
     if out_dir is not None:
         surface_to_csv(surf, Path(out_dir) / "el_residual_surface.csv")

@@ -56,7 +56,7 @@ class FitUnstable(HawkingLabError):
     """A least-squares fit is too ill-conditioned to be trusted."""
 
 
-class RadiusOutOfRange(HawkingLabError):
+class RadiusOutOfRange(DomainError):
     """A requested radius violates its validity bound."""
 
 

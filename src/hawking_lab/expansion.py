@@ -9,7 +9,9 @@ The mass of an optimally perturbed geodesic sphere behaves like
 
 with the traceless-Ricci term absent for unperturbed spheres.  Ladders are
 geometric with ratio 1/2; fits include a rho^6 nuisance term so the reported
-c5 is unbiased against the remainder.
+c5 is unbiased against the remainder.  Every rung is read from one
+geodesic fan, the one :func:`geodesics.sphere_fan` shoots for the widest
+rung, through :meth:`geodesics.GeodesicFan.surface`.
 
 The angular stencils leave a truncation error in W and in |Sigma|/rho^2 that
 does not depend on the radius.  Neither fit basis can represent it, and the
@@ -23,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitUnstable, RadiusOutOfRange
-from .geodesics import (
-    GeodesicConfig,
-    GeodesicFan,
-    geodesic_sphere_surface,
-    surface_tangents,
-)
+from .geodesics import sphere_fan, surface_tangents
 from .harmonics import optimal_perturbation
 from .manifold import EuclideanMetric, curvature_packet
 from .surface import extrinsic_geometry, hawking_mass_from
@@ -114,23 +111,13 @@ class LadderResult:
     fan: object = field(repr=False, default=None)
 
 
-def radius_ladder(
-    metric,
-    p,
-    mode,
-    rho0,
-    n,
-    grid,
-    K=0,
-    cfg=None,
-    fd_order=8,
-    max_degree=4,
-    injectivity_bound=None,
-):
+def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None, fd_order=8):
     """Build surfaces on the ladder rho_k = rho0 / 2^k and record their masses.
 
     ``mode`` selects the graph function: the closed-form optimal perturbation
-    scaled by rho^2, or identically zero.  All rungs reuse one geodesic fan.
+    scaled by rho^2, or identically zero.  All rungs reuse one geodesic fan,
+    the :func:`sphere_fan` of the widest rung, which raises RadiusOutOfRange
+    when ``rho0`` exceeds the injectivity bound.
     Rung values are floor-corrected: the flat unit sphere's Willmore and area
     errors on this grid and ``fd_order`` (:func:`grid_floor`) are removed
     before the mass is evaluated, and both floors are recorded on the result.
@@ -139,35 +126,21 @@ def radius_ladder(
         raise ValueError(f"mode must be one of {MODES}")
     if n < 5:
         raise ValueError("need at least five ladder rungs")
-    if cfg is None:
-        cfg = GeodesicConfig()
-    p = np.asarray(p, dtype=float)
-    bound = injectivity_bound
-    if bound is None:
-        bound = metric.injectivity_bound(p)
-    if rho0 > bound:
-        raise RadiusOutOfRange(
-            f"rho0 = {rho0} exceeds the injectivity bound {bound:.6g}"
-        )
     packet = curvature_packet(metric, p)
     radii = rho0 * 0.5 ** np.arange(n)
 
     if mode == "optimal":
-        wbar = optimal_perturbation(packet, grid, max_degree).wbar_values(grid)
+        wbar = optimal_perturbation(packet, grid).wbar_values(grid)
     else:
         wbar = np.zeros(grid.n_nodes)
-    w_sup = float(np.max(np.abs(wbar)))
-    s_max = rho0 * (1.0 + rho0**2 * w_sup) * (1.0 + 1e-9)
-    fan = GeodesicFan(metric, p, grid, s_max, cfg, packet=packet)
+    fan = sphere_fan(metric, p, rho0, rho0**2 * wbar, grid, cfg, packet=packet)
 
     floor_w, floor_a = grid_floor(grid, fd_order)
     masses = np.empty(n)
     areas = np.empty(n)
     willmores = np.empty(n)
     for k, rho in enumerate(radii):
-        w = rho**2 * wbar
-        surf = geodesic_sphere_surface(metric, p, rho, w, grid, cfg, fan=fan, fd_order=fd_order)
-        report = floor_corrected_mass(surf, K)
+        report = floor_corrected_mass(fan.surface(rho, rho**2 * wbar, fd_order), K)
         masses[k] = report.generalized
         areas[k] = report.area
         willmores[k] = report.willmore
@@ -431,17 +404,6 @@ class BartnikBound:
     cubic_term: float
     quintic_term: float
     remainder_dropped: bool = True
-
-    def as_dict(self):
-        return {
-            "point": self.point.tolist(),
-            "rho": self.rho,
-            "bound": self.bound,
-            "validity_radius": self.validity_radius,
-            "cubic_term": self.cubic_term,
-            "quintic_term": self.quintic_term,
-            "remainder_dropped": self.remainder_dropped,
-        }
 
 
 def bartnik_lower_bound(packet, rho, validity_radius):

@@ -12,8 +12,14 @@ ODE solve, samples it on Chebyshev-Lobatto arclength nodes, and reconstructs
 positions at arbitrary per-node radii by barycentric interpolation.  Re-embedding the same fan at a new radius or
 graph function is then just interpolation, which is what makes radius
 ladders and coefficient optimizers affordable.
+
+:meth:`GeodesicFan.surface` is the one path from a fan to an
+:class:`~hawking_lab.surface.EmbeddedSurface`, and :func:`sphere_fan` the
+one place that checks a sphere family against the injectivity bound and
+shoots the fan that reaches it.
 """
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +29,7 @@ from .errors import (
     DomainExit,
     GridTooCoarse,
     PerturbationTooLarge,
+    RadiusOutOfRange,
     StepLimit,
 )
 from .manifold import curvature_packet, geodesic_acceleration
@@ -39,24 +46,24 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class GeodesicConfig:
     """Integrator tolerances for geodesic shooting."""
 
-    def __init__(self, rel_tol=1e-10, abs_tol=1e-12, max_steps=100_000):
-        if rel_tol <= 0 or abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if max_steps < 100:
-            raise ValueError("max_steps must be at least 100")
-        self.rel_tol = float(rel_tol)
-        self.abs_tol = float(abs_tol)
-        self.max_steps = int(max_steps)
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_steps: int = 100_000
 
-    def as_dict(self):
-        return {
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_steps": self.max_steps,
-        }
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.max_steps < 100:
+            raise ValueError("max_steps must be at least 100")
+
+
+# Chebyshev-Lobatto arclength samples per fan geodesic
+_N_SAMPLES = 33
 
 
 def _geodesic_rhs(metric, n_points, cfg, counter):
@@ -142,7 +149,7 @@ class GeodesicFan:
     ``|g(v, v) - 1|`` over the last arclength sample.
     """
 
-    def __init__(self, metric, p, grid, s_max, cfg=None, packet=None, n_samples=33):
+    def __init__(self, metric, p, grid, s_max, cfg=None, packet=None):
         if cfg is None:
             cfg = GeodesicConfig()
         self.metric = metric
@@ -153,14 +160,12 @@ class GeodesicFan:
         if packet is None:
             packet = curvature_packet(metric, p)
         self.packet = packet
-        if n_samples < 8:
-            raise ValueError("need at least 8 arclength samples")
 
         # unit directions in the orthonormal frame of the packet
         directions = grid.unit @ packet.frame  # (N, 3) chart components
         n = grid.n_nodes
-        k = np.arange(n_samples)
-        nodes = 0.5 * self.s_max * (1.0 - np.cos(np.pi * k / (n_samples - 1)))
+        k = np.arange(_N_SAMPLES)
+        nodes = 0.5 * self.s_max * (1.0 - np.cos(np.pi * k / (_N_SAMPLES - 1)))
         nodes[0] = 0.0
         nodes[-1] = self.s_max
         x0 = np.broadcast_to(self.p, (n, 3))
@@ -170,7 +175,7 @@ class GeodesicFan:
         self._nodes = nodes
         self._positions = np.moveaxis(states[0], -1, 0)   # (M, N, 3)
         self._velocities = np.moveaxis(states[1], -1, 0)  # (M, N, 3)
-        w = np.ones(n_samples)
+        w = np.ones(_N_SAMPLES)
         w[1::2] = -1.0
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -211,6 +216,18 @@ class GeodesicFan:
         """Outward unit-speed geodesic velocities at per-node arclengths."""
         return self._interpolate(self._velocities, s)
 
+    def surface(self, rho, w, fd_order):
+        """The surface Exp_p[rho (1 - w) Theta] for node values ``w``, with
+        its extrinsic geometry; the normal is oriented against the outward
+        geodesic velocities."""
+        radii = rho * (1.0 - w)
+        positions = self.positions_at(radii)
+        velocities = self.velocities_at(radii)
+        tangents = surface_tangents(positions, self.grid, fd_order)
+        return extrinsic_geometry(
+            self.metric, self.grid, positions, tangents, velocities, fd_order
+        )
+
 
 def _as_w_values(w, grid):
     if w is None:
@@ -232,35 +249,31 @@ def _radial_w(w, grid):
     return w_values
 
 
-def sphere_fan(metric, p, rho, w, grid, cfg=None, packet=None, injectivity_bound=None):
+def sphere_fan(metric, p, rho, w, grid, cfg=None, packet=None):
     """The :class:`GeodesicFan` that reaches the sphere Exp_p[rho (1 - w) Theta].
 
-    Checks ``|w| < 1`` and ``rho`` against the injectivity bound (the
-    metric's own unless ``injectivity_bound`` is given), then shoots the fan
-    out to the largest radius ``rho (1 - w)`` needs.
+    Checks ``|w| < 1`` and ``rho`` against the metric's injectivity bound
+    (RadiusOutOfRange), then shoots the fan out to the largest radius
+    ``rho (1 - w)`` needs.
     """
     w_values = _radial_w(w, grid)
-    bound = injectivity_bound
-    if bound is None:
-        bound = metric.injectivity_bound(p)
+    bound = metric.injectivity_bound(p)
     if rho > bound:
-        raise DomainError(
+        raise RadiusOutOfRange(
             f"radius {rho} exceeds the injectivity bound {bound:.6g}"
         )
     s_max = rho * float(np.max(1.0 - w_values)) * (1.0 + 1e-9)
     return GeodesicFan(metric, p, grid, s_max, cfg, packet=packet)
 
 
-def embed_sphere(metric, p, rho, w, grid, cfg=None, fan=None, injectivity_bound=None):
+def embed_sphere(metric, p, rho, w, grid, cfg=None):
     """Positions of the perturbed geodesic sphere Exp_p[rho (1 - w) Theta].
 
     ``w`` may be None, a scalar, a node array or a callable of the grid.
-    Directions are taken in the orthonormal frame at ``p``.  A prebuilt
-    :class:`GeodesicFan` may be passed to skip re-integration.
+    Directions are taken in the orthonormal frame at ``p``.
     """
     w_values = _radial_w(w, grid)
-    if fan is None:
-        fan = sphere_fan(metric, p, rho, w_values, grid, cfg, injectivity_bound=injectivity_bound)
+    fan = sphere_fan(metric, p, rho, w_values, grid, cfg)
     return fan.positions_at(rho * (1.0 - w_values))
 
 
@@ -278,29 +291,10 @@ def surface_tangents(positions, grid, fd_order=4):
     )
 
 
-def geodesic_sphere_surface(
-    metric,
-    p,
-    rho,
-    w,
-    grid,
-    cfg=None,
-    fan=None,
-    fd_order=4,
-    packet=None,
-    injectivity_bound=None,
-):
-    """Full pipeline: embed a perturbed geodesic sphere and compute its
-    extrinsic geometry, orienting the normal against the outward geodesic
-    velocities."""
+def geodesic_sphere_surface(metric, p, rho, w, grid, cfg=None, fd_order=4, packet=None):
+    """Full pipeline: shoot the fan of a perturbed geodesic sphere
+    (:func:`sphere_fan`) and read the surface from it
+    (:meth:`GeodesicFan.surface`)."""
     w_values = _radial_w(w, grid)
-    if fan is None:
-        fan = sphere_fan(
-            metric, p, rho, w_values, grid, cfg, packet=packet,
-            injectivity_bound=injectivity_bound,
-        )
-    radii = rho * (1.0 - w_values)
-    positions = fan.positions_at(radii)
-    velocities = fan.velocities_at(radii)
-    tangents = surface_tangents(positions, grid, fd_order)
-    return extrinsic_geometry(metric, grid, positions, tangents, velocities, fd_order)
+    fan = sphere_fan(metric, p, rho, w_values, grid, cfg, packet=packet)
+    return fan.surface(rho, w_values, fd_order)

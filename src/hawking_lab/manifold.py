@@ -784,6 +784,8 @@ _KINDS = {
     "conformal": ConformalMetric,
     "polynomial_perturbation": PolynomialMetric,
 }
+# the parameter without which a kind has no metric
+_REQUIRED_PARAM = {"conformal": "phi_poly", "polynomial_perturbation": "terms"}
 
 
 def metric_from_config(spec):
@@ -792,6 +794,9 @@ def metric_from_config(spec):
     kind = spec.pop("kind", None)
     if kind not in _KINDS:
         raise ConfigError(f"unknown metric kind: {kind!r}")
+    required = _REQUIRED_PARAM.get(kind)
+    if required is not None and required not in spec:
+        raise ConfigError(f"metric kind {kind!r} needs the parameter {required!r}")
     if kind == "euclidean":
         _reject_unknown(spec, set())
         return EuclideanMetric()

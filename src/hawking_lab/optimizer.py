@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expansion import floor_corrected_mass
-from .geodesics import GeodesicConfig, GeodesicFan, surface_tangents
+from .geodesics import GeodesicFan, surface_tangents
 from .harmonics import (
     HarmonicField,
     _basis_matrix,
@@ -42,13 +42,12 @@ from .harmonics import (
     willmore_first_variation,
 )
 from .manifold import curvature_packet, metric_at
-from .surface import extrinsic_geometry
+from .surface import first_form
 
 __all__ = [
     "OptimizeConfig",
     "OptimizeResult",
     "maximize_hawking",
-    "lagrange_multiplier_estimate",
     "closed_form_reference",
 ]
 
@@ -76,25 +75,23 @@ class OptimizeConfig:
                 raise ValueError(f"{name} must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-
-    def as_dict(self):
-        return {
-            "max_degree": self.max_degree,
-            "max_iters": self.max_iters,
-            "initial_step": self.initial_step,
-            "shrink": self.shrink,
-            "grow": self.grow,
-            "gradient_tol": self.gradient_tol,
-            "seed": self.seed,
-            "init_jitter": self.init_jitter,
-            "area_rtol": self.area_rtol,
-            "min_step": self.min_step,
-        }
+        # the line search stops only once the step falls below min_step
+        if not 0 < self.shrink < 1:
+            raise ValueError("shrink must lie in (0, 1)")
+        if self.grow < 1:
+            raise ValueError("grow must be at least 1")
+        if self.min_step <= 0:
+            raise ValueError("min_step must be positive")
 
 
 @dataclass
 class OptimizeResult:
-    """Converged (or best-effort) area-constrained maximizer."""
+    """Converged (or best-effort) area-constrained maximizer.
+
+    ``stop_reason`` is ``"gradient_tol"`` when the gradient norm fell to the
+    tolerance (then ``converged`` is True), ``"step_collapse"`` when no step
+    above ``min_step`` raised the mass, and ``"max_iters"`` otherwise.
+    """
 
     w_star: HarmonicField
     rho_star: float
@@ -103,6 +100,7 @@ class OptimizeResult:
     final_gradient_norm: float
     el_residual_norm: float
     converged: bool
+    stop_reason: str
     target_area: float
     area: float
     trace: list = field(repr=False, default_factory=list)
@@ -116,6 +114,7 @@ class OptimizeResult:
             "final_gradient_norm": self.final_gradient_norm,
             "el_residual_norm": self.el_residual_norm,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "target_area": self.target_area,
             "area": self.area,
             "coefficients": self.w_star.coeffs.tolist(),
@@ -145,15 +144,12 @@ class _SurfaceEvaluator:
         return self.shape_basis.T @ coeffs
 
     def area_of(self, rho, w):
-        radii = rho * (1.0 - w)
-        positions = self.fan.positions_at(radii)
+        """Area of the surface at radius ``rho`` and shape ``w``, from its
+        first fundamental form alone."""
+        positions = self.fan.positions_at(rho * (1.0 - w))
         tangents = surface_tangents(positions, self.grid, self.fd_order)
         g = metric_at(self.metric, positions)
-        z1, z2 = tangents[:, 0], tangents[:, 1]
-        e = np.einsum("na,nab,nb->n", z1, g, z1)
-        f_ = np.einsum("na,nab,nb->n", z1, g, z2)
-        g2 = np.einsum("na,nab,nb->n", z2, g, z2)
-        det = e * g2 - f_ * f_
+        _, det = first_form(tangents, g @ np.swapaxes(tangents, 1, 2))
         return float(
             np.sum(self.grid.weights * np.sqrt(det) / self.grid.sin_theta)
         )
@@ -174,36 +170,23 @@ class _SurfaceEvaluator:
                 raise DomainError("area solve collapsed the radius")
         raise DomainError("area constraint did not converge")
 
-    def surface_at(self, rho, w):
-        """The surface at radius ``rho`` and shape ``w``, and the outward
-        geodesic velocities at its nodes."""
-        radii = rho * (1.0 - w)
-        positions = self.fan.positions_at(radii)
-        velocities = self.fan.velocities_at(radii)
-        tangents = surface_tangents(positions, self.grid, self.fd_order)
-        surf = extrinsic_geometry(
-            self.metric, self.grid, positions, tangents, velocities, self.fd_order
-        )
-        return surf, velocities
-
     def constrained_mass(self, coeffs, rho_guess, target_area):
         """Hawking mass at the area-matched radius for the given shape.
 
-        Returns ``(mass, rho, surface, velocities)``.
+        Returns ``(mass, rho, surface)``.
         """
         w = self.w_values(coeffs)
         rho, _ = self.solve_radius(rho_guess, w, target_area)
-        surf, velocities = self.surface_at(rho, w)
-        report = floor_corrected_mass(surf, self.K)
-        value = report.generalized if self.K != 0 else report.hawking
-        return value, rho, surf, velocities
+        surf = self.fan.surface(rho, w, self.fd_order)
+        return floor_corrected_mass(surf, self.K).generalized, rho, surf
 
-    def mass_gradient(self, coeffs, rho, surf, velocities):
+    def mass_gradient(self, coeffs, rho, surf):
         """Gradient of :meth:`constrained_mass` in the shape coefficients,
         from the first variation at ``surf`` (module docstring)."""
         w = self.w_values(coeffs)
         g = metric_at(self.metric, surf.positions)
-        v_n = np.einsum("na,nab,nb->n", velocities, g, surf.normal)  # g(gamma', N)
+        # g(gamma', N): the surface's outward field is the fan's velocity
+        v_n = np.einsum("na,nab,nb->n", surf.outward, g, surf.normal)
         # column 0 moves the radius, (1 - w) gamma'; column 1 + k is mode k
         speeds = np.column_stack([(1.0 - w) * v_n, -rho * (self.shape_basis * v_n).T])
         d_w, d_a = willmore_first_variation(surf, self.metric, speeds)
@@ -230,8 +213,9 @@ def maximize_hawking(
     (:meth:`_SurfaceEvaluator.mass_gradient`, no extra surface or area
     solve), backtracks along the normalized gradient, and rescales the
     radius after every trial step so the area constraint holds exactly.
-    Terminates on the gradient norm, on step collapse, or at ``max_iters``
-    (in which case ``converged`` is False and the best iterate is returned).
+    Terminates on the gradient norm, on step collapse, or at ``max_iters``;
+    only the first sets ``converged``, and ``stop_reason`` names which one
+    ended the run.  The last accepted iterate is returned in every case.
     """
     if cfg is None:
         cfg = OptimizeConfig()
@@ -240,8 +224,6 @@ def maximize_hawking(
         from .surface import build_grid
 
         grid = build_grid(32, 64)
-    if geo_cfg is None:
-        geo_cfg = GeodesicConfig()
     p = np.asarray(p, dtype=float)
 
     rho_flat = np.sqrt(target_area / (4.0 * np.pi))
@@ -250,15 +232,15 @@ def maximize_hawking(
     rng = np.random.default_rng(cfg.seed)
     coeffs = cfg.init_jitter * rng.standard_normal(ev.n_coeff)
 
-    value, rho, surf, velocities = ev.constrained_mass(coeffs, rho_flat, target_area)
+    value, rho, surf = ev.constrained_mass(coeffs, rho_flat, target_area)
     step = cfg.initial_step
     trace = []
     grad_norm = np.inf
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
 
     for iterations in range(1, cfg.max_iters + 1):
-        grad = ev.mass_gradient(coeffs, rho, surf, velocities)
+        grad = ev.mass_gradient(coeffs, rho, surf)
         grad_norm = float(np.linalg.norm(grad))
         trace.append(
             {
@@ -270,7 +252,7 @@ def maximize_hawking(
             }
         )
         if grad_norm <= cfg.gradient_tol:
-            converged = True
+            stop_reason = "gradient_tol"
             break
 
         direction = grad / grad_norm
@@ -278,21 +260,20 @@ def maximize_hawking(
         while step >= cfg.min_step:
             candidate = coeffs + step * direction
             try:
-                cand_value, cand_rho, cand_surf, cand_vel = ev.constrained_mass(
+                cand_value, cand_rho, cand_surf = ev.constrained_mass(
                     candidate, rho, target_area
                 )
             except DomainError:
                 step *= cfg.shrink
                 continue
             if cand_value > value:
-                coeffs, value, rho = candidate, cand_value, cand_rho
-                surf, velocities = cand_surf, cand_vel
+                coeffs, value, rho, surf = candidate, cand_value, cand_rho, cand_surf
                 step = min(step * cfg.grow, 1.0)
                 improved = True
                 break
             step *= cfg.shrink
         if not improved:
-            converged = True  # no ascent direction resolvable above rounding
+            stop_reason = "step_collapse"  # no ascent step resolvable above rounding
             break
 
     w_star = HarmonicField(
@@ -309,7 +290,8 @@ def maximize_hawking(
         iterations=iterations,
         final_gradient_norm=grad_norm,
         el_residual_norm=el_norm,
-        converged=converged,
+        converged=stop_reason == "gradient_tol",
+        stop_reason=stop_reason,
         target_area=float(target_area),
         area=float(surf.area),
         trace=trace,
@@ -322,14 +304,7 @@ def lagrange_multiplier_from_surface(surface, metric):
     return least_squares_multiplier(surface, willmore_el_operator(surface, metric))
 
 
-def lagrange_multiplier_estimate(result, metric, p=None):
-    """Least-squares Lagrange multiplier of a converged optimizer result."""
-    if result.surface is None:
-        raise ValueError("result carries no surface to estimate the multiplier from")
-    return lagrange_multiplier_from_surface(result.surface, metric)
-
-
-def closed_form_reference(metric, p, rho, grid, geo_cfg=None, fd_order=8, K=0, max_degree=4):
+def closed_form_reference(metric, p, rho, grid, geo_cfg=None, fd_order=8, K=0):
     """Area and mass of the closed-form optimally perturbed sphere at ``rho``.
 
     Returns ``(target_area, mass, w_field)`` for optimizer comparisons: the
@@ -339,17 +314,13 @@ def closed_form_reference(metric, p, rho, grid, geo_cfg=None, fd_order=8, K=0, m
     """
     from .geodesics import geodesic_sphere_surface
 
-    if geo_cfg is None:
-        geo_cfg = GeodesicConfig()
     packet = curvature_packet(metric, p)
-    pert = optimal_perturbation(packet, grid, max_degree)
+    pert = optimal_perturbation(packet, grid)
     w = pert.w_values(rho, grid)
     surf = geodesic_sphere_surface(
         metric, p, rho, w, grid, geo_cfg, fd_order=fd_order, packet=packet
     )
-    report = floor_corrected_mass(surf, K)
-    mass = report.generalized if K != 0 else report.hawking
-    return surf.area, mass, pert.w_field(rho)
+    return surf.area, floor_corrected_mass(surf, K).generalized, pert.w_field(rho)
 
 
 def trace_to_csv(trace, path):

@@ -38,6 +38,7 @@ __all__ = [
     "SphereGrid",
     "build_grid",
     "EmbeddedSurface",
+    "first_form",
     "extrinsic_geometry",
     "HawkingReport",
     "hawking_mass",
@@ -212,6 +213,8 @@ class EmbeddedSurface:
     """A discretized closed surface with its extrinsic geometry.
 
     ``tangents[n, i]`` is Z_i at node n, ``normal`` the inward unit normal,
+    ``outward`` the reference field the normal was oriented against (the
+    outward geodesic velocities for a sphere read from a fan),
     ``first_form``/``second_form`` the per-node 2x2 matrices g_ij and h_ij,
     and ``area_element`` the scalar sqrt(det g_ij).
     """
@@ -220,6 +223,7 @@ class EmbeddedSurface:
     positions: np.ndarray        # (N, 3)
     tangents: np.ndarray         # (N, 2, 3)
     normal: np.ndarray           # (N, 3)
+    outward: np.ndarray          # (N, 3)
     first_form: np.ndarray       # (N, 2, 2)
     second_form: np.ndarray      # (N, 2, 2)
     mean_curvature: np.ndarray   # (N,)
@@ -239,6 +243,21 @@ class EmbeddedSurface:
     @property
     def willmore_energy(self):
         return self.integrate(self.mean_curvature**2)
+
+
+def first_form(tangents, g_z):
+    """Symmetrised first fundamental form g(Z_i, Z_j) and its determinant.
+
+    ``g_z`` holds the metric applied to the tangents, ``g @ Z`` with the
+    tangents as columns (N, 3, 2).  Raises DegenerateSurface where the form
+    is singular.
+    """
+    first = tangents @ g_z
+    first = 0.5 * (first + np.swapaxes(first, 1, 2))
+    det = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
+    if np.any(det <= 0.0):
+        raise DegenerateSurface("first fundamental form is singular at a node")
+    return first, det
 
 
 def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
@@ -263,19 +282,15 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
     g = metric_at(metric, positions)
     z_cols = np.swapaxes(tangents, 1, 2)  # (N, 3, 2), columns Z_j
     g_z = g @ z_cols
-
-    first = tangents @ g_z
-    first = 0.5 * (first + np.swapaxes(first, 1, 2))
-    det_first = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
-    if np.any(det_first <= 0.0):
-        raise DegenerateSurface("first fundamental form is singular at a node")
+    first, det_first = first_form(tangents, g_z)
 
     # normal: g N is euclidean-orthogonal to Z_1, Z_2, so g N = cross / |.|,
     # g(N, N) = N . cross and g(N, outward) has the sign of cross . outward
+    outward = np.asarray(outward, dtype=float)
     cross = np.cross(tangents[:, 0], tangents[:, 1])
     n_raw = _solve_sym3(g, cross)
     normal = n_raw / np.sqrt(np.sum(n_raw * cross, axis=1))[:, None]
-    normal[np.sum(cross * np.asarray(outward, dtype=float), axis=1) > 0.0] *= -1.0
+    normal[np.sum(cross * outward, axis=1) > 0.0] *= -1.0
 
     dn = np.stack(
         [grid.dtheta(normal, fd_order), grid.dphi(normal, fd_order)], axis=1
@@ -299,6 +314,7 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
         positions=positions,
         tangents=tangents,
         normal=normal,
+        outward=outward,
         first_form=first,
         second_form=second,
         mean_curvature=mean,
@@ -322,23 +338,13 @@ class HawkingReport:
     cosmological_sign: int
     generalized: float
 
-    def as_dict(self):
-        return {
-            "area": self.area,
-            "willmore": self.willmore,
-            "hawking": self.hawking,
-            "cosmological_sign": self.cosmological_sign,
-            "generalized": self.generalized,
-        }
 
-
-def hawking_mass(surface, metric=None, K=0):
+def hawking_mass(surface, K=0):
     """Hawking mass report of an embedded sphere.
 
     ``K`` in {-1, 0, +1} selects the cosmological normalization of the
     generalized mass, which subtracts ``4 K |Sigma|`` alongside the Willmore
-    energy.  The ``metric`` argument is accepted for interface symmetry; all
-    geometry is already stored on the surface.
+    energy.
     """
     return hawking_mass_from(surface.area, surface.willmore_energy, K)
 

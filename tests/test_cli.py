@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import hawking_lab
 from hawking_lab.cli import RunConfig, main
 from hawking_lab.errors import ConfigError
 from hawking_lab.expansion import grid_floor
+from hawking_lab.geodesics import GeodesicConfig
+from hawking_lab.optimizer import OptimizeConfig
 from hawking_lab.surface import build_grid
 
 
@@ -68,9 +71,15 @@ def test_optimize_flat_report(capsys, tmp_path):
     path.write_text(json.dumps(OPTIMIZE_FLAT))
     code = main(["optimize", "--config", str(path)])
     text = capsys.readouterr().out
-    assert code in (0, 1)  # exit 1 is a failed physics check, not an error
-    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    report = json.loads(text)
+    checks = {c["name"]: c for c in report["checks"]}
     assert checks["area_constraint"]["passed"]
+    # the line search collapses at iteration 1 with the gradient norm about
+    # 2e-9, above gradient_tol: that is not convergence
+    assert report["result"]["stop_reason"] == "step_collapse"
+    assert report["result"]["final_gradient_norm"] > 1e-9
+    assert not checks["converged"]["passed"]
+    assert code == 1
     # the report repeats byte for byte
     assert main(["optimize", "--config", str(path)]) == code
     assert capsys.readouterr().out == text
@@ -84,6 +93,38 @@ def test_optimize_rejects_removed_gradient_step(capsys, tmp_path):
     path.write_text(json.dumps(config))
     assert main(["optimize", "--config", str(path)]) == 2
     assert "gradient_step" in capsys.readouterr().err
+
+
+def test_defaults_come_from_the_config_dataclasses():
+    data = RunConfig({}).data
+    assert data["geodesic"] == asdict(GeodesicConfig())
+    assert data["optimizer"] == {
+        **asdict(OptimizeConfig()), "reference_rho": 0.05, "target_area": None,
+    }
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"optimizer": {"max_iters": 0}}, "max_iters"),
+        ({"optimizer": {"shrink": 1.0}}, "shrink"),
+        ({"optimizer": {"grow": 0.5}}, "grow"),
+        ({"optimizer": {"min_step": 0}}, "min_step"),
+        ({"geodesic": {"rel_tol": -1}}, "rel_tol"),
+        # a wrongly typed value or a malformed term names no key
+        ({"geodesic": {"max_steps": "many"}}, "invalid config value"),
+        ({"metric": {"kind": "conformal", "phi_poly": [[0.1]]}}, "invalid config value"),
+        ({"metric": {"kind": "conformal"}}, "phi_poly"),
+        ({"metric": {"kind": "polynomial_perturbation"}}, "terms"),
+    ],
+)
+def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
+    # rejected at load, whatever the command: run one that needs no optimizer,
+    # so a regression fails here and does not loop in the line search
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["curvature", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_solvers_unloaded():

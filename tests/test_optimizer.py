@@ -88,8 +88,8 @@ class TestMassGradient:
         ev = evaluator_at(metric, p, rho0, grid, K)
         target = 4.0 * np.pi * rho0**2
         coeffs = 1e-3 * np.random.default_rng(0).standard_normal(ev.n_coeff)
-        _, rho, surf, velocities = ev.constrained_mass(coeffs, rho0, target)
-        grad = ev.mass_gradient(coeffs, rho, surf, velocities)
+        _, rho, surf = ev.constrained_mass(coeffs, rho0, target)
+        grad = ev.mass_gradient(coeffs, rho, surf)
         reference = central_difference_gradient(ev, coeffs, rho, target)
         # measured 1.8e-5 to 2.8e-5 relative on every metric kind here
         assert np.linalg.norm(grad - reference) <= 1e-3 * np.linalg.norm(reference)
@@ -103,5 +103,23 @@ class TestMassGradient:
         rho0 = 0.05
         ev = evaluator_at(metric, np.zeros(3), rho0, grid)
         coeffs = np.zeros(ev.n_coeff)
-        _, rho, surf, velocities = ev.constrained_mass(coeffs, rho0, 4.0 * np.pi * rho0**2)
-        assert np.linalg.norm(ev.mass_gradient(coeffs, rho, surf, velocities)) <= 1e-11
+        _, rho, surf = ev.constrained_mass(coeffs, rho0, 4.0 * np.pi * rho0**2)
+        assert np.linalg.norm(ev.mass_gradient(coeffs, rho, surf)) <= 1e-11
+
+
+class TestAreaSolve:
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0]),
+            (ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
+        ],
+        ids=["schwarzschild", "conformal"],
+    )
+    def test_area_matches_the_surface_read_from_the_fan(self, grid, metric, p):
+        # the area solve's first-form-only area is the surface's own area
+        ev = evaluator_at(metric, p, 0.2, grid)
+        w = ev.w_values(1e-2 * np.random.default_rng(1).standard_normal(ev.n_coeff))
+        assert np.max(np.abs(w)) > 1e-3
+        area = ev.area_of(0.2, w)
+        assert area == pytest.approx(ev.fan.surface(0.2, w, 8).area, rel=1e-14, abs=0.0)

@@ -246,9 +246,7 @@ class TestHawkingMass:
             coeffs = rng.normal(size=len(modes))
             w = sum(c * m for c, m in zip(coeffs, modes))
             w *= 0.08 / np.max(np.abs(w))
-            surf = geodesic_sphere_surface(
-                EuclideanMetric(), np.zeros(3), 1.0, w, grid, cfg, fan=fan, fd_order=8
-            )
+            surf = fan.surface(1.0, w, 8)
             rep = hawking_mass(surf)
             assert rep.willmore >= 16.0 * np.pi - 1e-8
             assert rep.hawking <= 1e-10
