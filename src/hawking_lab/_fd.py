@@ -1,15 +1,13 @@
-"""Finite-difference building blocks: stencil weights and Richardson-extrapolated
-derivatives of batched callables.
+"""Richardson-extrapolated finite-difference derivatives of batched callables.
 
 The point-cloud helpers here differentiate smooth fields of chart coordinates
 (metric components, scalar curvature).  Grid differentiation on the sphere is
-built on :func:`stencil_weights` by the surface module.
+spectral and lives in the surface module.
 """
 
 import numpy as np
 
 __all__ = [
-    "stencil_weights",
     "diff1_richardson",
     "diff2_richardson",
     "EPS_THIRD",
@@ -19,50 +17,6 @@ __all__ = [
 _EPS = np.finfo(float).eps
 EPS_THIRD = _EPS ** (1.0 / 3.0)
 EPS_SIXTH = _EPS ** (1.0 / 6.0)
-
-
-def stencil_weights(x, x0, order):
-    """Finite-difference weights on arbitrary nodes (Fornberg's recursion).
-
-    Parameters
-    ----------
-    x : array_like, shape (n,)
-        Stencil node coordinates (distinct).
-    x0 : float
-        Evaluation point.
-    order : int
-        Derivative order m, 0 <= m <= n-1.
-
-    Returns
-    -------
-    ndarray, shape (n,)
-        Weights ``w`` with ``f^(m)(x0) ~= sum(w * f(x))``.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if not 0 <= order < n:
-        raise ValueError("derivative order must satisfy 0 <= order < len(x)")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
 
 
 def _batched(fn, pts):

@@ -13,11 +13,10 @@ c5 is unbiased against the remainder.  Every rung is read from one
 geodesic fan, the one :func:`geodesics.sphere_fan` shoots for the widest
 rung, through :meth:`geodesics.GeodesicFan.surface`.
 
-The angular stencils leave a truncation error in W and in |Sigma|/rho^2 that
-does not depend on the radius.  Neither fit basis can represent it, and the
-fits magnify it by 1/rho_min^2, so ladders measure it on the flat unit
-sphere of the same grid and stencil order (:func:`grid_floor`) and record
-rung values with it removed.
+Rung values are the surfaces' own masses, with no correction: the spectral
+angular derivatives leave the flat unit sphere's W - 16 pi and
+|Sigma|/(4 pi) - 1 at rounding level, so no radius-independent error is left
+for the fits to magnify.
 """
 
 from dataclasses import dataclass, field
@@ -25,15 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitUnstable, RadiusOutOfRange
-from .geodesics import sphere_fan, surface_tangents
+from .geodesics import sphere_fan
 from .harmonics import optimal_perturbation
-from .manifold import EuclideanMetric, curvature_packet
-from .surface import extrinsic_geometry, hawking_mass_from
+from .manifold import curvature_packet
+from .surface import hawking_mass
 
 __all__ = [
     "LadderResult",
-    "grid_floor",
-    "floor_corrected_mass",
     "radius_ladder",
     "ExpansionFit",
     "fit_coefficients",
@@ -50,53 +47,11 @@ __all__ = [
 
 MODES = ("optimal", "unperturbed")
 
-_FLOOR_CACHE = {}
-
-
-def grid_floor(grid, fd_order):
-    """Radius-independent stencil error ``(W - 16 pi, |Sigma|/(4 pi) - 1)``.
-
-    Both are measured on the flat unit sphere, whose positions are the grid's
-    unit vectors, built through the same tangent and normal stencils as every
-    geodesic sphere.  Geodesic spheres tend to round ones as rho -> 0, so
-    this is the part of their error that does not shrink with the radius.
-    Cached per ``(n_theta, n_phi, fd_order)``.
-    """
-    key = (grid.n_theta, grid.n_phi, fd_order)
-    if key not in _FLOOR_CACHE:
-        tangents = surface_tangents(grid.unit, grid, fd_order)
-        sphere = extrinsic_geometry(
-            EuclideanMetric(), grid, grid.unit, tangents, grid.unit, fd_order
-        )
-        _FLOOR_CACHE[key] = (
-            sphere.willmore_energy - 16.0 * np.pi,
-            sphere.area / (4.0 * np.pi) - 1.0,
-        )
-    return _FLOOR_CACHE[key]
-
-
-def floor_corrected_mass(surface, K=0):
-    """Hawking mass report of ``surface`` with the grid floor removed.
-
-    W is lowered by the flat unit sphere's Willmore error and the area
-    divided by ``1 + area_floor`` (:func:`grid_floor` on the surface's grid
-    and stencil order) before the mass is evaluated.
-    """
-    floor_w, floor_a = grid_floor(surface.grid, surface.fd_order)
-    return hawking_mass_from(
-        surface.area / (1.0 + floor_a), surface.willmore_energy - floor_w, K
-    )
-
-
 @dataclass
 class LadderResult:
     """Geometric radius ladder with per-radius mass data.
 
-    ``willmores``, ``areas`` and ``masses`` are floor-corrected: each rung's
-    W is lowered by ``willmore_floor`` and its area divided by
-    ``1 + area_floor``, the flat unit sphere's errors on the same grid and
-    stencil order (:func:`grid_floor`), and the mass is evaluated from the
-    corrected pair.  ``fan`` is the geodesic fan every rung was read from.
+    ``fan`` is the geodesic fan every rung was read from.
     """
 
     mode: str
@@ -105,22 +60,17 @@ class LadderResult:
     masses: np.ndarray      # generalized Hawking mass at the given K
     areas: np.ndarray
     willmores: np.ndarray
-    willmore_floor: float = 0.0
-    area_floor: float = 0.0
     packet: object = field(repr=False, default=None)
     fan: object = field(repr=False, default=None)
 
 
-def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None, fd_order=8):
+def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None):
     """Build surfaces on the ladder rho_k = rho0 / 2^k and record their masses.
 
     ``mode`` selects the graph function: the closed-form optimal perturbation
     scaled by rho^2, or identically zero.  All rungs reuse one geodesic fan,
     the :func:`sphere_fan` of the widest rung, which raises RadiusOutOfRange
     when ``rho0`` exceeds the injectivity bound.
-    Rung values are floor-corrected: the flat unit sphere's Willmore and area
-    errors on this grid and ``fd_order`` (:func:`grid_floor`) are removed
-    before the mass is evaluated, and both floors are recorded on the result.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -135,19 +85,17 @@ def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None, fd_order=8):
         wbar = np.zeros(grid.n_nodes)
     fan = sphere_fan(metric, p, rho0, rho0**2 * wbar, grid, cfg, packet=packet)
 
-    floor_w, floor_a = grid_floor(grid, fd_order)
     masses = np.empty(n)
     areas = np.empty(n)
     willmores = np.empty(n)
     for k, rho in enumerate(radii):
-        report = floor_corrected_mass(fan.surface(rho, rho**2 * wbar, fd_order), K)
+        report = hawking_mass(fan.surface(rho, rho**2 * wbar), K)
         masses[k] = report.generalized
         areas[k] = report.area
         willmores[k] = report.willmore
     return LadderResult(
         mode=mode, K=int(K), radii=radii, masses=masses, areas=areas,
-        willmores=willmores, willmore_floor=float(floor_w),
-        area_floor=float(floor_a), packet=packet, fan=fan,
+        willmores=willmores, packet=packet, fan=fan,
     )
 
 
@@ -278,29 +226,16 @@ class ComparisonReport:
 
     c3_fit: float
     c3_pred: float
+    c3_delta: float
+    c3_pass: bool
     c5_fit: float
     c5_pred: float
-    c3_delta: float
     c5_delta: float
-    c3_pass: bool
     c5_pass: bool
 
     @property
     def passed(self):
         return self.c3_pass and self.c5_pass
-
-    def as_dict(self):
-        return {
-            "c3_fit": self.c3_fit,
-            "c3_pred": self.c3_pred,
-            "c3_delta": self.c3_delta,
-            "c3_pass": self.c3_pass,
-            "c5_fit": self.c5_fit,
-            "c5_pred": self.c5_pred,
-            "c5_delta": self.c5_delta,
-            "c5_pass": self.c5_pass,
-            "passed": self.passed,
-        }
 
 
 def compare_report(
@@ -320,11 +255,11 @@ def compare_report(
     return ComparisonReport(
         c3_fit=fit.c3,
         c3_pred=pred.c3,
+        c3_delta=float(d3),
+        c3_pass=bool(abs(d3) <= c3_abs + c3_rel * abs(pred.c3)),
         c5_fit=fit.c5,
         c5_pred=pred.c5,
-        c3_delta=float(d3),
         c5_delta=float(d5),
-        c3_pass=bool(abs(d3) <= c3_abs + c3_rel * abs(pred.c3)),
         c5_pass=bool(abs(d5) <= c5_abs + c5_rel * abs(pred.c5)),
     )
 
@@ -355,8 +290,8 @@ def willmore_expansion_check(ladder, condition_limit=1e8):
     W - 16 pi is fitted against {rho^2, rho^4, rho^5} and
     |Sigma|/(4 pi rho^2) - 1 against {rho^2, rho^4}; the fitted quadratic and
     quartic coefficients are compared with the curvature predictions.  The
-    ladder's rung values are already floor-corrected (see
-    :class:`LadderResult`), so no constant term is fitted.
+    grid's error in W and area on the flat unit sphere is at rounding level,
+    so no constant term is fitted.
     """
     if ladder.mode != "optimal":
         raise ValueError("the Willmore expansion check runs in optimal mode")
@@ -431,10 +366,7 @@ def bartnik_lower_bound(packet, rho, validity_radius):
 
 
 def ladder_to_csv(ladder, path, predicted=None):
-    """Write the per-rung table (rho, area, willmore, hawking, predicted_leading).
-
-    Area, Willmore energy and mass are the ladder's floor-corrected values.
-    """
+    """Write the per-rung table (rho, area, willmore, hawking, predicted_leading)."""
     if predicted is None:
         mode = "generalized" if ladder.K != 0 else ladder.mode
         predicted = predicted_coefficients(ladder.packet, mode, ladder.K)

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     DomainError,
     DomainExit,
-    GridTooCoarse,
     PerturbationTooLarge,
     RadiusOutOfRange,
     StepLimit,
@@ -216,17 +215,15 @@ class GeodesicFan:
         """Outward unit-speed geodesic velocities at per-node arclengths."""
         return self._interpolate(self._velocities, s)
 
-    def surface(self, rho, w, fd_order):
+    def surface(self, rho, w):
         """The surface Exp_p[rho (1 - w) Theta] for node values ``w``, with
         its extrinsic geometry; the normal is oriented against the outward
         geodesic velocities."""
         radii = rho * (1.0 - w)
         positions = self.positions_at(radii)
         velocities = self.velocities_at(radii)
-        tangents = surface_tangents(positions, self.grid, fd_order)
-        return extrinsic_geometry(
-            self.metric, self.grid, positions, tangents, velocities, fd_order
-        )
+        tangents = surface_tangents(positions, self.grid)
+        return extrinsic_geometry(self.metric, self.grid, positions, tangents, velocities)
 
 
 def _as_w_values(w, grid):
@@ -277,24 +274,17 @@ def embed_sphere(metric, p, rho, w, grid, cfg=None):
     return fan.positions_at(rho * (1.0 - w_values))
 
 
-def surface_tangents(positions, grid, fd_order=4):
-    """Coordinate tangents Z_i = d(embedding)/d theta^i on the grid.
-
-    Derivatives are centred stencils of the requested order in theta1 (with
-    the pole-crossing extension) and periodic stencils in theta2.
-    """
-    if grid.n_theta < 8 or grid.n_phi < 16:
-        raise GridTooCoarse("tangent stencils need at least an 8 x 16 grid")
+def surface_tangents(positions, grid):
+    """Coordinate tangents Z_i = d(embedding)/d theta^i on the grid, by the
+    grid's spectral angular derivatives."""
     positions = np.asarray(positions, dtype=float)
-    return np.stack(
-        [grid.dtheta(positions, fd_order), grid.dphi(positions, fd_order)], axis=1
-    )
+    return np.stack([grid.dtheta(positions), grid.dphi(positions)], axis=1)
 
 
-def geodesic_sphere_surface(metric, p, rho, w, grid, cfg=None, fd_order=4, packet=None):
+def geodesic_sphere_surface(metric, p, rho, w, grid, cfg=None, packet=None):
     """Full pipeline: shoot the fan of a perturbed geodesic sphere
     (:func:`sphere_fan`) and read the surface from it
     (:meth:`GeodesicFan.surface`)."""
     w_values = _radial_w(w, grid)
     fan = sphere_fan(metric, p, rho, w_values, grid, cfg, packet=packet)
-    return fan.surface(rho, w_values, fd_order)
+    return fan.surface(rho, w_values)

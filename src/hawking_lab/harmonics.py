@@ -227,12 +227,10 @@ def _willmore_potential(surface, metric):
 def willmore_el_operator(surface, metric):
     """Left-hand side ``2 Lap_Sigma H + H (H^2 - 4 D + 2 Ric(N, N))`` of the
     area-constrained Willmore equation at the surface nodes, with the surface
-    Laplacian assembled from the first fundamental form by the same grid
-    stencils used for the geometry."""
+    Laplacian assembled from the first fundamental form by the same angular
+    derivatives used for the geometry."""
     H = surface.mean_curvature
-    lap_h = surface.grid.surface_laplacian(
-        H, surface.first_form, surface.area_element, order=surface.fd_order
-    )
+    lap_h = surface.grid.surface_laplacian(H, surface.first_form, surface.area_element)
     return 2.0 * lap_h + _willmore_potential(surface, metric)
 
 
@@ -272,10 +270,9 @@ def willmore_first_variation(surface, metric, speeds):
     V only reparametrize the closed surface and do not contribute.
     """
     grid = surface.grid
-    order = surface.fd_order
     H = surface.mean_curvature
-    dh = np.stack([grid.dtheta(H, order), grid.dphi(H, order)], axis=-1)   # (N, 2)
-    dpsi = np.stack([grid.dtheta(speeds, order), grid.dphi(speeds, order)], axis=1)
+    dh = np.stack([grid.dtheta(H), grid.dphi(H)], axis=-1)                 # (N, 2)
+    dpsi = np.stack([grid.dtheta(speeds), grid.dphi(speeds)], axis=1)
     grad_h = np.linalg.inv(surface.first_form) @ dh[:, :, np.newaxis]      # (N, 2, 1)
     gradient_term = np.sum(dpsi * grad_h, axis=1)                          # (N, K)
     potential = _willmore_potential(surface, metric)

@@ -6,9 +6,7 @@ The search space is the span of real spherical harmonics of degree 2..L
 every trial coefficient vector the radius is rescaled so the surface area
 matches the target, making the ascent an unconstrained problem in the shape
 coefficients.  Every surface evaluation reuses one geodesic fan, so the
-inner loop is pure interpolation and quadrature.  Masses are floor-corrected
-like ladder rungs (:func:`expansion.floor_corrected_mass`); the area
-constraint matches raw surface areas.
+inner loop is pure interpolation and quadrature.
 
 The gradient is analytic and comes from the surface the iteration already
 holds.  Mode k of the shape moves the nodes along the fan by
@@ -20,7 +18,7 @@ that keeps the area, and at fixed area
 
     dm/dc_k = -sqrt(A / (16 pi)^3) int (E - lam H) psi_k dmu,
 
-with E the Euler-Lagrange left-hand side and A the floor-corrected area.
+with E the Euler-Lagrange left-hand side and A the surface area.
 The ``-4 K |Sigma|`` term of the generalized mass is constant at fixed area,
 so the same formula holds for every K.
 """
@@ -30,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .expansion import floor_corrected_mass
 from .geodesics import GeodesicFan, surface_tangents
 from .harmonics import (
     HarmonicField,
@@ -42,7 +39,7 @@ from .harmonics import (
     willmore_first_variation,
 )
 from .manifold import curvature_packet, metric_at
-from .surface import first_form
+from .surface import first_form, hawking_mass
 
 __all__ = [
     "OptimizeConfig",
@@ -124,12 +121,11 @@ class OptimizeResult:
 class _SurfaceEvaluator:
     """Shared machinery: fan, shape basis, area solve and mass evaluation."""
 
-    def __init__(self, metric, p, grid, rho_init, cfg, geo_cfg, K=0, fd_order=8):
+    def __init__(self, metric, p, grid, rho_init, cfg, geo_cfg, K=0):
         self.metric = metric
         self.grid = grid
         self.cfg = cfg
         self.K = K
-        self.fd_order = fd_order
         self.packet = curvature_packet(metric, p)
         self.s_max = rho_init * 1.35
         bound = metric.injectivity_bound(p)
@@ -147,7 +143,7 @@ class _SurfaceEvaluator:
         """Area of the surface at radius ``rho`` and shape ``w``, from its
         first fundamental form alone."""
         positions = self.fan.positions_at(rho * (1.0 - w))
-        tangents = surface_tangents(positions, self.grid, self.fd_order)
+        tangents = surface_tangents(positions, self.grid)
         g = metric_at(self.metric, positions)
         _, det = first_form(tangents, g @ np.swapaxes(tangents, 1, 2))
         return float(
@@ -177,8 +173,8 @@ class _SurfaceEvaluator:
         """
         w = self.w_values(coeffs)
         rho, _ = self.solve_radius(rho_guess, w, target_area)
-        surf = self.fan.surface(rho, w, self.fd_order)
-        return floor_corrected_mass(surf, self.K).generalized, rho, surf
+        surf = self.fan.surface(rho, w)
+        return hawking_mass(surf, self.K).generalized, rho, surf
 
     def mass_gradient(self, coeffs, rho, surf):
         """Gradient of :meth:`constrained_mass` in the shape coefficients,
@@ -191,8 +187,7 @@ class _SurfaceEvaluator:
         speeds = np.column_stack([(1.0 - w) * v_n, -rho * (self.shape_basis * v_n).T])
         d_w, d_a = willmore_first_variation(surf, self.metric, speeds)
         lam = -d_w[0] / d_a[0]  # int E psi_rho / int H psi_rho
-        area = floor_corrected_mass(surf, self.K).area
-        return -np.sqrt(area / (16.0 * np.pi) ** 3) * (d_w[1:] + lam * d_a[1:])
+        return -np.sqrt(surf.area / (16.0 * np.pi) ** 3) * (d_w[1:] + lam * d_a[1:])
 
 
 def maximize_hawking(
@@ -203,7 +198,6 @@ def maximize_hawking(
     grid=None,
     geo_cfg=None,
     K=0,
-    fd_order=8,
 ):
     """Projected-gradient ascent of the Hawking mass at fixed area.
 
@@ -227,7 +221,7 @@ def maximize_hawking(
     p = np.asarray(p, dtype=float)
 
     rho_flat = np.sqrt(target_area / (4.0 * np.pi))
-    ev = _SurfaceEvaluator(metric, p, grid, rho_flat * 1.05, cfg, geo_cfg, K, fd_order)
+    ev = _SurfaceEvaluator(metric, p, grid, rho_flat * 1.05, cfg, geo_cfg, K)
 
     rng = np.random.default_rng(cfg.seed)
     coeffs = cfg.init_jitter * rng.standard_normal(ev.n_coeff)
@@ -304,23 +298,20 @@ def lagrange_multiplier_from_surface(surface, metric):
     return least_squares_multiplier(surface, willmore_el_operator(surface, metric))
 
 
-def closed_form_reference(metric, p, rho, grid, geo_cfg=None, fd_order=8, K=0):
+def closed_form_reference(metric, p, rho, grid, geo_cfg=None, K=0):
     """Area and mass of the closed-form optimally perturbed sphere at ``rho``.
 
     Returns ``(target_area, mass, w_field)`` for optimizer comparisons: the
     optimizer searching at this target area can only do at least as well as
-    this surface.  The target is the raw surface area, which the optimizer's
-    area solve matches; the mass is floor-corrected, as the optimizer's are.
+    this surface.
     """
     from .geodesics import geodesic_sphere_surface
 
     packet = curvature_packet(metric, p)
     pert = optimal_perturbation(packet, grid)
     w = pert.w_values(rho, grid)
-    surf = geodesic_sphere_surface(
-        metric, p, rho, w, grid, geo_cfg, fd_order=fd_order, packet=packet
-    )
-    return surf.area, floor_corrected_mass(surf, K).generalized, pert.w_field(rho)
+    surf = geodesic_sphere_surface(metric, p, rho, w, grid, geo_cfg, packet=packet)
+    return surf.area, hawking_mass(surf, K).generalized, pert.w_field(rho)
 
 
 def trace_to_csv(trace, path):

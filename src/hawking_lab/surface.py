@@ -7,9 +7,13 @@ Grid layout
 Colatitude nodes are Gauss-Legendre points in cos(theta1) (open at both
 poles), longitude nodes are uniform.  Fields live on flattened arrays of
 length ``n_theta * n_phi`` with node index ``i_theta * n_phi + i_phi``.
-Angular derivatives use banded stencils of configurable order; across the
-poles a field value at (-t, phi) is read from (t, phi + pi), which keeps
-every stencil centred.
+Angular derivatives are spectral: a Fourier transform in longitude, then per
+Fourier mode a cosine or sine series in colatitude through the nodes.  A
+smooth field satisfies f(-t, phi) = f(t, phi + pi) across the poles, so its
+mode m continues as an even function of t when m is even and as an odd one
+when m is odd (the double Fourier sphere of Townsend, Wilber and Wright,
+SIAM J. Sci. Comput. 2016).  Polynomials of the unit vector of degree below
+min(n_theta, n_phi / 2) are differentiated exactly.
 
 Quadrature weights integrate against the measure ``d(cos theta) d(phi)``, so
 surface integrals divide the area element sqrt(det g) by sin(theta1) before
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fd import stencil_weights
 from .errors import DegenerateSurface, FitUnstable, GridTooCoarse
 from .manifold import _solve_sym3, metric_at
 
@@ -42,7 +45,6 @@ __all__ = [
     "extrinsic_geometry",
     "HawkingReport",
     "hawking_mass",
-    "hawking_mass_from",
     "expansion_order_check",
     "ExpansionOrderReport",
     "surface_to_csv",
@@ -78,90 +80,67 @@ class SphereGrid:
         values = np.asarray(values)
         return values.reshape((self.n_theta, self.n_phi) + values.shape[1:])
 
-    def _theta_weights(self, order):
-        key = ("theta", order)
-        if key not in self._diff_cache:
-            p = order // 2
+    def _theta_matrices(self):
+        """d/d theta1 of the cosine series (k = 0..n_theta-1) and of the sine
+        series (k = 1..n_theta) through the colatitude nodes."""
+        if "theta" not in self._diff_cache:
             t = self.theta_axis
-            t_ext = np.concatenate([-t[p - 1 :: -1], t, 2.0 * np.pi - t[: -p - 1 : -1]])
-            rows = np.zeros((self.n_theta, t_ext.size))
-            for i in range(self.n_theta):
-                sl = slice(i, i + 2 * p + 1)
-                rows[i, sl] = stencil_weights(t_ext[sl], t[i], 1)
-            self._diff_cache[key] = rows
-        return self._diff_cache[key]
+            k = np.arange(self.n_theta)
+            kt = np.outer(t, k)
+            even = np.linalg.solve(np.cos(kt).T, (-k * np.sin(kt)).T).T
+            kt = np.outer(t, k + 1)
+            odd = np.linalg.solve(np.sin(kt).T, ((k + 1) * np.cos(kt)).T).T
+            self._diff_cache["theta"] = (even, odd)
+        return self._diff_cache["theta"]
 
-    def _phi_weights(self, order):
-        key = ("phi", order)
-        if key not in self._diff_cache:
-            p = order // 2
-            dphi = 2.0 * np.pi / self.n_phi
-            offsets = np.arange(-p, p + 1)
-            w = stencil_weights(offsets * dphi, 0.0, 1)
-            self._diff_cache[key] = (offsets, w)
-        return self._diff_cache[key]
-
-    def _extend_theta(self, f2d, p, parity):
-        half = self.n_phi // 2
-        top = parity * np.roll(f2d[p - 1 :: -1], half, axis=1)
-        bottom = parity * np.roll(f2d[: -p - 1 : -1], half, axis=1)
-        return np.concatenate([top, f2d, bottom], axis=0)
-
-    def dtheta(self, values, order=4, parity=1):
-        """d/d theta1 of a node field (any trailing component shape).
-
-        ``parity`` states how the field continues across the poles: +1 for
-        fields even under the meridian continuation (f(-t, phi) =
-        f(t, phi + pi)), such as plain scalars, -1 for odd ones, such as a
-        previously taken theta derivative.  A product of two odd factors is
-        even: the theta flux of a Laplacian, the area element (odd, like
-        sin theta) times a theta derivative, continues with +1.  Getting this
-        wrong corrupts the stencils nearest the poles only, which makes the
-        bug easy to miss on integral quantities.
-        """
-        self._validate_order(order)
+    def _spectrum(self, values):
+        """Fourier coefficients in theta2, shape (n_theta, n_phi // 2 + 1, C)."""
         f2d = self.to_2d(np.asarray(values, dtype=float))
-        trail = f2d.shape[2:]
-        ext = self._extend_theta(
-            f2d.reshape(self.n_theta, self.n_phi, -1), order // 2, parity
-        )
-        rows = self._theta_weights(order)
-        out = np.einsum("ie,ejc->ijc", rows, ext)
-        return out.reshape((self.n_nodes,) + trail)
-
-    def dphi(self, values, order=4):
-        """d/d theta2 of a node field (periodic)."""
-        self._validate_order(order)
-        f2d = self.to_2d(np.asarray(values, dtype=float))
-        trail = f2d.shape[2:]
         flat = f2d.reshape(self.n_theta, self.n_phi, -1)
-        offsets, w = self._phi_weights(order)
-        out = np.zeros_like(flat)
-        for off, wk in zip(offsets, w):
-            if wk != 0.0:
-                out += wk * np.roll(flat, -off, axis=1)
-        return out.reshape((self.n_nodes,) + trail)
+        return np.fft.rfft(flat, axis=1), f2d.shape[2:]
 
-    def surface_laplacian(self, values, first_form, area_element, order=4):
-        """Laplace-Beltrami of a scalar field of the surface with metric
-        ``first_form`` (per-node 2x2) and area element sqrt(det g).
+    def _synthesis(self, spectrum, trail):
+        values = np.fft.irfft(spectrum, n=self.n_phi, axis=1)
+        return values.reshape((self.n_nodes,) + trail)
 
-        The area element continues across the poles as an odd function, like
-        sin theta, and so does a theta derivative; their product, the theta
-        component of the flux, is even, so the divergence stencil reads it
-        with the plain parity +1.
+    def dtheta(self, values):
+        """d/d theta1 of a smooth node field (any trailing component shape).
+
+        Fourier mode m of a smooth field is even in theta1 for even m and
+        odd for odd m, since f(-t, phi) = f(t, phi + pi); each mode is
+        differentiated through the cosine or sine series it continues as.
         """
-        df = np.stack([self.dtheta(values, order), self.dphi(values, order)], axis=-1)
+        spectrum, trail = self._spectrum(values)
+        even, odd = self._theta_matrices()
+        out = np.empty_like(spectrum)
+        out[:, 0::2] = _real_matmul(even, spectrum[:, 0::2])
+        out[:, 1::2] = _real_matmul(odd, spectrum[:, 1::2])
+        return self._synthesis(out, trail)
+
+    def dphi(self, values):
+        """d/d theta2 of a node field (periodic).  The Nyquist mode's
+        derivative is imaginary, and ``irfft`` drops it."""
+        spectrum, trail = self._spectrum(values)
+        m = np.arange(spectrum.shape[1])
+        return self._synthesis(spectrum * (1j * m)[:, np.newaxis], trail)
+
+    def surface_laplacian(self, values, first_form, area_element):
+        """Laplace-Beltrami of a scalar field of the surface with metric
+        ``first_form`` (per-node 2x2) and area element sqrt(det g)."""
+        df = np.stack([self.dtheta(values), self.dphi(values)], axis=-1)
         g_inv = np.linalg.inv(first_form)
         flux = area_element[:, None] * np.einsum("nij,nj->ni", g_inv, df)
-        div = self.dtheta(flux[:, 0], order) + self.dphi(flux[:, 1], order)
+        # the theta flux (like sin theta * f_theta) continues evenly across
+        # the poles, as dtheta assumes; dphi assumes nothing
+        div =self.dtheta(flux[:, 0]) + self.dphi(flux[:, 1])
         return div / area_element
 
-    def _validate_order(self, order):
-        if order % 2 or order < 2:
-            raise ValueError("stencil order must be even and >= 2")
-        if order + 1 > self.n_theta:
-            raise GridTooCoarse("stencil wider than the theta grid")
+
+def _real_matmul(a, z):
+    """``a @ z`` for a real matrix and a complex array, as one real product."""
+    z = np.ascontiguousarray(z)
+    out = a @ z.view(float).reshape(z.shape[0], -1)
+    return out.view(complex).reshape(z.shape)
 
 
 def build_grid(n_theta, n_phi):
@@ -174,7 +153,7 @@ def build_grid(n_theta, n_phi):
     if n_theta < 8 or n_phi < 16:
         raise GridTooCoarse("need n_theta >= 8 and n_phi >= 16")
     if n_phi % 2:
-        raise GridTooCoarse("n_phi must be even (pole extension needs phi + pi)")
+        raise GridTooCoarse("n_phi must be even, so that every node's antipode is a node")
     x, glw = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(x[::-1])          # ascending colatitude
     glw = glw[::-1]
@@ -229,7 +208,6 @@ class EmbeddedSurface:
     mean_curvature: np.ndarray   # (N,)
     gauss_product: np.ndarray    # (N,) product of principal curvatures
     area_element: np.ndarray     # (N,)
-    fd_order: int = 4
 
     def integrate(self, values):
         """Surface integral of a per-node scalar field."""
@@ -260,7 +238,7 @@ def first_form(tangents, g_z):
     return first, det
 
 
-def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
+def extrinsic_geometry(metric, grid, positions, tangents, outward):
     """Build an :class:`EmbeddedSurface` from node positions and tangents.
 
     Parameters
@@ -274,8 +252,6 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
     outward : ndarray
         Reference field (N, 3) pointing out of the enclosed region; the unit
         normal is oriented inward against it.
-    fd_order : int
-        Stencil order for the angular derivatives of the normal.
     """
     positions = np.asarray(positions, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
@@ -292,9 +268,8 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
     normal = n_raw / np.sqrt(np.sum(n_raw * cross, axis=1))[:, None]
     normal[np.sum(cross * outward, axis=1) > 0.0] *= -1.0
 
-    dn = np.stack(
-        [grid.dtheta(normal, fd_order), grid.dphi(normal, fd_order)], axis=1
-    )  # (N, 2, 3) partial derivatives of the normal components
+    # (N, 2, 3) partial derivatives of the normal components
+    dn = np.stack([grid.dtheta(normal), grid.dphi(normal)], axis=1)
     # symmetrised, the Christoffel part of -g(D_i N, Z_j) is
     # -1/2 (N.d)g(Z_i, Z_j) (module docstring); positions are guarded above
     dg = metric.metric_deriv(positions)
@@ -320,7 +295,6 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward, fd_order=4):
         mean_curvature=mean,
         gauss_product=gauss,
         area_element=np.sqrt(det_first),
-        fd_order=fd_order,
     )
 
 
@@ -346,13 +320,10 @@ def hawking_mass(surface, K=0):
     generalized mass, which subtracts ``4 K |Sigma|`` alongside the Willmore
     energy.
     """
-    return hawking_mass_from(surface.area, surface.willmore_energy, K)
-
-
-def hawking_mass_from(area, willmore, K=0):
-    """Hawking mass report from a surface's area and Willmore energy."""
     if K not in (-1, 0, 1):
         raise ValueError("K must be one of -1, 0, +1")
+    area = surface.area
+    willmore = surface.willmore_energy
     prefactor = np.sqrt(area / (16.0 * np.pi) ** 3)
     hawking = prefactor * (16.0 * np.pi - willmore)
     generalized = prefactor * (16.0 * np.pi - willmore - 4.0 * K * area)
@@ -416,21 +387,25 @@ def _sphere_metric_fields(grid):
     return g, g_inv, dg
 
 
-def _sphere_hessian(grid, w, order):
+def _sphere_hessian(grid, w):
     """Covariant Hessian of a scalar on the round S^2 (per-node 2x2).
 
-    The repeated theta derivative acts on an odd-continuing field, so it
-    runs with flipped pole parity.
+    w_theta theta is read off the Laplacian, Lap w - cot theta w_theta -
+    w_phi phi / sin^2 theta, so that only smooth fields are differentiated
+    in theta.
     """
-    w1 = grid.dtheta(w, order)
-    w2 = grid.dphi(w, order)
+    w1 = grid.dtheta(w)
+    w2 = grid.dphi(w)
+    w22 = grid.dphi(w2)
     st = grid.sin_theta
     ct = np.cos(grid.theta1)
     cot = ct / st
+    round_form = _sphere_metric_fields(grid)[0]
+    lap = grid.surface_laplacian(w, round_form, st)
     h = np.empty((grid.n_nodes, 2, 2))
-    h[:, 0, 0] = grid.dtheta(w1, order, parity=-1)
-    h[:, 0, 1] = h[:, 1, 0] = grid.dphi(w1, order) - cot * w2
-    h[:, 1, 1] = grid.dphi(w2, order) + st * ct * w1
+    h[:, 0, 0] = lap - cot * w1 - w22 / st**2
+    h[:, 0, 1] = h[:, 1, 0] = grid.dphi(w1) - cot * w2
+    h[:, 1, 1] = w22 + st * ct * w1
     return h
 
 
@@ -492,7 +467,7 @@ def _curvature_sphere_fields(packet, grid):
     return q, dq
 
 
-def truncated_second_form(packet, grid, w, rho, order=4):
+def truncated_second_form(packet, grid, w, rho):
     """Second fundamental form of a perturbed geodesic sphere, truncated at
     cubic order in the radius, assembled from curvature at the centre.
 
@@ -503,8 +478,8 @@ def truncated_second_form(packet, grid, w, rho, order=4):
     n = grid.n_nodes
     w = np.asarray(w, dtype=float)
     g, g_inv, dg = _sphere_metric_fields(grid)
-    w_i = np.stack([grid.dtheta(w, order), grid.dphi(w, order)], axis=-1)  # (N, 2)
-    hess_w = _sphere_hessian(grid, w, order)
+    w_i = np.stack([grid.dtheta(w), grid.dphi(w)], axis=-1)  # (N, 2)
+    hess_w = _sphere_hessian(grid, w)
     q, dq = _curvature_sphere_fields(packet, grid)
 
     wk_up = np.einsum("nkl,nk->nl", g_inv, w_i)
@@ -536,15 +511,15 @@ def truncated_second_form(packet, grid, w, rho, order=4):
     return h
 
 
-def truncated_mean_curvature(packet, grid, w, rho, order=4):
+def truncated_mean_curvature(packet, grid, w, rho):
     """Mean curvature of a perturbed geodesic sphere through linear order in
     the radius (the curvature-gradient corrections enter at quadratic order
     and are not reproduced here)."""
     n = grid.n_nodes
     w = np.asarray(w, dtype=float)
     g, g_inv, dg = _sphere_metric_fields(grid)
-    w_i = np.stack([grid.dtheta(w, order), grid.dphi(w, order)], axis=-1)
-    hess_w = _sphere_hessian(grid, w, order)
+    w_i = np.stack([grid.dtheta(w), grid.dphi(w)], axis=-1)
+    hess_w = _sphere_hessian(grid, w)
     lap_w = np.einsum("nij,nij->n", g_inv, hess_w)
     q, dq = _curvature_sphere_fields(packet, grid)
 
@@ -573,7 +548,7 @@ def truncated_mean_curvature(packet, grid, w, rho, order=4):
     return H
 
 
-def expansion_order_check(metric, p, w_values_fn, radii, grid, cfg=None, fd_order=4):
+def expansion_order_check(metric, p, w_values_fn, radii, grid, cfg=None):
     """Measure the convergence order of the numerical second fundamental form
     against its cubic-order truncation on a shrinking radius ladder.
 
@@ -597,11 +572,9 @@ def expansion_order_check(metric, p, w_values_fn, radii, grid, cfg=None, fd_orde
     mc_res = np.empty(radii.size)
     for k, rho in enumerate(radii):
         w = np.asarray(w_values_fn(rho), dtype=float)
-        surf = geodesic_sphere_surface(
-            metric, p, rho, w, grid, cfg, fd_order=fd_order, packet=packet
-        )
-        h_trunc = truncated_second_form(packet, grid, w, rho, order=fd_order)
-        mc_trunc = truncated_mean_curvature(packet, grid, w, rho, order=fd_order)
+        surf = geodesic_sphere_surface(metric, p, rho, w, grid, cfg, packet=packet)
+        h_trunc = truncated_second_form(packet, grid, w, rho)
+        mc_trunc = truncated_mean_curvature(packet, grid, w, rho)
         h_res[k] = np.max(np.abs(surf.second_form - h_trunc))
         mc_res[k] = np.max(np.abs(surf.mean_curvature - mc_trunc))
 

@@ -236,7 +236,7 @@ class TestWillmoreEl:
     def test_flat_round_sphere_zero_lambda(self, grid):
         cfg = GeodesicConfig()
         surf = geodesic_sphere_surface(
-            EuclideanMetric(), np.zeros(3), 0.5, None, grid, cfg, fd_order=8
+            EuclideanMetric(), np.zeros(3), 0.5, None, grid, cfg
         )
         res = willmore_el_residual(surf, EuclideanMetric(), 0.0)
         assert np.max(np.abs(res)) < 1e-6
@@ -248,7 +248,7 @@ class TestWillmoreEl:
         metric = RoundSphereMetric()
         for rho in (0.2, 0.4):
             surf = geodesic_sphere_surface(
-                metric, np.array([0.1, 0.0, 0.0]), rho, None, grid, cfg, fd_order=8
+                metric, np.array([0.1, 0.0, 0.0]), rho, None, grid, cfg
             )
             res = willmore_el_residual(surf, metric, 4.0)
             assert np.max(np.abs(res)) < 1e-5
@@ -260,7 +260,7 @@ class TestWillmoreEl:
         p = np.array([4.0, 0.0, 0.0])
         pert = optimal_perturbation(curvature_packet(metric, p), grid)
         surf = geodesic_sphere_surface(
-            metric, p, 0.2, pert.w_values(0.2, grid), grid, GeodesicConfig(), fd_order=8
+            metric, p, 0.2, pert.w_values(0.2, grid), grid, GeodesicConfig()
         )
         res = willmore_el_residual(surf, metric)
         lam = lagrange_multiplier_from_surface(surf, metric)
@@ -280,7 +280,7 @@ class TestWillmoreEl:
         radii = np.array([0.4, 0.2, 0.1, 0.05])
         for rho in radii:
             surf = geodesic_sphere_surface(
-                metric, p, rho, pert.w_values(rho, grid), grid, cfg, fd_order=8,
+                metric, p, rho, pert.w_values(rho, grid), grid, cfg,
                 packet=packet,
             )
             res = willmore_el_residual(surf, metric, pert.lam)

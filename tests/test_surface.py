@@ -39,10 +39,10 @@ def cfg():
     return GeodesicConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
-def coordinate_sphere(metric, r, grid, fd_order=8):
+def coordinate_sphere(metric, r, grid):
     pos = r * grid.unit
-    tan = surface_tangents(pos, grid, fd_order)
-    return extrinsic_geometry(metric, grid, pos, tan, outward=grid.unit, fd_order=fd_order)
+    tan = surface_tangents(pos, grid)
+    return extrinsic_geometry(metric, grid, pos, tan, outward=grid.unit)
 
 
 class TestGrid:
@@ -73,12 +73,12 @@ class TestGrid:
         f = np.sin(grid.theta1) ** 2 * np.cos(2.0 * grid.theta2)
         dt_exact = 2.0 * np.sin(grid.theta1) * np.cos(grid.theta1) * np.cos(2.0 * grid.theta2)
         dp_exact = -2.0 * np.sin(grid.theta1) ** 2 * np.sin(2.0 * grid.theta2)
-        assert np.max(np.abs(grid.dtheta(f, 8) - dt_exact)) < 1e-8
-        assert np.max(np.abs(grid.dphi(f, 8) - dp_exact)) < 1e-7
+        assert np.max(np.abs(grid.dtheta(f) - dt_exact)) < 1e-8
+        assert np.max(np.abs(grid.dphi(f) - dp_exact)) < 1e-7
 
     def test_surface_laplacian_unit_sphere_harmonics(self):
         # Delta Y = -l(l+1) Y at every node, pole rows included; the worst
-        # case, x z at 24 x 48 with order 8, measures 2.8e-5
+        # case, x z at 24 x 48, measures 2.3e-12
         g = build_grid(24, 48)
         first = np.zeros((g.n_nodes, 2, 2))
         first[:, 0, 0] = 1.0
@@ -90,13 +90,43 @@ class TestGrid:
             "x2-y2": (x * x - y * y, 2), "3z2-1": (3.0 * z * z - 1.0, 2),
         }
         for name, (f, l) in cases.items():
-            lap = g.surface_laplacian(f, first, g.sin_theta, order=8)
+            lap = g.surface_laplacian(f, first, g.sin_theta)
             assert np.max(np.abs(lap + l * (l + 1) * f)) < 1e-4, name
+
+    @pytest.mark.parametrize("n_theta", [24, 48])
+    def test_derivatives_exact_on_polynomials(self, n_theta):
+        # monomials of the unit vector of degree below n_theta, against the
+        # chain rule grad f . Theta_theta and grad f . Theta_phi
+        g = build_grid(n_theta, 2 * n_theta)
+        rng = np.random.default_rng(n_theta)
+        u = g.unit
+        for _ in range(40):
+            degree = rng.integers(n_theta)
+            a = rng.integers(degree + 1)
+            b = rng.integers(degree - a + 1)
+            e = np.array([a, b, degree - a - b])
+            f = np.prod(u**e, axis=1)
+            lowered = np.maximum(e - np.eye(3, dtype=int), 0)  # row k: d/du_k
+            grad = e * np.prod(u[:, np.newaxis, :] ** lowered, axis=2)
+            want_t = np.sum(grad * g.theta_tangent, axis=1)
+            want_p = np.sum(grad * g.phi_tangent, axis=1)
+            scale = max(np.max(np.abs(want_t)), np.max(np.abs(want_p)), np.max(np.abs(f)))
+            assert np.max(np.abs(g.dtheta(f) - want_t)) <= 1e-12 * scale, e
+            assert np.max(np.abs(g.dphi(f) - want_p)) <= 1e-12 * scale, e
+
+    @pytest.mark.parametrize("n_theta", [24, 32, 48])
+    def test_flat_unit_sphere_willmore_and_area(self, n_theta):
+        # no radius-independent floor is left for ladder fits to magnify
+        g = build_grid(n_theta, 2 * n_theta)
+        tan = surface_tangents(g.unit, g)
+        sphere = extrinsic_geometry(EuclideanMetric(), g, g.unit, tan, outward=g.unit)
+        assert abs(sphere.willmore_energy - 16.0 * np.pi) <= 1e-12
+        assert abs(sphere.area / (4.0 * np.pi) - 1.0) <= 1e-14
 
     def test_pole_extension_smoothness(self, grid):
         # a field symmetric across the pole differentiates cleanly there
         f = grid.unit[:, 2]  # cos(theta)
-        df = grid.dtheta(f, 8)
+        df = grid.dtheta(f)
         assert np.max(np.abs(df + np.sin(grid.theta1))) < 1e-10
 
 
@@ -104,7 +134,7 @@ class TestExtrinsicGeometry:
     def test_flat_round_sphere_forms(self, grid, cfg):
         rho = 0.75
         surf = geodesic_sphere_surface(
-            EuclideanMetric(), np.zeros(3), rho, None, grid, cfg, fd_order=8
+            EuclideanMetric(), np.zeros(3), rho, None, grid, cfg
         )
         assert np.max(np.abs(surf.mean_curvature - 2.0 / rho)) < 1e-8
         assert np.max(np.abs(surf.gauss_product - 1.0 / rho**2)) < 1e-8
@@ -121,7 +151,7 @@ class TestExtrinsicGeometry:
 
     def test_hyperbolic_geodesic_sphere(self, grid, cfg):
         surf = geodesic_sphere_surface(
-            HyperbolicMetric(), np.zeros(3), 0.5, None, grid, cfg, fd_order=8
+            HyperbolicMetric(), np.zeros(3), 0.5, None, grid, cfg
         )
         assert np.max(np.abs(surf.mean_curvature - 2.0 / np.tanh(0.5))) < 1e-7
 
@@ -139,7 +169,7 @@ class TestExtrinsicGeometry:
     def test_degenerate_surface_raises(self, grid):
         pos = np.zeros((grid.n_nodes, 3))
         pos[:, 0] = grid.unit[:, 0]  # collapsed to a segment
-        tan = surface_tangents(pos, grid, 4)
+        tan = surface_tangents(pos, grid)
         with pytest.raises(DegenerateSurface):
             extrinsic_geometry(EuclideanMetric(), grid, pos, tan, outward=grid.unit)
 
@@ -149,10 +179,10 @@ class TestExtrinsicGeometry:
         rho = 0.8
         w = 0.05 * (grid.unit[:, 0] ** 2 - grid.unit[:, 1] ** 2)
         surf = geodesic_sphere_surface(
-            EuclideanMetric(), np.zeros(3), rho, w, grid, cfg, fd_order=8
+            EuclideanMetric(), np.zeros(3), rho, w, grid, cfg
         )
         theta_field = surf.positions / np.linalg.norm(surf.positions, axis=1)[:, None]
-        w_i = np.stack([grid.dtheta(w, 8), grid.dphi(w, 8)], axis=-1)
+        w_i = np.stack([grid.dtheta(w), grid.dphi(w)], axis=-1)
         a = -np.einsum(
             "nij,ni->nj", np.linalg.inv(surf.first_form), w_i
         ) * rho
@@ -163,12 +193,10 @@ class TestExtrinsicGeometry:
 
 def christoffel_second_form(metric, surf):
     """h_ij = -g(D_i N, Z_j), symmetrised, with D_i N from the full Gamma."""
-    grid, order = surf.grid, surf.fd_order
+    grid = surf.grid
     g = metric_at(metric, surf.positions)
     gamma = christoffel_at(metric, surf.positions)
-    dn = np.stack(
-        [grid.dtheta(surf.normal, order), grid.dphi(surf.normal, order)], axis=1
-    )
+    dn = np.stack([grid.dtheta(surf.normal), grid.dphi(surf.normal)], axis=1)
     cov = dn + np.einsum("nsab,nia,nb->nis", gamma, surf.tangents, surf.normal)
     second = -np.einsum("nis,nst,njt->nij", cov, g, surf.tangents)
     return 0.5 * (second + np.swapaxes(second, 1, 2))
@@ -187,7 +215,7 @@ class TestSecondFormWithoutChristoffel:
     )
     def test_matches_christoffel_path(self, grid, cfg, metric, p):
         w = 0.05 * (grid.unit[:, 0] ** 2 - grid.unit[:, 2]) + 0.02 * grid.unit[:, 1]
-        surf = geodesic_sphere_surface(metric, p, 0.4, w, grid, cfg, fd_order=8)
+        surf = geodesic_sphere_surface(metric, p, 0.4, w, grid, cfg)
         ref = christoffel_second_form(metric, surf)
         assert np.max(np.abs(surf.second_form - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -195,7 +223,7 @@ class TestSecondFormWithoutChristoffel:
 class TestHawkingMass:
     def test_flat_round_sphere_zero(self, grid, cfg):
         surf = geodesic_sphere_surface(
-            EuclideanMetric(), np.zeros(3), 0.5, None, grid, cfg, fd_order=8
+            EuclideanMetric(), np.zeros(3), 0.5, None, grid, cfg
         )
         rep = hawking_mass(surf)
         assert abs(rep.hawking) < 1e-10
@@ -217,14 +245,14 @@ class TestHawkingMass:
     def test_hyperbolic_generalized_mass_zero(self, grid, cfg):
         for rho in (0.3, 1.0):
             surf = geodesic_sphere_surface(
-                HyperbolicMetric(), np.zeros(3), rho, None, grid, cfg, fd_order=8
+                HyperbolicMetric(), np.zeros(3), rho, None, grid, cfg
             )
             rep = hawking_mass(surf, K=-1)
             assert abs(rep.generalized) < 1e-8
 
     def test_report_recompute_invariant(self, grid, cfg):
         surf = geodesic_sphere_surface(
-            RoundSphereMetric(), np.zeros(3), 0.4, None, grid, cfg, fd_order=8
+            RoundSphereMetric(), np.zeros(3), 0.4, None, grid, cfg
         )
         for K in (-1, 0, 1):
             rep = hawking_mass(surf, K=K)
@@ -246,7 +274,7 @@ class TestHawkingMass:
             coeffs = rng.normal(size=len(modes))
             w = sum(c * m for c, m in zip(coeffs, modes))
             w *= 0.08 / np.max(np.abs(w))
-            surf = fan.surface(1.0, w, 8)
+            surf = fan.surface(1.0, w)
             rep = hawking_mass(surf)
             assert rep.willmore >= 16.0 * np.pi - 1e-8
             assert rep.hawking <= 1e-10
@@ -257,7 +285,7 @@ class TestHawkingMass:
         for n in (24, 48):
             g = build_grid(n, 2 * n)
             surf = geodesic_sphere_surface(
-                HyperbolicMetric(), np.zeros(3), 0.5, None, g, cfg, fd_order=8
+                HyperbolicMetric(), np.zeros(3), 0.5, None, g, cfg
             )
             cases.append(hawking_mass(surf, K=-1).generalized)
         assert abs(cases[1] - cases[0]) < 1e-8
@@ -280,7 +308,6 @@ class TestExpansionOrder:
             radii,
             grid,
             cfg,
-            fd_order=8,
         )
         assert np.all(report.h_residuals < 1e-9)
 
@@ -293,7 +320,6 @@ class TestExpansionOrder:
             radii,
             grid,
             cfg,
-            fd_order=8,
         )
         assert report.order >= 3.5
 
@@ -310,7 +336,6 @@ class TestExpansionOrder:
             radii,
             grid,
             cfg,
-            fd_order=8,
         )
         assert report.order >= 3.5
         assert report.r_squared >= 0.99
