@@ -1,7 +1,8 @@
 """Richardson-extrapolated finite-difference derivatives of batched callables.
 
 The point-cloud helpers here differentiate smooth fields of chart coordinates
-(metric components, scalar curvature).  Grid differentiation on the sphere is
+(scalar curvature) with a relative step chosen by the caller: the absolute
+step is ``step * max(1, |x|)``.  Grid differentiation on the sphere is
 spectral and lives in the surface module.
 """
 
@@ -10,13 +11,7 @@ import numpy as np
 __all__ = [
     "diff1_richardson",
     "diff2_richardson",
-    "EPS_THIRD",
-    "EPS_SIXTH",
 ]
-
-_EPS = np.finfo(float).eps
-EPS_THIRD = _EPS ** (1.0 / 3.0)
-EPS_SIXTH = _EPS ** (1.0 / 6.0)
 
 
 def _batched(fn, pts):
@@ -27,7 +22,7 @@ def _batched(fn, pts):
     return out.reshape(lead + out.shape[1:])
 
 
-def diff1_richardson(fn, x, step=None):
+def diff1_richardson(fn, x, step):
     """First partial derivatives of a batched field of chart coordinates.
 
     Central differences at steps ``h`` and ``h/2`` combined by one Richardson
@@ -36,8 +31,6 @@ def diff1_richardson(fn, x, step=None):
     for the derivative direction.
     """
     x = np.asarray(x, dtype=float)
-    if step is None:
-        step = EPS_THIRD
     h = step * np.maximum(1.0, np.linalg.norm(x, axis=-1))  # (...,)
     eye = np.eye(3)
     pts = np.empty((3, 2, 2) + x.shape)
@@ -52,17 +45,13 @@ def diff1_richardson(fn, x, step=None):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def diff2_richardson(fn, x, step=None):
+def diff2_richardson(fn, x, step):
     """Second partial derivatives ``D[a, b] = d^2 f / dx^a dx^b``.
 
     Uses second differences (diagonal) and cross stencils at steps ``h`` and
-    ``h/2`` with one Richardson extrapolation.  The default step is
-    ``eps**(1/6) * max(1, |x|)``, which balances truncation against rounding
-    for second derivatives.
+    ``h/2`` with one Richardson extrapolation.
     """
     x = np.asarray(x, dtype=float)
-    if step is None:
-        step = EPS_SIXTH
     h = step * np.maximum(1.0, np.linalg.norm(x, axis=-1))
     eye = np.eye(3)
 

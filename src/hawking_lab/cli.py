@@ -27,7 +27,7 @@ from .expansion import (
     radius_ladder,
 )
 from .geodesics import GeodesicConfig, sphere_fan
-from .harmonics import optimal_perturbation, willmore_el_residual
+from .harmonics import galerkin_degree, optimal_perturbation, willmore_el_residual
 from .manifold import curvature_packet, metric_from_config
 from .optimizer import (
     OptimizeConfig,
@@ -354,6 +354,7 @@ def cmd_el_residual(config, out_dir):
         "l2_norm": l2,
         "sup_norm_relative": sup / scale,
         "leading_scale": scale,
+        "test_degree": galerkin_degree(grid),
     }
     report["surface"] = asdict(hawking_mass(surf, config.data["K"]))
     report["fan"] = fan.diagnostics()

@@ -1,6 +1,6 @@
 """Real spherical-harmonic transforms, the shifted bilaplacian on the sphere,
-its constrained inverse, the optimal graph perturbation and Euler-Lagrange
-residuals of the area-constrained Willmore problem.
+its constrained inverse, the optimal graph perturbation and the weak
+Euler-Lagrange assembly of the area-constrained Willmore problem.
 
 The real orthonormal basis is ordered by ``(l, m)`` with ``l`` ascending and
 ``m`` from ``-l`` to ``l``; the flat mode index is ``l*l + l + m``.  The
@@ -8,6 +8,13 @@ Laplace-Beltrami operator of the unit sphere acts as multiplication by
 ``-l(l+1)``, so the fourth-order operator used throughout acts as
 ``(-l(l+1)) * (-l(l+1) + 2)`` and annihilates exactly the degree-0 and
 degree-1 modes.
+
+The Euler-Lagrange left-hand side ``E = 2 Lap H + H (H^2 - 4 D + 2 Ric(N, N))``
+is assembled once, weakly, as node densities (:func:`willmore_densities`;
+Dziuk and Elliott, Acta Numerica 2013): summed against normal speeds they
+give the optimizer's first variation, and tested against the real harmonics
+of degree up to ``n_theta // 2`` they give the Galerkin residual and its
+multiplier.  No fourth derivative of the positions is formed pointwise.
 """
 
 from dataclasses import dataclass
@@ -28,9 +35,10 @@ __all__ = [
     "OptimalPerturbation",
     "optimal_perturbation",
     "pde_residual",
-    "willmore_el_operator",
+    "willmore_densities",
+    "galerkin_degree",
+    "lagrange_multiplier_from_surface",
     "willmore_el_residual",
-    "willmore_first_variation",
     "coefficients_to_csv",
 ]
 
@@ -50,27 +58,29 @@ def mode_degrees(max_degree):
 
 
 def _basis_matrix(grid, max_degree):
-    """Real orthonormal spherical harmonics at the grid nodes, (modes, N)."""
-    from scipy.special import sph_harm_y
+    """Real orthonormal spherical harmonics at the grid nodes, (modes, N).
+
+    Mode (l, m) separates into the normalized associated Legendre function
+    of order |m| on the colatitudes times 1, sqrt(2) (-1)^m cos(m phi) or
+    sqrt(2) (-1)^m sin(|m| phi) on the longitudes.
+    """
+    from scipy.special import sph_legendre_p
 
     key = (grid.n_theta, grid.n_phi, max_degree)
     if key in _BASIS_CACHE:
         return _BASIS_CACHE[key]
-    theta = grid.theta1
-    phi = grid.theta2
-    rows = []
+    trig = {0: np.ones(grid.n_phi)}
+    for m in range(1, max_degree + 1):
+        trig[m], trig[-m] = np.cos(m * grid.phi_axis), np.sin(m * grid.phi_axis)
+    basis = np.empty(((max_degree + 1) ** 2, grid.n_theta, grid.n_phi))
     for l in range(max_degree + 1):
-        complex_rows = {
-            m: sph_harm_y(l, m, theta, phi) for m in range(l + 1)
-        }
+        legendre = [sph_legendre_p(l, m, grid.theta_axis) for m in range(l + 1)]
         for m in range(-l, l + 1):
-            if m == 0:
-                rows.append(np.real(complex_rows[0]))
-            elif m > 0:
-                rows.append(np.sqrt(2.0) * (-1.0) ** m * np.real(complex_rows[m]))
-            else:
-                rows.append(np.sqrt(2.0) * (-1.0) ** m * np.imag(complex_rows[-m]))
-    basis = np.array(rows)
+            row = basis[mode_index(l, m)]
+            np.outer(legendre[abs(m)], trig[m], out=row)
+            if m:
+                row *= np.sqrt(2.0) * (-1.0) ** m
+    basis = basis.reshape(-1, grid.n_nodes)
     _BASIS_CACHE[key] = basis
     return basis
 
@@ -224,61 +234,71 @@ def _willmore_potential(surface, metric):
     return H * (H**2 - 4.0 * surface.gauss_product + 2.0 * ric_nn)
 
 
-def willmore_el_operator(surface, metric):
-    """Left-hand side ``2 Lap_Sigma H + H (H^2 - 4 D + 2 Ric(N, N))`` of the
-    area-constrained Willmore equation at the surface nodes, with the surface
-    Laplacian assembled from the first fundamental form by the same angular
-    derivatives used for the geometry."""
-    H = surface.mean_curvature
-    lap_h = surface.grid.surface_laplacian(H, surface.first_form, surface.area_element)
-    return 2.0 * lap_h + _willmore_potential(surface, metric)
+def willmore_densities(surface, metric):
+    """Node densities ``(g_E, g_H)`` of the area-constrained Willmore first
+    variation: for every node field psi,
 
+        sum(g_E psi) = int [-2 <grad H, grad psi> + H (H^2 - 4 D + 2 Ric(N, N)) psi] dmu,
+        sum(g_H psi) = int H psi dmu,
 
-def least_squares_multiplier(surface, lhs):
-    """The ``lam`` minimizing ``|| lhs - lam H ||_L2`` on the surface."""
-    H = surface.mean_curvature
-    return float(surface.integrate(lhs * H) / surface.integrate(H * H))
-
-
-def willmore_el_residual(surface, metric, lam=None):
-    """Pointwise residual of the area-constrained Willmore equation.
-
-    Evaluates ``2 Lap_Sigma H + H (H^2 - 4 D + 2 Ric(N, N)) - lam H`` on the
-    surface nodes (:func:`willmore_el_operator`).  Without ``lam`` the
-    least-squares multiplier of the same assembly is used.
-    """
-    lhs = willmore_el_operator(surface, metric)
-    if lam is None:
-        lam = least_squares_multiplier(surface, lhs)
-    return lhs - lam * surface.mean_curvature
-
-
-def willmore_first_variation(surface, metric, speeds):
-    """First variations of the Willmore energy and the area.
-
-    ``speeds`` is a stack ``psi = g(V, N)`` of normal speeds, shape (N, K),
-    of variations V of the node positions; N is the surface's stored inward
-    normal, so a positive speed moves the surface inwards.  Returns
-    ``(dW, dA)``, each of shape (K,), with
-
-        dW = int [-2 <grad H, grad psi> + H (H^2 - 4 D + 2 Ric(N, N)) psi] dmu,
-        dA = -int H psi dmu.
-
-    dW is the integral of the Euler-Lagrange left-hand side
-    (:func:`willmore_el_operator`) against psi with ``2 Lap H`` tested weakly,
-    so no fourth derivative of the positions is formed.  Tangential parts of
-    V only reparametrize the closed surface and do not contribute.
+    that is ``int E psi dmu`` with ``2 Lap H`` tested weakly: the derivatives
+    of psi move onto the adjoint angular derivatives, so H is differentiated
+    once.  For the normal speeds ``psi = g(V, N)`` of a variation V of the
+    nodes (N is the stored inward normal, so a positive speed moves the
+    surface inwards) the Willmore energy and the area vary by ``psi @ g_E``
+    and ``-psi @ g_H``; tangential parts of V only reparametrize the surface.
     """
     grid = surface.grid
     H = surface.mean_curvature
-    dh = np.stack([grid.dtheta(H), grid.dphi(H)], axis=-1)                 # (N, 2)
-    dpsi = np.stack([grid.dtheta(speeds), grid.dphi(speeds)], axis=1)
-    grad_h = np.linalg.inv(surface.first_form) @ dh[:, :, np.newaxis]      # (N, 2, 1)
-    gradient_term = np.sum(dpsi * grad_h, axis=1)                          # (N, K)
-    potential = _willmore_potential(surface, metric)
-    integrand = potential[:, np.newaxis] * speeds - 2.0 * gradient_term
     dmu = grid.weights * surface.area_element / grid.sin_theta
-    return dmu @ integrand, -(dmu * H) @ speeds
+    dh = np.stack([grid.dtheta(H), grid.dphi(H)], axis=-1)
+    grad_h = np.einsum("nij,nj->ni", np.linalg.inv(surface.first_form), dh)
+    flux = dmu[:, np.newaxis] * grad_h
+    # the transpose of dphi is -dphi
+    weak_lap = grid.dtheta_adjoint(flux[:, 0]) - grid.dphi(flux[:, 1])
+    return dmu * _willmore_potential(surface, metric) - 2.0 * weak_lap, dmu * H
+
+
+def galerkin_degree(grid):
+    """Highest degree of the real harmonics the Euler-Lagrange residual is
+    tested against: half the colatitude count, so that the round quadrature
+    of an ``n_phi = 2 n_theta`` grid integrates products of two test
+    functions exactly."""
+    return grid.n_theta // 2
+
+
+def _galerkin_fields(surface, metric):
+    """Galerkin representatives ``r_E``, ``r_H`` of E and H, and the
+    multiplier ``lam`` with ``int (r_E - lam r_H) H dmu = 0``.
+
+    The test functions Y are orthonormal under the round quadrature, so the
+    moments ``c = Y g`` of the weak densities synthesize to ``Y^T c`` on the
+    round sphere; divided by the Jacobian ``dmu / dOmega`` they become node
+    fields r with ``int r Y dmu = c``, and no Gram matrix of the surface
+    measure is solved.
+    """
+    grid = surface.grid
+    basis = _basis_matrix(grid, galerkin_degree(grid))
+    fields = basis.T @ (basis @ np.column_stack(willmore_densities(surface, metric)))
+    fields /= (surface.area_element / grid.sin_theta)[:, np.newaxis]
+    r_e, r_h = fields.T
+    H = surface.mean_curvature
+    return r_e, r_h, surface.integrate(r_e * H) / surface.integrate(r_h * H)
+
+
+def lagrange_multiplier_from_surface(surface, metric):
+    """The multiplier that leaves the Galerkin residual L2-orthogonal to H."""
+    return _galerkin_fields(surface, metric)[2]
+
+
+def willmore_el_residual(surface, metric, lam=None):
+    """Galerkin residual ``r_E - lam r_H`` of the area-constrained Willmore
+    equation ``E - lam H = 0`` at the surface nodes, tested against the real
+    harmonics of degree at most :func:`galerkin_degree`.  Without ``lam``
+    the multiplier of :func:`lagrange_multiplier_from_surface` is used.
+    """
+    r_e, r_h, lam_h = _galerkin_fields(surface, metric)
+    return r_e - (lam_h if lam is None else lam) * r_h
 
 
 def coefficients_to_csv(field, path):

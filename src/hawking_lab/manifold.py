@@ -4,8 +4,8 @@ Every metric kind exposes the metric tensor together with its first and second
 coordinate derivatives on batches of chart points.  Every kind carries exact
 derivative data: closed forms for the built-in kinds (Euclidean, round
 sphere, hyperbolic, Schwarzschild), and monomial exponent shifts for the
-polynomial ones (polynomial perturbation, polynomial conformal factor).  Only
-a conformal factor given as a bare callable is differentiated by
+polynomial ones (polynomial perturbation, polynomial conformal factor).
+Only the gradient and Laplacian of scalar curvature at a point are taken by
 Richardson-extrapolated central differences.  All curvature tensors are
 assembled from ``(g, dg, ddg)`` by the standard Levi-Civita formulas;
 :func:`geodesic_acceleration` contracts ``dg`` with a velocity directly,
@@ -199,13 +199,11 @@ class MetricField:
     """Base class for analytic 3-metrics on a chart of R^3.
 
     Subclasses provide :meth:`metric`, :meth:`metric_deriv` and
-    :meth:`metric_deriv2`.  ``curvature_noise`` estimates the absolute
-    accuracy of assembled curvature tensors and steers the step sizes of the
-    nested scalar-curvature stencils.
+    :meth:`metric_deriv2`, all exact, so assembled curvature tensors carry
+    rounding only.
     """
 
     kind = "abstract"
-    curvature_noise = _EPS
 
     def metric(self, x):
         raise NotImplementedError
@@ -497,51 +495,37 @@ class SchwarzschildMetric(MetricField):
 
 
 class ConformalMetric(_ConformallyFlat):
-    """g = exp(2 phi) * delta for a user-supplied smooth scalar field.
+    """g = exp(2 phi) * delta for a polynomial conformal factor.
 
-    ``phi`` must accept points of shape (..., 3) and return shape (...,).  A
-    polynomial phi (:meth:`from_polynomial`) has exact derivatives.  The
-    derivatives of a bare callable are approximated by Richardson-extrapolated
-    central differences, so its curvature carries a noise floor of roughly
-    1e-10.
+    ``terms`` is an iterable of ``(coef, (e1, e2, e3))`` monomials of phi;
+    its derivatives are exact, by exponent shifts.
     """
 
     kind = "conformal"
-    curvature_noise = 1e-10
 
-    def __init__(self, phi, poly_terms=None):
-        self.phi = phi
-        self.poly_terms = poly_terms  # retained for config round-trips
-        if isinstance(phi, _Polynomial):
-            self._grad = phi.gradient()
-            self._hess = self._grad.gradient()
-            self.curvature_noise = _EPS
+    def __init__(self, terms):
+        self.poly_terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
+        self.phi = _Polynomial(
+            [e for _, e in self.poly_terms], [c for c, _ in self.poly_terms]
+        )
+        self._grad = self.phi.gradient()
+        self._hess = self._grad.gradient()
 
     @classmethod
     def from_polynomial(cls, terms):
-        """Build from ``[(coef, (e1, e2, e3)), ...]`` monomial terms."""
-        terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
-        phi = _Polynomial([e for _, e in terms], [c for c, _ in terms])
-        return cls(phi, poly_terms=terms)
+        """Build from ``[(coef, (e1, e2, e3)), ...]``, the config's ``phi_poly``."""
+        return cls(terms)
 
     def _phi(self, x):
-        return np.asarray(self.phi(x))
+        return self.phi(x)
 
     def _phi_grad(self, x):
-        if isinstance(self.phi, _Polynomial):
-            return self._grad(x)
-        d = _fd.diff1_richardson(self._phi, x, step=_fd.EPS_THIRD)
-        return np.moveaxis(d, 0, -1)
+        return self._grad(x)
 
     def _phi_hess(self, x):
-        if isinstance(self.phi, _Polynomial):
-            return self._hess(x)
-        d = _fd.diff2_richardson(self._phi, x, step=_fd.EPS_SIXTH)
-        return np.moveaxis(d, (0, 1), (-2, -1))
+        return self._hess(x)
 
     def params(self):
-        if self.poly_terms is None:
-            raise ValueError("only polynomial conformal factors serialize to config")
         return {"phi_poly": [[c, list(e)] for c, e in self.poly_terms]}
 
 
@@ -699,10 +683,9 @@ def _orthonormal_frame(g):
     return frame
 
 
-def _sc_steps(metric, p):
-    noise = max(metric.curvature_noise, _EPS)
+def _sc_steps(p):
     scale = max(1.0, float(np.linalg.norm(p)))
-    return noise ** 0.2 * scale, noise ** (1.0 / 6.0) * scale
+    return _EPS ** 0.2 * scale, _EPS ** (1.0 / 6.0) * scale
 
 
 def _check_stencil(metric, p, h):
@@ -720,7 +703,7 @@ def scalar_gradient(metric, p):
     """Chart-component gradient d_a Sc at ``p`` by Richardson differences."""
     p = _as_points(p)
     _guard(metric, p)
-    h1, _ = _sc_steps(metric, p)
+    h1, _ = _sc_steps(p)
     _check_stencil(metric, p, h1)
     fn = lambda q: scalar_curvature_at(metric, q)
     return _fd.diff1_richardson(fn, p, step=h1 / max(1.0, float(np.linalg.norm(p))))
@@ -730,7 +713,7 @@ def scalar_laplacian(metric, p):
     """Covariant Laplacian g^{ab} grad_a grad_b Sc at the point ``p``."""
     p = _as_points(p)
     _guard(metric, p)
-    _, h2 = _sc_steps(metric, p)
+    _, h2 = _sc_steps(p)
     _check_stencil(metric, p, 2.0 * h2)
     scale = max(1.0, float(np.linalg.norm(p)))
     fn = lambda q: scalar_curvature_at(metric, q)

@@ -11,8 +11,10 @@ inner loop is pure interpolation and quadrature.
 The gradient is analytic and comes from the surface the iteration already
 holds.  Mode k of the shape moves the nodes along the fan by
 ``-rho phi_k gamma'``, the radius by ``(1 - w) gamma'``; their normal speeds
-``psi = g(V, N)`` go through the area-constrained Willmore first variation
-(:func:`harmonics.willmore_first_variation`, Lamm and Metzger, IMRN 2010).
+``psi = g(V, N)`` are summed against the node densities of the
+area-constrained Willmore first variation (:func:`harmonics.willmore_densities`,
+Lamm and Metzger, IMRN 2010), the same weak assembly the Euler-Lagrange
+residual reads.
 The radial variation fixes the multiplier ``lam = int E psi_rho / int H psi_rho``
 that keeps the area, and at fixed area
 
@@ -32,11 +34,9 @@ from .geodesics import GeodesicFan, surface_tangents
 from .harmonics import (
     HarmonicField,
     _basis_matrix,
-    least_squares_multiplier,
     optimal_perturbation,
-    willmore_el_operator,
+    willmore_densities,
     willmore_el_residual,
-    willmore_first_variation,
 )
 from .manifold import curvature_packet, metric_at
 from .surface import first_form, hawking_mass
@@ -185,7 +185,8 @@ class _SurfaceEvaluator:
         v_n = np.einsum("na,nab,nb->n", surf.outward, g, surf.normal)
         # column 0 moves the radius, (1 - w) gamma'; column 1 + k is mode k
         speeds = np.column_stack([(1.0 - w) * v_n, -rho * (self.shape_basis * v_n).T])
-        d_w, d_a = willmore_first_variation(surf, self.metric, speeds)
+        g_e, g_h = willmore_densities(surf, self.metric)
+        d_w, d_a = speeds.T @ g_e, -(speeds.T @ g_h)
         lam = -d_w[0] / d_a[0]  # int E psi_rho / int H psi_rho
         return -np.sqrt(surf.area / (16.0 * np.pi) ** 3) * (d_w[1:] + lam * d_a[1:])
 
@@ -291,11 +292,6 @@ def maximize_hawking(
         trace=trace,
         surface=surf,
     )
-
-
-def lagrange_multiplier_from_surface(surface, metric):
-    """Least-squares multiplier: lam minimizing || EL(lam) ||_L2 on the surface."""
-    return least_squares_multiplier(surface, willmore_el_operator(surface, metric))
 
 
 def closed_form_reference(metric, p, rho, grid, geo_cfg=None, K=0):

@@ -103,6 +103,14 @@ class SphereGrid:
         values = np.fft.irfft(spectrum, n=self.n_phi, axis=1)
         return values.reshape((self.n_nodes,) + trail)
 
+    def _theta_modes(self, values, even, odd):
+        """Apply ``even`` to the even Fourier modes and ``odd`` to the odd ones."""
+        spectrum, trail = self._spectrum(values)
+        out = np.empty_like(spectrum)
+        out[:, 0::2] = _real_matmul(even, spectrum[:, 0::2])
+        out[:, 1::2] = _real_matmul(odd, spectrum[:, 1::2])
+        return self._synthesis(out, trail)
+
     def dtheta(self, values):
         """d/d theta1 of a smooth node field (any trailing component shape).
 
@@ -110,30 +118,23 @@ class SphereGrid:
         odd for odd m, since f(-t, phi) = f(t, phi + pi); each mode is
         differentiated through the cosine or sine series it continues as.
         """
-        spectrum, trail = self._spectrum(values)
+        return self._theta_modes(values, *self._theta_matrices())
+
+    def dtheta_adjoint(self, values):
+        """Transpose of :meth:`dtheta` under the plain node sum, so that
+        ``sum(f * dtheta(u)) == sum(dtheta_adjoint(f) * u)``.  The Fourier
+        projections are symmetric, so only the colatitude matrices transpose.
+        """
         even, odd = self._theta_matrices()
-        out = np.empty_like(spectrum)
-        out[:, 0::2] = _real_matmul(even, spectrum[:, 0::2])
-        out[:, 1::2] = _real_matmul(odd, spectrum[:, 1::2])
-        return self._synthesis(out, trail)
+        return self._theta_modes(values, even.T, odd.T)
 
     def dphi(self, values):
         """d/d theta2 of a node field (periodic).  The Nyquist mode's
-        derivative is imaginary, and ``irfft`` drops it."""
+        derivative is imaginary, and ``irfft`` drops it; what is left is an
+        antisymmetric circulant, so its transpose is ``-dphi``."""
         spectrum, trail = self._spectrum(values)
         m = np.arange(spectrum.shape[1])
         return self._synthesis(spectrum * (1j * m)[:, np.newaxis], trail)
-
-    def surface_laplacian(self, values, first_form, area_element):
-        """Laplace-Beltrami of a scalar field of the surface with metric
-        ``first_form`` (per-node 2x2) and area element sqrt(det g)."""
-        df = np.stack([self.dtheta(values), self.dphi(values)], axis=-1)
-        g_inv = np.linalg.inv(first_form)
-        flux = area_element[:, None] * np.einsum("nij,nj->ni", g_inv, df)
-        # the theta flux (like sin theta * f_theta) continues evenly across
-        # the poles, as dtheta assumes; dphi assumes nothing
-        div =self.dtheta(flux[:, 0]) + self.dphi(flux[:, 1])
-        return div / area_element
 
 
 def _real_matmul(a, z):
@@ -390,9 +391,9 @@ def _sphere_metric_fields(grid):
 def _sphere_hessian(grid, w):
     """Covariant Hessian of a scalar on the round S^2 (per-node 2x2).
 
-    w_theta theta is read off the Laplacian, Lap w - cot theta w_theta -
-    w_phi phi / sin^2 theta, so that only smooth fields are differentiated
-    in theta.
+    w_theta theta is read off the flux, (d_theta(sin theta w_theta) -
+    cos theta w_theta) / sin theta: the flux continues evenly across the
+    poles, as ``dtheta`` assumes.
     """
     w1 = grid.dtheta(w)
     w2 = grid.dphi(w)
@@ -400,10 +401,8 @@ def _sphere_hessian(grid, w):
     st = grid.sin_theta
     ct = np.cos(grid.theta1)
     cot = ct / st
-    round_form = _sphere_metric_fields(grid)[0]
-    lap = grid.surface_laplacian(w, round_form, st)
     h = np.empty((grid.n_nodes, 2, 2))
-    h[:, 0, 0] = lap - cot * w1 - w22 / st**2
+    h[:, 0, 0] = (grid.dtheta(st * w1) - ct * w1) / st
     h[:, 0, 1] = h[:, 1, 0] = grid.dphi(w1) - cot * w2
     h[:, 1, 1] = w22 + st * ct * w1
     return h

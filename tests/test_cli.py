@@ -56,6 +56,17 @@ def test_reports_carry_fan_diagnostics(capsys, tmp_path):
         assert run(capsys, tmp_path, command, config)[1] == report
 
 
+@pytest.mark.parametrize("kind", ["round_sphere", "hyperbolic", "euclidean"])
+def test_el_residual_on_space_forms(capsys, tmp_path, kind):
+    # geodesic spheres of space forms are umbilic with constant H, so the
+    # Euler-Lagrange residual is rounding once tested weakly
+    config = {"metric": {"kind": kind}, "point": [0.1, 0.0, 0.0]}
+    code, report = run(capsys, tmp_path, "el-residual", config)
+    assert code == 0
+    assert report["residual"]["test_degree"] == 16
+    assert report["residual"]["sup_norm_relative"] <= 1e-9
+
+
 OPTIMIZE_FLAT = {
     "grid": {"n_theta": 24, "n_phi": 48},
     "optimizer": {"max_degree": 2, "max_iters": 2},

@@ -29,7 +29,7 @@ from hawking_lab.manifold import (
     SchwarzschildMetric,
     curvature_packet,
 )
-from hawking_lab.optimizer import lagrange_multiplier_from_surface
+from hawking_lab.harmonics import lagrange_multiplier_from_surface
 from hawking_lab.surface import build_grid
 
 POLY_TERMS = [
@@ -287,3 +287,36 @@ class TestWillmoreEl:
             rel.append(np.max(np.abs(res)) / (2.0 / rho**3))
         slope = np.polyfit(np.log(radii), np.log(rel), 1)[0]
         assert slope >= 0.9
+
+    def test_wrong_multiplier_is_seen(self, grid):
+        cfg = GeodesicConfig(rel_tol=1e-12, abs_tol=1e-14)
+        metric = RoundSphereMetric()
+        for rho in (0.2, 0.4):
+            surf = geodesic_sphere_surface(
+                metric, np.array([0.1, 0.0, 0.0]), rho, None, grid, cfg
+            )
+            res = willmore_el_residual(surf, metric, 4.1)
+            assert np.max(np.abs(res)) >= 1e-2
+
+    def test_non_optimal_shape_is_seen(self, grid):
+        # adding Y_20 to the optimal shape breaks criticality at leading
+        # order, which the residual must resolve at every radius
+        cfg = GeodesicConfig(rel_tol=1e-12, abs_tol=1e-14)
+        metric = SchwarzschildMetric(1.0)
+        p = np.array([4.0, 0.0, 0.0])
+        packet = curvature_packet(metric, p)
+        pert = optimal_perturbation(packet, grid)
+        bump = np.zeros_like(pert.wbar.coeffs)
+        bump[mode_index(2, 0)] = 1.0
+        shapes = {
+            "optimal": pert.wbar_values(grid),
+            "bumped": synthesize(pert.wbar.copy_with(pert.wbar.coeffs + bump)),
+        }
+        for rho in (0.4, 0.2, 0.1, 0.05):
+            sup = {}
+            for name, wbar in shapes.items():
+                surf = geodesic_sphere_surface(
+                    metric, p, rho, rho**2 * wbar, grid, cfg, packet=packet
+                )
+                sup[name] = np.max(np.abs(willmore_el_residual(surf, metric, pert.lam)))
+            assert sup["bumped"] >= 100.0 * sup["optimal"], rho

@@ -75,7 +75,9 @@ class TestMetricAt:
         assert_allclose(u @ g @ u, 2.0, rtol=1e-13)
 
     def test_conformal_scaling(self):
-        metric = ConformalMetric(lambda x: 0.1 * np.sum(x * x, axis=-1))
+        metric = ConformalMetric.from_polynomial(
+            [(0.1, (2, 0, 0)), (0.1, (0, 2, 0)), (0.1, (0, 0, 2))]
+        )
         g = metric_at(metric, np.array([1.0, 0.0, 0.0]))
         assert_allclose(g, np.exp(0.2) * np.eye(3), rtol=1e-14)
 
@@ -150,15 +152,13 @@ class TestBatchedDerivatives:
 
 
 def kernel_cases(rng):
-    """(metric, (N, 3) chart points) for every kind and a bare-callable phi."""
-    bare = ConformalMetric(lambda x: 0.05 * x[..., 0] ** 2 - 0.03 * x[..., 1] * x[..., 2])
+    """(metric, (N, 3) chart points) for every kind."""
     cases = []
     for metric in all_builtin_metrics():
         cases.append((metric, np.array([sample_point(metric, rng) for _ in range(40)])))
     for metric in (
         ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))]),
         PolynomialMetric(POLY_TERMS),
-        bare,
     ):
         cases.append((metric, rng.uniform(-0.4, 0.4, size=(40, 3))))
     return cases
@@ -212,7 +212,6 @@ class TestExactPolynomialDerivatives:
         )
         points = np.random.default_rng(31).uniform(-0.5, 0.5, size=(6, 3))
         self._check(metric, oracle, points)
-        assert metric.curvature_noise < 1e-15
 
 
 class TestCurvature:
@@ -384,7 +383,7 @@ class TestTensorSymmetries:
                 g = metric_at(metric, x)
                 g_inv = np.linalg.inv(g)
                 gamma = christoffel_at(metric, x)
-                step = max(metric.curvature_noise, 1e-16) ** 0.2
+                step = np.finfo(float).eps ** 0.2
                 d_ric = _fd.diff1_richardson(
                     lambda q: ricci_at(metric, q), x[np.newaxis], step=step
                 )[:, 0]

@@ -76,22 +76,17 @@ class TestGrid:
         assert np.max(np.abs(grid.dtheta(f) - dt_exact)) < 1e-8
         assert np.max(np.abs(grid.dphi(f) - dp_exact)) < 1e-7
 
-    def test_surface_laplacian_unit_sphere_harmonics(self):
-        # Delta Y = -l(l+1) Y at every node, pole rows included; the worst
-        # case, x z at 24 x 48, measures 2.3e-12
-        g = build_grid(24, 48)
-        first = np.zeros((g.n_nodes, 2, 2))
-        first[:, 0, 0] = 1.0
-        first[:, 1, 1] = g.sin_theta**2
-        x, y, z = g.unit.T
-        cases = {
-            "x": (x, 1), "y": (y, 1), "z": (z, 1),
-            "xy": (x * y, 2), "xz": (x * z, 2), "yz": (y * z, 2),
-            "x2-y2": (x * x - y * y, 2), "3z2-1": (3.0 * z * z - 1.0, 2),
+    @pytest.mark.parametrize("n_theta", [24, 48])
+    def test_derivative_adjoints(self, n_theta):
+        # sum f dtheta(u) = sum dtheta_adjoint(f) u and sum f dphi(u) = -sum dphi(f) u
+        g = build_grid(n_theta, 2 * n_theta)
+        f, u = np.random.default_rng(n_theta).standard_normal((2, g.n_nodes))
+        pairs = {
+            "theta": (f @ g.dtheta(u), g.dtheta_adjoint(f) @ u),
+            "phi": (f @ g.dphi(u), -(g.dphi(f) @ u)),
         }
-        for name, (f, l) in cases.items():
-            lap = g.surface_laplacian(f, first, g.sin_theta)
-            assert np.max(np.abs(lap + l * (l + 1) * f)) < 1e-4, name
+        for name, (lhs, rhs) in pairs.items():
+            assert abs(lhs - rhs) <= 1e-13 * abs(lhs), name
 
     @pytest.mark.parametrize("n_theta", [24, 48])
     def test_derivatives_exact_on_polynomials(self, n_theta):
