@@ -10,6 +10,8 @@ byte-identical.
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -19,6 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, FitUnstable, HawkingLabError, RadiusOutOfRange
 from .expansion import (
+    MIN_RUNGS,
     compare_report,
     fit_coefficients,
     bartnik_lower_bound,
@@ -33,6 +36,7 @@ from .optimizer import (
     OptimizeConfig,
     closed_form_reference,
     maximize_hawking,
+    optimizer_fan,
     trace_to_csv,
 )
 from .surface import build_grid, hawking_mass, surface_to_csv
@@ -56,6 +60,55 @@ _DEFAULTS = {
     "bartnik": {"rho": 0.1, "validity_radius": 1.0},
     "tolerances": {"c3_rel": 0.01, "c3_abs": 0.0, "c5_rel": 0.05, "c5_abs": 0.0},
 }
+
+
+def _real(value):
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _positive(value):
+    return _real(value) and value > 0
+
+
+def _nonnegative(value):
+    return _real(value) and value >= 0
+
+
+def _integer(value):
+    return _real(value) and value == int(value)
+
+
+# (section, key, test, what the test asks) for the values the commands read
+_VALUE_CHECKS = (
+    ("grid", "n_theta", _integer, "an integer"),
+    ("grid", "n_phi", _integer, "an integer"),
+    ("ladder", "rho0", _positive, "a positive number"),
+    ("ladder", "n", lambda v: _integer(v) and v >= MIN_RUNGS,
+     f"an integer of at least {MIN_RUNGS}"),
+    ("optimizer", "reference_rho", _positive, "a positive number"),
+    ("optimizer", "target_area", lambda v: v is None or _positive(v),
+     "null or a positive number"),
+    ("bartnik", "rho", _positive, "a positive number"),
+    ("bartnik", "validity_radius", _positive, "a positive number"),
+    *(("tolerances", key, _nonnegative, "a non-negative number")
+      for key in _DEFAULTS["tolerances"]),
+)
+
+
+def _check_values(data):
+    """Reject, naming the key, a value no command could run with."""
+    point = data["point"]
+    if not (isinstance(point, (list, tuple)) and len(point) == 3
+            and all(map(_real, point))):
+        raise ConfigError(f"point must be a list of three numbers, got {point!r}")
+    for section, key, test, what in _VALUE_CHECKS:
+        value = data[section][key]
+        if not test(value):
+            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
 
 
 class RunConfig:
@@ -86,6 +139,7 @@ class RunConfig:
             raise ConfigError("mode must be 'optimal' or 'unperturbed'")
         if merged["K"] not in (-1, 0, 1):
             raise ConfigError("K must be -1, 0 or +1")
+        _check_values(merged)
         # reference_rho and target_area configure the command, not the search
         search = {f.name: merged["optimizer"][f.name] for f in fields(OptimizeConfig)}
         try:
@@ -278,14 +332,16 @@ def cmd_optimize(config, out_dir):
     grid = config.grid
     opt = config.data["optimizer"]
     geo = config.geodesic_config
-    target_area = opt.get("target_area")
-    reference = None
+    K = config.data["K"]
+    target_area = opt["target_area"]
+    reference = fan = None
     if target_area is None:
-        target_area, ref_mass, _ = closed_form_reference(
-            metric, config.point, float(opt["reference_rho"]), grid, geo,
-            K=config.data["K"],
+        # the reference sphere and the search read one fan
+        rho = float(opt["reference_rho"])
+        fan = optimizer_fan(metric, config.point, rho, grid, geo)
+        target_area, reference, _ = closed_form_reference(
+            metric, config.point, rho, grid, geo, K=K, fan=fan
         )
-        reference = ref_mass
     result = maximize_hawking(
         metric,
         config.point,
@@ -293,7 +349,8 @@ def cmd_optimize(config, out_dir):
         config.optimizer_config,
         grid,
         geo,
-        K=config.data["K"],
+        K=K,
+        fan=fan,
     )
     report = _report_skeleton("optimize", config)
     report["result"] = result.as_dict()

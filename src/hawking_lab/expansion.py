@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 MODES = ("optimal", "unperturbed")
+# the fewest rungs a ladder takes
+MIN_RUNGS = 5
 
 @dataclass
 class LadderResult:
@@ -74,8 +76,8 @@ def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if n < 5:
-        raise ValueError("need at least five ladder rungs")
+    if n < MIN_RUNGS:
+        raise ValueError(f"need at least {MIN_RUNGS} ladder rungs")
     packet = curvature_packet(metric, p)
     radii = rho0 * 0.5 ** np.arange(n)
 

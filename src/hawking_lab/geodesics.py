@@ -14,9 +14,9 @@ graph function is then just interpolation, which is what makes radius
 ladders and coefficient optimizers affordable.
 
 :meth:`GeodesicFan.surface` is the one path from a fan to an
-:class:`~hawking_lab.surface.EmbeddedSurface`, and :func:`sphere_fan` the
+:class:`~hawking_lab.surface.EmbeddedSurface`, and :func:`sphere_reach` the
 one place that checks a sphere family against the injectivity bound and
-shoots the fan that reaches it.
+gives the arclength its fan must reach (:func:`sphere_fan` shoots that fan).
 """
 
 from dataclasses import dataclass
@@ -38,6 +38,7 @@ __all__ = [
     "GeodesicConfig",
     "exp_map",
     "GeodesicFan",
+    "sphere_reach",
     "sphere_fan",
     "embed_sphere",
     "surface_tangents",
@@ -145,7 +146,8 @@ class GeodesicFan:
     ``[0, s_max]``, and exposes barycentric interpolants for positions and
     velocities at per-node arclengths.  ``rhs_evals`` counts the right-hand
     side evaluations of the stacked solve and ``speed_drift`` is the largest
-    ``|g(v, v) - 1|`` over the last arclength sample.
+    ``|g(v, v) - 1|`` over the last arclength sample.  An ``s_max`` that is
+    not finite and positive raises DomainError.
     """
 
     def __init__(self, metric, p, grid, s_max, cfg=None, packet=None):
@@ -155,6 +157,10 @@ class GeodesicFan:
         self.p = np.asarray(p, dtype=float)
         self.grid = grid
         self.s_max = float(s_max)
+        if not 0.0 < self.s_max < np.inf:
+            raise DomainError(
+                f"fan arclength must be finite and positive, got {self.s_max!r}"
+            )
         self.cfg = cfg
         if packet is None:
             packet = curvature_packet(metric, p)
@@ -246,12 +252,12 @@ def _radial_w(w, grid):
     return w_values
 
 
-def sphere_fan(metric, p, rho, w, grid, cfg=None, packet=None):
-    """The :class:`GeodesicFan` that reaches the sphere Exp_p[rho (1 - w) Theta].
+def sphere_reach(metric, p, rho, w, grid):
+    """Arclength a fan must reach for the sphere Exp_p[rho (1 - w) Theta].
 
     Checks ``|w| < 1`` and ``rho`` against the metric's injectivity bound
-    (RadiusOutOfRange), then shoots the fan out to the largest radius
-    ``rho (1 - w)`` needs.
+    (RadiusOutOfRange), then returns the largest radius ``rho (1 - w)``
+    needs, with a relative margin of 1e-9.
     """
     w_values = _radial_w(w, grid)
     bound = metric.injectivity_bound(p)
@@ -259,7 +265,13 @@ def sphere_fan(metric, p, rho, w, grid, cfg=None, packet=None):
         raise RadiusOutOfRange(
             f"radius {rho} exceeds the injectivity bound {bound:.6g}"
         )
-    s_max = rho * float(np.max(1.0 - w_values)) * (1.0 + 1e-9)
+    return rho * float(np.max(1.0 - w_values)) * (1.0 + 1e-9)
+
+
+def sphere_fan(metric, p, rho, w, grid, cfg=None, packet=None):
+    """The :class:`GeodesicFan` that reaches the sphere Exp_p[rho (1 - w) Theta]
+    (:func:`sphere_reach`)."""
+    s_max = sphere_reach(metric, p, rho, w, grid)
     return GeodesicFan(metric, p, grid, s_max, cfg, packet=packet)
 
 

@@ -15,6 +15,9 @@ Dziuk and Elliott, Acta Numerica 2013): summed against normal speeds they
 give the optimizer's first variation, and tested against the real harmonics
 of degree up to ``n_theta // 2`` they give the Galerkin residual and its
 multiplier.  No fourth derivative of the positions is formed pointwise.
+``Ric(N, N)`` comes from :func:`manifold.ricci_along` at the nodes, the
+closed form of the metric kind where it has one, so no Ricci tensor is
+assembled along the surface.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandLimitExceeded
-from .manifold import ricci_at
+from .manifold import ricci_along
 from .surface import SphereGrid
 
 __all__ = [
@@ -229,8 +232,7 @@ def _willmore_potential(surface, metric):
     """Zeroth-order part ``H (H^2 - 4 D + 2 Ric(N, N))`` of the Willmore
     first variation at the surface nodes."""
     H = surface.mean_curvature
-    ric = ricci_at(metric, surface.positions)
-    ric_nn = np.einsum("nab,na,nb->n", ric, surface.normal, surface.normal)
+    ric_nn = ricci_along(metric, surface.positions, surface.normal)
     return H * (H**2 - 4.0 * surface.gauss_product + 2.0 * ric_nn)
 
 

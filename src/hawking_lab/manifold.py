@@ -6,10 +6,12 @@ derivative data: closed forms for the built-in kinds (Euclidean, round
 sphere, hyperbolic, Schwarzschild), and monomial exponent shifts for the
 polynomial ones (polynomial perturbation, polynomial conformal factor).
 Only the gradient and Laplacian of scalar curvature at a point are taken by
-Richardson-extrapolated central differences.  All curvature tensors are
+Richardson-extrapolated central differences.  The full curvature tensors are
 assembled from ``(g, dg, ddg)`` by the standard Levi-Civita formulas;
 :func:`geodesic_acceleration` contracts ``dg`` with a velocity directly,
-without inverting g or forming Gamma.
+without inverting g or forming Gamma.  :func:`ricci_along` gives Ric(n, n)
+alone, from a closed form per kind where one exists (conformally flat kinds,
+Schwarzschild, Euclidean) and from the assembled tensor otherwise.
 
 Index conventions for the arrays returned here:
 
@@ -42,6 +44,7 @@ __all__ = [
     "geodesic_acceleration",
     "riemann_at",
     "ricci_at",
+    "ricci_along",
     "scalar_curvature_at",
     "curvature_packet",
     "scalar_laplacian",
@@ -200,7 +203,8 @@ class MetricField:
 
     Subclasses provide :meth:`metric`, :meth:`metric_deriv` and
     :meth:`metric_deriv2`, all exact, so assembled curvature tensors carry
-    rounding only.
+    rounding only, and override :meth:`ricci_along` where Ric(n, n) has a
+    closed form.
     """
 
     kind = "abstract"
@@ -213,6 +217,13 @@ class MetricField:
 
     def metric_deriv2(self, x):
         raise NotImplementedError
+
+    def ricci_along(self, x, n):
+        """Ric(n, n) at points ``x`` for chart vectors ``n``, both (..., 3),
+        unguarded; kinds with a closed form override the contraction of the
+        assembled tensor."""
+        g, dg, ddg = self.metric(x), self.metric_deriv(x), self.metric_deriv2(x)
+        return np.einsum("...ab,...a,...b->...", _curvature_from(g, dg, ddg)[2], n, n)
 
     def domain_guard(self, x):
         """Boolean chart-validity mask for points ``x`` of shape (..., 3)."""
@@ -254,6 +265,9 @@ class EuclideanMetric(MetricField):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (3, 3, 3, 3))
 
+    def ricci_along(self, x, n):
+        return np.zeros(np.shape(x)[:-1])
+
 
 class _ConformallyFlat(MetricField):
     """g = exp(2 phi) * delta with closed-form phi derivatives."""
@@ -287,6 +301,16 @@ class _ConformallyFlat(MetricField):
         core = 2.0 * hess + 4.0 * np.einsum("...d,...c->...dc", grad, grad)
         out = core * conf[..., np.newaxis, np.newaxis]
         return out[..., :, :, np.newaxis, np.newaxis] * np.eye(3)
+
+    def ricci_along(self, x, n):
+        # Ric = -(Hess phi - dphi dphi) - (Lap phi + |dphi|^2) delta in three
+        # dimensions, with flat derivatives of phi
+        x = np.asarray(x, dtype=float)
+        grad, hess = self._phi_grad(x), self._phi_hess(x)
+        dphi_n = np.sum(grad * n, axis=-1)
+        hess_nn = np.einsum("...a,...ab,...b->...", n, hess, n)
+        lap = np.trace(hess, axis1=-2, axis2=-1) + np.sum(grad * grad, axis=-1)
+        return dphi_n * dphi_n - hess_nn - lap * np.sum(n * n, axis=-1)
 
 
 
@@ -465,6 +489,16 @@ class SchwarzschildMetric(MetricField):
             + (psi / r)[..., None, None, None, None] * d_sym
         )
         return term1 + term2
+
+    def ricci_along(self, x, n):
+        # Ric = (m / r^3) (g - 3 (1 + psi) dr dr): -2m/r^3 on the unit radial
+        # vector, m/r^3 on the tangential ones
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1)
+        psi = self._psi(r)
+        u_n = np.sum(x * n, axis=-1) / r
+        g_nn = np.sum(n * n, axis=-1) + psi * u_n * u_n
+        return self.mass / r**3 * (g_nn - 3.0 * (1.0 + psi) * u_n * u_n)
 
     def domain_guard(self, x):
         x = np.asarray(x, dtype=float)
@@ -666,6 +700,14 @@ def ricci_at(metric, x):
     return _curvature_at(metric, x)[2]
 
 
+def ricci_along(metric, x, n):
+    """Ric(n, n) at chart points ``x`` for chart vectors ``n`` (batched),
+    without assembling the Ricci tensor where the kind has a closed form."""
+    x = _as_points(x)
+    _guard(metric, x)
+    return metric.ricci_along(x, np.asarray(n, dtype=float))
+
+
 def scalar_curvature_at(metric, x):
     """Scalar curvature Sc as a batched field of chart points."""
     return _curvature_at(metric, x)[3]
@@ -713,12 +755,16 @@ def scalar_laplacian(metric, p):
     """Covariant Laplacian g^{ab} grad_a grad_b Sc at the point ``p``."""
     p = _as_points(p)
     _guard(metric, p)
+    return _scalar_laplacian(metric, p, scalar_gradient(metric, p))
+
+
+def _scalar_laplacian(metric, p, grad):
+    """:func:`scalar_laplacian` from the chart gradient ``grad`` of Sc."""
     _, h2 = _sc_steps(p)
     _check_stencil(metric, p, 2.0 * h2)
     scale = max(1.0, float(np.linalg.norm(p)))
     fn = lambda q: scalar_curvature_at(metric, q)
     hess = _fd.diff2_richardson(fn, p, step=h2 / scale)
-    grad = scalar_gradient(metric, p)
     g = metric.metric(p)
     g_inv = np.linalg.inv(g)
     gamma = _christoffel_from(g_inv, _braces(metric.metric_deriv(p)))
@@ -749,7 +795,7 @@ def curvature_packet(metric, p):
         scalar=sc,
         traceless=traceless,
         traceless_norm_sq=float(np.sum(traceless * traceless)),
-        scalar_laplacian=scalar_laplacian(metric, p),
+        scalar_laplacian=_scalar_laplacian(metric, p, grad_chart),
         scalar_gradient=grad_f,
         riemann=rm_f,
     )

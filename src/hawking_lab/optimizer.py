@@ -6,7 +6,10 @@ The search space is the span of real spherical harmonics of degree 2..L
 every trial coefficient vector the radius is rescaled so the surface area
 matches the target, making the ascent an unconstrained problem in the shape
 coefficients.  Every surface evaluation reuses one geodesic fan, so the
-inner loop is pure interpolation and quadrature.
+inner loop is pure interpolation and quadrature.  :func:`optimizer_fan` owns
+that fan's reach; the closed-form reference sphere is read from the same fan
+(:func:`closed_form_reference`), so a run with a reference shoots one fan and
+computes one curvature packet.
 
 The gradient is analytic and comes from the surface the iteration already
 holds.  Mode k of the shape moves the nodes along the fan by
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geodesics import GeodesicFan, surface_tangents
+from .geodesics import GeodesicFan, sphere_reach, surface_tangents
 from .harmonics import (
     HarmonicField,
     _basis_matrix,
@@ -46,6 +49,7 @@ __all__ = [
     "OptimizeResult",
     "maximize_hawking",
     "closed_form_reference",
+    "optimizer_fan",
 ]
 
 
@@ -118,20 +122,35 @@ class OptimizeResult:
         }
 
 
-class _SurfaceEvaluator:
-    """Shared machinery: fan, shape basis, area solve and mass evaluation."""
+def optimizer_fan(metric, p, rho, grid, geo_cfg=None):
+    """The one geodesic fan of an area-constrained search around radius ``rho``.
 
-    def __init__(self, metric, p, grid, rho_init, cfg, geo_cfg, K=0):
+    It reaches the closed-form reference sphere at ``rho`` (checked by
+    :func:`geodesics.sphere_reach`) and the search headroom
+    ``min(1.35 * 1.05 rho, injectivity bound)``: 35% above a radius 5% over
+    ``rho``.
+    """
+    packet = curvature_packet(metric, p)
+    w = optimal_perturbation(packet, grid).w_values(rho, grid)
+    headroom = min(1.35 * 1.05 * rho, float(metric.injectivity_bound(p)))
+    s_max = max(sphere_reach(metric, p, rho, w, grid), headroom)
+    return GeodesicFan(metric, p, grid, s_max, geo_cfg, packet=packet)
+
+
+class _SurfaceEvaluator:
+    """Shared machinery: fan, shape basis, area solve and mass evaluation.
+
+    Without ``fan`` it shoots the :func:`optimizer_fan` around ``rho``.
+    """
+
+    def __init__(self, metric, p, grid, rho, cfg, geo_cfg, K=0, fan=None):
         self.metric = metric
         self.grid = grid
         self.cfg = cfg
         self.K = K
-        self.packet = curvature_packet(metric, p)
-        self.s_max = rho_init * 1.35
-        bound = metric.injectivity_bound(p)
-        if self.s_max > bound:
-            self.s_max = float(bound)
-        self.fan = GeodesicFan(metric, p, grid, self.s_max, geo_cfg, packet=self.packet)
+        if fan is None:
+            fan = optimizer_fan(metric, p, rho, grid, geo_cfg)
+        self.fan = fan
         basis = _basis_matrix(grid, cfg.max_degree)
         self.shape_basis = basis[4:]          # degrees >= 2, shape (n_coeff, N)
         self.n_coeff = self.shape_basis.shape[0]
@@ -154,7 +173,7 @@ class _SurfaceEvaluator:
         """Newton iteration on rho with dA/drho ~ 2A/rho."""
         rho = rho_guess
         w_sup = float(np.max(np.abs(w))) if w.size else 0.0
-        rho_cap = self.s_max / (1.0 + w_sup) * (1.0 - 1e-12)
+        rho_cap = self.fan.s_max / (1.0 + w_sup) * (1.0 - 1e-12)
         for _ in range(40):
             rho = min(rho, rho_cap)
             area = self.area_of(rho, w)
@@ -199,6 +218,7 @@ def maximize_hawking(
     grid=None,
     geo_cfg=None,
     K=0,
+    fan=None,
 ):
     """Projected-gradient ascent of the Hawking mass at fixed area.
 
@@ -211,6 +231,9 @@ def maximize_hawking(
     Terminates on the gradient norm, on step collapse, or at ``max_iters``;
     only the first sets ``converged``, and ``stop_reason`` names which one
     ended the run.  The last accepted iterate is returned in every case.
+    Surfaces are read from ``fan``, an :func:`optimizer_fan` at ``p`` on
+    ``grid``, or from the one shot around the flat radius of
+    ``target_area`` when it is None.
     """
     if cfg is None:
         cfg = OptimizeConfig()
@@ -222,7 +245,7 @@ def maximize_hawking(
     p = np.asarray(p, dtype=float)
 
     rho_flat = np.sqrt(target_area / (4.0 * np.pi))
-    ev = _SurfaceEvaluator(metric, p, grid, rho_flat * 1.05, cfg, geo_cfg, K)
+    ev = _SurfaceEvaluator(metric, p, grid, rho_flat, cfg, geo_cfg, K, fan=fan)
 
     rng = np.random.default_rng(cfg.seed)
     coeffs = cfg.init_jitter * rng.standard_normal(ev.n_coeff)
@@ -294,19 +317,19 @@ def maximize_hawking(
     )
 
 
-def closed_form_reference(metric, p, rho, grid, geo_cfg=None, K=0):
+def closed_form_reference(metric, p, rho, grid, geo_cfg=None, K=0, fan=None):
     """Area and mass of the closed-form optimally perturbed sphere at ``rho``.
 
     Returns ``(target_area, mass, w_field)`` for optimizer comparisons: the
     optimizer searching at this target area can only do at least as well as
-    this surface.
+    this surface.  The sphere is read from ``fan``, the
+    :func:`optimizer_fan` around ``rho`` that the search then shares, or
+    from one shot here when it is None.
     """
-    from .geodesics import geodesic_sphere_surface
-
-    packet = curvature_packet(metric, p)
-    pert = optimal_perturbation(packet, grid)
-    w = pert.w_values(rho, grid)
-    surf = geodesic_sphere_surface(metric, p, rho, w, grid, geo_cfg, packet=packet)
+    if fan is None:
+        fan = optimizer_fan(metric, p, rho, grid, geo_cfg)
+    pert = optimal_perturbation(fan.packet, grid)
+    surf = fan.surface(rho, pert.w_values(rho, grid))
     return surf.area, hawking_mass(surf, K).generalized, pert.w_field(rho)
 
 

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import hawking_lab
+from hawking_lab import manifold
 from hawking_lab.cli import RunConfig, main
 from hawking_lab.errors import ConfigError
-from hawking_lab.geodesics import GeodesicConfig
+from hawking_lab.geodesics import GeodesicConfig, GeodesicFan
 from hawking_lab.optimizer import OptimizeConfig
 
 
@@ -91,6 +92,39 @@ def test_optimize_flat_report(capsys, tmp_path):
     assert capsys.readouterr().out == text
 
 
+def test_optimize_with_reference_shoots_one_fan(capsys, tmp_path, monkeypatch):
+    # the closed-form reference and the search read one fan and one packet
+    calls = {"fan": 0, "packet": 0}
+    fan_init, packet = GeodesicFan.__init__, manifold.curvature_packet
+
+    def counted_init(self, *args, **kwargs):
+        calls["fan"] += 1
+        fan_init(self, *args, **kwargs)
+
+    def counted_packet(*args, **kwargs):
+        calls["packet"] += 1
+        return packet(*args, **kwargs)
+
+    monkeypatch.setattr(GeodesicFan, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "curvature_packet", None)
+        if name.startswith("hawking_lab") and bound is packet:
+            monkeypatch.setattr(module, "curvature_packet", counted_packet)
+    code, report = run(capsys, tmp_path, "optimize", OPTIMIZE_FLAT)
+    assert code == 0
+    assert "reference_mass" in report
+    assert calls == {"fan": 1, "packet": 1}
+
+
+def test_optimize_at_given_target_area(capsys, tmp_path):
+    optimizer = {**OPTIMIZE_FLAT["optimizer"], "target_area": 0.03}
+    config = {**OPTIMIZE_FLAT, "optimizer": optimizer}
+    code, report = run(capsys, tmp_path, "optimize", config)
+    assert code == 0
+    assert "reference_mass" not in report
+    assert report["result"]["area"] == pytest.approx(0.03, rel=1e-10)
+
+
 def test_optimize_rejects_removed_gradient_step(capsys, tmp_path):
     config = {"optimizer": {**OPTIMIZE_FLAT["optimizer"], "gradient_step": 1e-6}}
     with pytest.raises(ConfigError, match="gradient_step"):
@@ -124,6 +158,18 @@ def test_defaults_come_from_the_config_dataclasses():
         ({"metric": {"kind": "polynomial_perturbation"}}, "terms"),
         # a top-level key outside the defaults is an unknown section
         ({"fd_order": 8}, "unknown config sections: ['fd_order']"),
+        # values no command can run with are named at load
+        ({"optimizer": {"target_area": -1}}, "optimizer.target_area"),
+        ({"optimizer": {"reference_rho": 0}}, "optimizer.reference_rho"),
+        ({"ladder": {"rho0": 0}}, "ladder.rho0"),
+        ({"ladder": {"n": 3}}, "ladder.n"),
+        ({"grid": {"n_theta": "a"}}, "grid.n_theta"),
+        ({"grid": {"n_phi": 64.5}}, "grid.n_phi"),
+        ({"point": [1, 2]}, "point"),
+        ({"point": [0, 0, "x"]}, "point"),
+        ({"tolerances": {"c3_rel": "x"}}, "tolerances.c3_rel"),
+        ({"bartnik": {"rho": "x"}}, "bartnik.rho"),
+        ({"bartnik": {"validity_radius": None}}, "bartnik.validity_radius"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):

@@ -204,6 +204,12 @@ class TestGeodesicFan:
         assert diag["rhs_evals"] > 0
         assert diag["speed_drift"] <= 1e-12
 
+    @pytest.mark.parametrize("s_max", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_reach_that_is_not_finite_and_positive(self, grid, cfg, s_max):
+        # a NaN reach would leave the integrator stepping forever
+        with pytest.raises(DomainError, match="finite and positive"):
+            GeodesicFan(EuclideanMetric(), np.zeros(3), grid, s_max, cfg)
+
     def test_deterministic_rebuild(self, grid, cfg):
         metric = RoundSphereMetric()
         p = np.array([0.1, 0.0, 0.0])

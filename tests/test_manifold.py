@@ -16,6 +16,7 @@ from hawking_lab.manifold import (
     metric_at,
     metric_from_config,
     metric_to_config,
+    ricci_along,
     ricci_at,
     riemann_at,
     scalar_curvature_at,
@@ -186,6 +187,32 @@ class TestGeodesicAcceleration:
         assert_allclose(acc, ref, rtol=1e-13, atol=1e-15)
 
 
+class TestRicciAlong:
+    def test_matches_ricci_tensor_contraction(self):
+        # the closed forms per kind against the tensor assembled from ddg
+        rng = np.random.default_rng(41)
+        for metric, x in kernel_cases(rng):
+            n = rng.normal(size=x.shape)
+            ric = ricci_at(metric, x)
+            want = np.einsum("nab,na,nb->n", ric, n, n)
+            got = ricci_along(metric, x, n)
+            assert got.shape == (40,), metric.kind
+            scale = np.linalg.norm(ric, axis=(1, 2)) * np.sum(n * n, axis=1)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), metric.kind
+
+    @pytest.mark.parametrize(
+        "metric, point",
+        [
+            (SchwarzschildMetric(mass=1.0), [2.0, 0.0, 0.0]),
+            (HyperbolicMetric(), [0.0, 0.9995, 0.0]),
+        ],
+        ids=["schwarzschild", "hyperbolic"],
+    )
+    def test_domain_error_off_chart(self, metric, point):
+        with pytest.raises(DomainError):
+            ricci_along(metric, np.array([point]), np.ones((1, 3)))
+
+
 class TestExactPolynomialDerivatives:
     def _check(self, metric, oracle, points):
         for x in points:
@@ -337,6 +364,15 @@ class TestScalarLaplacian:
         # Sc vanishes identically, so its Laplacian does too
         got = scalar_laplacian(SchwarzschildMetric(mass=1.0), np.array([4.0, 0.0, 0.0]))
         assert abs(got) < 1e-8
+
+    def test_packet_carries_the_same_laplacian(self):
+        # the packet reuses its gradient of Sc; the figure stays bit-identical
+        metric = ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))])
+        point = np.array([0.3, 0.2, -0.1])
+        packet = curvature_packet(metric, point)
+        assert packet.scalar_laplacian == scalar_laplacian(metric, point)
+        grad = packet.frame @ scalar_gradient(metric, point)
+        assert np.array_equal(packet.scalar_gradient, grad)
 
     def test_stencil_leaving_domain(self):
         metric = SchwarzschildMetric(mass=1.0)
