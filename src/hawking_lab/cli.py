@@ -146,7 +146,6 @@ class RunConfig:
             metric_from_config(merged["metric"])  # validates kind and params
             self.geodesic_config = GeodesicConfig(**merged["geodesic"])
             self.optimizer_config = OptimizeConfig(**search)
-            self.optimizer_config.validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
         self.data = merged
@@ -334,11 +333,14 @@ def cmd_optimize(config, out_dir):
     geo = config.geodesic_config
     K = config.data["K"]
     target_area = opt["target_area"]
-    reference = fan = None
     if target_area is None:
-        # the reference sphere and the search read one fan
         rho = float(opt["reference_rho"])
-        fan = optimizer_fan(metric, config.point, rho, grid, geo)
+    else:
+        rho = math.sqrt(target_area / (4.0 * math.pi))
+    # the search, and the reference sphere when there is one, read one fan
+    fan = optimizer_fan(metric, config.point, rho, grid, geo)
+    reference = None
+    if target_area is None:
         target_area, reference, _ = closed_form_reference(
             metric, config.point, rho, grid, geo, K=K, fan=fan
         )
@@ -354,6 +356,7 @@ def cmd_optimize(config, out_dir):
     )
     report = _report_skeleton("optimize", config)
     report["result"] = result.as_dict()
+    report["fan"] = fan.diagnostics()
     if reference is not None:
         report["reference_mass"] = reference
         _add_check(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -47,7 +48,7 @@ def test_flat_expansion_masses_are_rounding(capsys, tmp_path):
 
 def test_reports_carry_fan_diagnostics(capsys, tmp_path):
     config = {"grid": {"n_theta": 24, "n_phi": 48}, "ladder": {"rho0": 0.2, "n": 5}}
-    for command in ("expansion", "el-residual"):
+    for command in ("expansion", "el-residual", "optimize"):
         code, report = run(capsys, tmp_path, command, config)
         assert code in (0, 1), command
         assert set(report["fan"]) == {"rhs_evals", "speed_drift"}
@@ -125,14 +126,44 @@ def test_optimize_at_given_target_area(capsys, tmp_path):
     assert report["result"]["area"] == pytest.approx(0.03, rel=1e-10)
 
 
-def test_optimize_rejects_removed_gradient_step(capsys, tmp_path):
-    config = {"optimizer": {**OPTIMIZE_FLAT["optimizer"], "gradient_step": 1e-6}}
-    with pytest.raises(ConfigError, match="gradient_step"):
+# optimizer keys that were once settable, with their last default values
+REMOVED_OPTIMIZER_KEYS = {
+    "gradient_step": 1e-6,
+    "initial_step": 1e-4,
+    "shrink": 0.5,
+    "grow": 1.6,
+    "min_step": 1e-13,
+    "seed": 0,
+    "init_jitter": 1e-7,
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_OPTIMIZER_KEYS)
+def test_optimize_rejects_removed_gradient_step(capsys, tmp_path, key):
+    config = {"optimizer": {**OPTIMIZE_FLAT["optimizer"], key: REMOVED_OPTIMIZER_KEYS[key]}}
+    message = f"unknown keys in 'optimizer': ['{key}']"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         RunConfig(config)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["optimize", "--config", str(path)]) == 2
-    assert "gradient_step" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_optimize_schwarzschild_stops_on_gradient_tol(capsys, tmp_path):
+    # Newton steps preconditioned by the round sphere's Hessian stop far
+    # under the tolerance: measured 2 iterations and 5.0e-11
+    config = {
+        "metric": {"kind": "schwarzschild", "mass": 1.0},
+        "point": [4.0, 0.0, 0.0],
+        "grid": {"n_theta": 32, "n_phi": 64},
+        "optimizer": {"max_degree": 4, "max_iters": 40, "reference_rho": 0.05},
+    }
+    code, report = run(capsys, tmp_path, "optimize", config)
+    assert code == 0
+    assert report["result"]["stop_reason"] == "gradient_tol"
+    assert report["result"]["iterations"] <= 3
+    assert report["result"]["final_gradient_norm"] <= 1e-10
 
 
 def test_defaults_come_from_the_config_dataclasses():
@@ -147,9 +178,9 @@ def test_defaults_come_from_the_config_dataclasses():
     "config, key",
     [
         ({"optimizer": {"max_iters": 0}}, "max_iters"),
-        ({"optimizer": {"shrink": 1.0}}, "shrink"),
-        ({"optimizer": {"grow": 0.5}}, "grow"),
-        ({"optimizer": {"min_step": 0}}, "min_step"),
+        ({"optimizer": {"max_degree": 1}}, "max_degree"),
+        ({"optimizer": {"gradient_tol": 0}}, "gradient_tol"),
+        ({"optimizer": {"area_rtol": -1}}, "area_rtol"),
         ({"geodesic": {"rel_tol": -1}}, "rel_tol"),
         # a wrongly typed value or a malformed term names no key
         ({"geodesic": {"max_steps": "many"}}, "invalid config value"),
@@ -174,7 +205,7 @@ def test_defaults_come_from_the_config_dataclasses():
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
     # rejected at load, whatever the command: run one that needs no optimizer,
-    # so a regression fails here and does not loop in the line search
+    # so a regression fails here and does not start a search
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["curvature", "--config", str(path)]) == 2
