@@ -9,9 +9,20 @@ and dg once on the whole stacked batch.
 Building a surface needs one geodesic per grid node; :class:`GeodesicFan`
 integrates the whole fan of unit-speed radial geodesics in a single stacked
 ODE solve, samples it on Chebyshev-Lobatto arclength nodes, and reconstructs
-positions at arbitrary per-node radii by barycentric interpolation.  Re-embedding the same fan at a new radius or
-graph function is then just interpolation, which is what makes radius
-ladders and coefficient optimizers affordable.
+positions at arbitrary per-node radii by barycentric interpolation.
+Re-embedding the same fan at a new radius or graph function is then just
+interpolation, which is what makes radius ladders and coefficient
+optimizers affordable.
+
+At arclength s the fan is p + s Theta plus terms in s^3, s^4, ... that are
+polynomials of low degree in Theta, so a small radius needs far fewer
+geodesics than the surface grid has nodes.  The fan is therefore shot on
+the coarsest of a fixed ladder of shooting grids whose spectral tail (the
+top colatitude degrees and Fourier modes of x - p and v at the last sample)
+is within the integrator's ``abs_tol``, and upsampled spectrally to the
+surface grid, exactly for band-limited fields (the double Fourier sphere of
+Townsend, Wilber and Wright, SIAM J. Sci. Comput. 2016).  Refining costs a
+shot per grid tried; ``rhs_evals`` sums them all.
 
 :meth:`GeodesicFan.surface` is the one path from a fan to an
 :class:`~hawking_lab.surface.EmbeddedSurface`, and :func:`sphere_reach` the
@@ -19,6 +30,7 @@ one place that checks a sphere family against the injectivity bound and
 gives the arclength its fan must reach (:func:`sphere_fan` shoots that fan).
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +44,7 @@ from .errors import (
     StepLimit,
 )
 from .manifold import curvature_packet, geodesic_acceleration
-from .surface import extrinsic_geometry
+from .surface import build_grid, extrinsic_geometry
 
 __all__ = [
     "GeodesicConfig",
@@ -64,6 +76,8 @@ class GeodesicConfig:
 
 # Chebyshev-Lobatto arclength samples per fan geodesic
 _N_SAMPLES = 33
+# colatitude counts of the shooting grids a fan tries before its surface grid
+_SHOOTING_N_THETA = (12, 16, 24, 32)
 
 
 def _geodesic_rhs(metric, n_points, cfg, counter):
@@ -141,13 +155,25 @@ def exp_map(metric, p, v, cfg=None):
 class GeodesicFan:
     """All radial geodesics from one centre, sampled for fast re-evaluation.
 
-    The fan shoots the unit-speed geodesic in direction Theta(node) for every
-    grid node, records states on Chebyshev-Lobatto arclength nodes in
+    The fan holds the unit-speed geodesic in direction Theta(node) for every
+    node of the surface grid, sampled on Chebyshev-Lobatto arclength nodes in
     ``[0, s_max]``, and exposes barycentric interpolants for positions and
-    velocities at per-node arclengths.  ``rhs_evals`` counts the right-hand
-    side evaluations of the stacked solve and ``speed_drift`` is the largest
-    ``|g(v, v) - 1|`` over the last arclength sample.  An ``s_max`` that is
-    not finite and positive raises DomainError.
+    velocities at per-node arclengths.
+
+    The geodesics are shot on the first *shooting grid* that resolves them:
+    n_theta = 12, 16, 24, 32 (those below the surface grid's n_theta, each
+    with n_phi = min(2 n_theta, surface n_phi)), and last the surface grid
+    itself.  A shot passes when the :meth:`SphereGrid.spectral_tail` of
+    x - p and v at the last sample is at most ``cfg.abs_tol``, the
+    integrator's own error scale.  A coarse fan that passes is upsampled to
+    the surface grid sample by sample (:meth:`SphereGrid.upsample`), and every
+    upsampled position must pass ``metric.domain_guard`` (DomainExit
+    otherwise, as from the integrator's chart event).  ``shooting_grid`` is
+    ``[n_theta, n_phi]`` of the grid shot last, ``spectral_tail`` its tail,
+    ``rhs_evals`` the right-hand-side evaluations summed over every shot,
+    and ``speed_drift`` the largest ``|g(v, v) - 1|`` over the last sample
+    of the surface grid, so it also bounds the upsampling error.  An
+    ``s_max`` that is not finite and positive raises DomainError.
     """
 
     def __init__(self, metric, p, grid, s_max, cfg=None, packet=None):
@@ -166,17 +192,36 @@ class GeodesicFan:
             packet = curvature_packet(metric, p)
         self.packet = packet
 
-        # unit directions in the orthonormal frame of the packet
-        directions = grid.unit @ packet.frame  # (N, 3) chart components
-        n = grid.n_nodes
         k = np.arange(_N_SAMPLES)
         nodes = 0.5 * self.s_max * (1.0 - np.cos(np.pi * k / (_N_SAMPLES - 1)))
         nodes[0] = 0.0
         nodes[-1] = self.s_max
-        x0 = np.broadcast_to(self.p, (n, 3))
-        sol = _integrate(metric, x0, directions, self.s_max, cfg, t_eval=nodes)
-        self.rhs_evals = int(sol.nfev)
-        states = sol.y.reshape(2, n, 3, nodes.size)
+        self.rhs_evals = 0
+        coarse = (
+            build_grid(n, min(2 * n, grid.n_phi))
+            for n in _SHOOTING_N_THETA
+            if n < grid.n_theta
+        )
+        for shot in itertools.chain(coarse, [grid]):
+            # unit directions in the orthonormal frame of the packet
+            directions = shot.unit @ packet.frame
+            x0 = np.broadcast_to(self.p, (shot.n_nodes, 3))
+            sol = _integrate(metric, x0, directions, self.s_max, cfg, t_eval=nodes)
+            self.rhs_evals += int(sol.nfev)
+            states = sol.y.reshape(2, shot.n_nodes, 3, nodes.size)
+            last = np.concatenate([states[0, ..., -1] - self.p, states[1, ..., -1]], axis=1)
+            self.spectral_tail = shot.spectral_tail(last)
+            if self.spectral_tail <= cfg.abs_tol:
+                break
+        self.shooting_grid = [shot.n_theta, shot.n_phi]
+        if shot is not grid:
+            # (N, 2, 3, M) node fields of x - p and v, upsampled together
+            fields = np.moveaxis(states, 1, 0).copy()
+            fields[:, 0] -= self.p[:, np.newaxis]
+            states = np.moveaxis(shot.upsample(fields, grid), 0, 1)
+            states[0] += self.p[:, np.newaxis]
+            if not np.all(metric.domain_guard(np.moveaxis(states[0], -1, 0))):
+                raise DomainExit("an upsampled fan geodesic left the chart")
         self._nodes = nodes
         self._positions = np.moveaxis(states[0], -1, 0)   # (M, N, 3)
         self._velocities = np.moveaxis(states[1], -1, 0)  # (M, N, 3)
@@ -195,8 +240,14 @@ class GeodesicFan:
         return float(np.max(np.abs(speed_sq - 1.0)))
 
     def diagnostics(self):
-        """Integrator statistics for reports: ``{rhs_evals, speed_drift}``."""
-        return {"rhs_evals": self.rhs_evals, "speed_drift": self.speed_drift}
+        """Integrator statistics for reports: ``{rhs_evals, speed_drift,
+        shooting_grid, spectral_tail}``."""
+        return {
+            "rhs_evals": self.rhs_evals,
+            "speed_drift": self.speed_drift,
+            "shooting_grid": self.shooting_grid,
+            "spectral_tail": self.spectral_tail,
+        }
 
     def _interpolate(self, samples, s):
         s = np.asarray(s, dtype=float)

@@ -235,8 +235,11 @@ def maximize_hawking(
     area, solved from the last radius.  No mass is compared and no step is
     retried: a step that leaves the fan raises :class:`DomainError`.
     Terminates on the gradient norm, which sets ``converged``, or at
-    ``max_iters``; ``stop_reason`` names which one ended the run, and the
-    last iterate is returned in either case.
+    ``max_iters``; the last iterate is returned in either case, and
+    ``final_gradient_norm`` is its own gradient norm (after the last step
+    of a run that used its budget, one more gradient is taken, with no trace
+    row).  ``stop_reason`` is ``"gradient_tol"`` whenever that norm is
+    within the tolerance, else ``"max_iters"``.
     Surfaces are read from ``fan``, an :func:`optimizer_fan` at ``p`` on
     ``grid``, or from the one shot around the flat radius of
     ``target_area`` when it is None.
@@ -279,6 +282,12 @@ def maximize_hawking(
         row["step"] = float(np.linalg.norm(step))
         coeffs = coeffs + step
         value, rho, surf = ev.constrained_mass(coeffs, rho, target_area)
+    else:
+        # the budget ran out after a step: report the returned surface's own
+        # gradient, not the one the step was taken from
+        grad_norm = float(np.linalg.norm(ev.mass_gradient(coeffs, rho, surf)))
+        if grad_norm <= cfg.gradient_tol:
+            stop_reason = "gradient_tol"
 
     w_star = HarmonicField(
         cfg.max_degree,

@@ -80,17 +80,30 @@ class SphereGrid:
         values = np.asarray(values)
         return values.reshape((self.n_theta, self.n_phi) + values.shape[1:])
 
+    def _colatitude_series(self, target=None, derivative=False):
+        """Matrices taking a Fourier mode's values at the colatitude nodes to
+        its cosine series (even modes, k = 0..n_theta-1) and its sine series
+        (odd modes, k = 1..n_theta): with ``target`` None the series
+        coefficients, else the series' values at the colatitudes ``target``,
+        or their d/d theta1 with ``derivative``.  Returns ``(even, odd)``."""
+        k = np.arange(self.n_theta)
+        series = []
+        for kk, f, df in ((k, np.cos, lambda a: -np.sin(a)), (k + 1, np.sin, np.cos)):
+            at_nodes = f(np.outer(self.theta_axis, kk))
+            if target is None:
+                series.append(np.linalg.inv(at_nodes))
+                continue
+            kt = np.outer(target, kk)
+            at_target = kk * df(kt) if derivative else f(kt)
+            series.append(np.linalg.solve(at_nodes.T, at_target.T).T)
+        return tuple(series)
+
     def _theta_matrices(self):
-        """d/d theta1 of the cosine series (k = 0..n_theta-1) and of the sine
-        series (k = 1..n_theta) through the colatitude nodes."""
+        """d/d theta1 of the colatitude series through the nodes."""
         if "theta" not in self._diff_cache:
-            t = self.theta_axis
-            k = np.arange(self.n_theta)
-            kt = np.outer(t, k)
-            even = np.linalg.solve(np.cos(kt).T, (-k * np.sin(kt)).T).T
-            kt = np.outer(t, k + 1)
-            odd = np.linalg.solve(np.sin(kt).T, ((k + 1) * np.cos(kt)).T).T
-            self._diff_cache["theta"] = (even, odd)
+            self._diff_cache["theta"] = self._colatitude_series(
+                self.theta_axis, derivative=True
+            )
         return self._diff_cache["theta"]
 
     def _spectrum(self, values):
@@ -106,10 +119,7 @@ class SphereGrid:
     def _theta_modes(self, values, even, odd):
         """Apply ``even`` to the even Fourier modes and ``odd`` to the odd ones."""
         spectrum, trail = self._spectrum(values)
-        out = np.empty_like(spectrum)
-        out[:, 0::2] = _real_matmul(even, spectrum[:, 0::2])
-        out[:, 1::2] = _real_matmul(odd, spectrum[:, 1::2])
-        return self._synthesis(out, trail)
+        return self._synthesis(_by_parity(spectrum, even, odd), trail)
 
     def dtheta(self, values):
         """d/d theta1 of a smooth node field (any trailing component shape).
@@ -128,6 +138,31 @@ class SphereGrid:
         even, odd = self._theta_matrices()
         return self._theta_modes(values, even.T, odd.T)
 
+    def upsample(self, values, fine):
+        """A node field's values at the nodes of the grid ``fine``, which has
+        at least as many colatitudes and longitudes.  Each Fourier mode's
+        colatitude series is evaluated at the fine colatitudes, then every
+        fine colatitude row is interpolated trigonometrically in longitude
+        (the zero-padded spectrum, as one real matrix, with the Nyquist mode
+        split between +m and -m).  Exact for fields band-limited to this
+        grid."""
+        spectrum, trail = self._spectrum(values)
+        even, odd = self._colatitude_series(fine.theta_axis)
+        rows = np.fft.irfft(_by_parity(spectrum, even, odd), n=self.n_phi, axis=1)
+        padded = np.fft.rfft(np.eye(self.n_phi), axis=0) * (fine.n_phi / self.n_phi)
+        if fine.n_phi > self.n_phi:
+            padded[-1] *= 0.5
+        lon = np.fft.irfft(padded, n=fine.n_phi, axis=0)  # (fine n_phi, n_phi)
+        return (lon @ rows).reshape((fine.n_nodes,) + trail)
+
+    def spectral_tail(self, values):
+        """Largest magnitude of a node field's series coefficients (Fourier
+        in longitude, divided by n_phi, then cosine or sine in colatitude)
+        over the top two colatitude degrees and the top two Fourier modes."""
+        spectrum, _ = self._spectrum(values)
+        coeffs = np.abs(_by_parity(spectrum, *self._colatitude_series())) / self.n_phi
+        return float(max(np.max(coeffs[-2:]), np.max(coeffs[:, -2:])))
+
     def dphi(self, values):
         """d/d theta2 of a node field (periodic).  The Nyquist mode's
         derivative is imaginary, and ``irfft`` drops it; what is left is an
@@ -137,11 +172,21 @@ class SphereGrid:
         return self._synthesis(spectrum * (1j * m)[:, np.newaxis], trail)
 
 
+def _by_parity(spectrum, even, odd):
+    """Apply the colatitude matrix ``even`` to the even Fourier modes of a
+    spectrum (n_theta, n_phi // 2 + 1, C) and ``odd`` to the odd ones."""
+    out = np.empty((even.shape[0],) + spectrum.shape[1:], dtype=complex)
+    out[:, 0::2] = _real_matmul(even, spectrum[:, 0::2])
+    out[:, 1::2] = _real_matmul(odd, spectrum[:, 1::2])
+    return out
+
+
 def _real_matmul(a, z):
-    """``a @ z`` for a real matrix and a complex array, as one real product."""
+    """``a @ z`` over the first axis of ``z``, for a real (possibly
+    rectangular) matrix and a complex array, as one real product."""
     z = np.ascontiguousarray(z)
     out = a @ z.view(float).reshape(z.shape[0], -1)
-    return out.view(complex).reshape(z.shape)
+    return out.view(complex).reshape((a.shape[0],) + z.shape[1:])
 
 
 def build_grid(n_theta, n_phi):

@@ -51,7 +51,9 @@ def test_reports_carry_fan_diagnostics(capsys, tmp_path):
     for command in ("expansion", "el-residual", "optimize"):
         code, report = run(capsys, tmp_path, command, config)
         assert code in (0, 1), command
-        assert set(report["fan"]) == {"rhs_evals", "speed_drift"}
+        assert set(report["fan"]) == {
+            "rhs_evals", "speed_drift", "shooting_grid", "spectral_tail",
+        }
         assert report["fan"]["rhs_evals"] > 0
         assert report["fan"]["speed_drift"] <= 1e-12
         # reports repeat exactly from run to run
@@ -163,6 +165,25 @@ def test_optimize_schwarzschild_stops_on_gradient_tol(capsys, tmp_path):
     assert code == 0
     assert report["result"]["stop_reason"] == "gradient_tol"
     assert report["result"]["iterations"] <= 3
+    assert report["result"]["final_gradient_norm"] <= 1e-10
+
+
+def test_optimize_out_of_iterations_reports_returned_surface_gradient(
+    capsys, tmp_path
+):
+    # with one iteration the run ends after its one step; the reported
+    # gradient is the returned surface's (measured 5.0e-11), not the round
+    # sphere's it stepped from (4.9e-7)
+    config = {
+        "metric": {"kind": "schwarzschild", "mass": 1.0},
+        "point": [4.0, 0.0, 0.0],
+        "grid": {"n_theta": 32, "n_phi": 64},
+        "optimizer": {"max_degree": 4, "max_iters": 1, "reference_rho": 0.05},
+    }
+    code, report = run(capsys, tmp_path, "optimize", config)
+    assert code == 0
+    assert report["result"]["iterations"] == 1
+    assert report["result"]["stop_reason"] == "gradient_tol"
     assert report["result"]["final_gradient_norm"] <= 1e-10
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawking_lab import geodesics
 from hawking_lab.errors import DomainError, DomainExit, PerturbationTooLarge, StepLimit
 from hawking_lab.geodesics import (
     GeodesicConfig,
@@ -13,6 +14,7 @@ from hawking_lab.geodesics import (
     surface_tangents,
 )
 from hawking_lab.manifold import (
+    ConformalMetric,
     EuclideanMetric,
     HyperbolicMetric,
     RoundSphereMetric,
@@ -235,3 +237,72 @@ class TestSpherePipeline:
         assert np.max(np.abs(nn - 1.0)) < 1e-12
         nz = np.einsum("na,nab,nib->ni", surf.normal, g, surf.tangents)
         assert np.max(np.abs(nz)) < 1e-9
+
+
+CONFORMAL = ConformalMetric(
+    [(0.1, (2, 0, 0)), (0.05, (0, 1, 1)), (0.03, (1, 0, 0)), (-0.02, (0, 0, 3))]
+)
+
+
+class _HalfSpaceChart(EuclideanMetric):
+    """Flat space charted on x < 0.995."""
+
+    def domain_guard(self, x):
+        return np.asarray(x)[..., 0] < 0.995
+
+    def domain_margin(self, x):
+        return 0.995 - np.asarray(x)[..., 0]
+
+
+def direct_fan(monkeypatch, *args):
+    # the same fan shot on its surface grid, with no coarser grid to try
+    with monkeypatch.context() as m:
+        m.setattr(geodesics, "_SHOOTING_N_THETA", ())
+        return GeodesicFan(*args)
+
+
+class TestShootingGrid:
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0])),
+            (CONFORMAL, np.array([0.05, 0.02, 0.0])),
+        ],
+    )
+    def test_upsampled_fan_matches_direct_fan(self, monkeypatch, cfg, metric, p):
+        # measured 2.7e-15 on positions and 4.2e-14 on velocities
+        grid = build_grid(48, 96)
+        fan = GeodesicFan(metric, p, grid, 0.21, cfg)
+        direct = direct_fan(monkeypatch, metric, p, grid, 0.21, cfg)
+        assert fan.shooting_grid == [12, 24]
+        assert direct.shooting_grid == [48, 96]
+        assert np.max(np.abs(fan._positions - direct._positions)) <= 1e-14
+        assert np.max(np.abs(fan._velocities - direct._velocities)) <= 1e-13
+
+    def test_wide_conformal_fan_refines(self, monkeypatch, cfg):
+        # at this reach the 12x24 fan would be off by 1.6e-8; the refined
+        # one agrees with the direct fan at the integrator's tolerance
+        grid = build_grid(48, 96)
+        p = np.array([0.05, 0.02, 0.0])
+        fan = GeodesicFan(CONFORMAL, p, grid, 0.84, cfg)
+        assert 12 < fan.shooting_grid[0] < 48
+        assert fan.spectral_tail <= cfg.abs_tol
+        direct = direct_fan(monkeypatch, CONFORMAL, p, grid, 0.84, cfg)
+        assert np.max(np.abs(fan._positions - direct._positions)) <= 1e-10
+
+    def test_coarsest_grid_shoots_itself(self, cfg):
+        fan = GeodesicFan(EuclideanMetric(), np.zeros(3), build_grid(8, 16), 0.1, cfg)
+        assert fan.diagnostics()["shooting_grid"] == [8, 16]
+
+    def test_upsampled_fan_guards_the_chart(self, grid, cfg):
+        # the 12x24 directions reach x = 0.9921 and stay in the chart; the
+        # 24x48 ones nearest +x reach 0.9979 and leave it
+        fan = GeodesicFan(_HalfSpaceChart(), np.zeros(3), build_grid(12, 24), 1.0, cfg)
+        assert np.max(fan._positions[..., 0]) < 0.995
+        with pytest.raises(DomainExit, match="upsampled"):
+            GeodesicFan(_HalfSpaceChart(), np.zeros(3), grid, 1.0, cfg)
+
+    def test_coarse_shot_leaving_the_chart_raises(self, grid, cfg):
+        # the integrator's chart event fires on the first, 12x24, shot
+        with pytest.raises(DomainExit, match="chart boundary"):
+            GeodesicFan(HyperbolicMetric(), np.array([0.9, 0.0, 0.0]), grid, 6.0, cfg)

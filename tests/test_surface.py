@@ -118,6 +118,33 @@ class TestGrid:
         assert abs(sphere.willmore_energy - 16.0 * np.pi) <= 1e-12
         assert abs(sphere.area / (4.0 * np.pi) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("fine_shape", [(48, 96), (24, 24)])
+    def test_upsample_exact_on_polynomials(self, fine_shape):
+        # monomials of the unit vector below the coarse band limit 12, with
+        # a trailing component axis
+        coarse, fine = build_grid(12, 24), build_grid(*fine_shape)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            degree = rng.integers(12)
+            a = rng.integers(degree + 1)
+            b = rng.integers(degree - a + 1)
+            e = np.array([a, b, degree - a - b])
+
+            def field(g):
+                f = np.prod(g.unit**e, axis=1)
+                return np.stack([f, g.unit[:, 0] * f], axis=1)
+
+            up = coarse.upsample(field(coarse), fine)
+            assert np.max(np.abs(up - field(fine))) <= 1e-14, e
+
+    def test_spectral_tail(self):
+        # rounding below the top two degrees, the field's own size at them
+        g = build_grid(12, 24)
+        x, y, z = g.unit.T
+        assert g.spectral_tail(x**3 * y**2 * z**4 + x) <= 1e-15
+        assert g.spectral_tail(z**11) >= 1e-4
+        assert g.spectral_tail(x**11) >= 1e-4
+
     def test_pole_extension_smoothness(self, grid):
         # a field symmetric across the pole differentiates cleanly there
         f = grid.unit[:, 2]  # cos(theta)
