@@ -205,10 +205,9 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol, max_evals, check):
     """Integrate y' = fun(t, y) from y(0) = ``y0`` over [0, ``t_end``].
 
     Returns ``(ys, n_evals)``: the states at the increasing times ``t_eval``
-    in [0, t_end], one row each, or the end state when ``t_eval`` is None,
-    and the number of right-hand sides evaluated.  ``check(y)`` sees the
-    state at every step end and may raise.  Raises StepLimit when more than
-    ``max_evals`` right-hand sides are needed or the step size underflows.
+    in [0, t_end], one row each, and the right-hand sides evaluated.
+    ``check(y)`` sees the state at every step end and may raise.  Raises
+    StepLimit beyond ``max_evals`` right-hand sides or on step underflow.
     """
     n_evals = 0
 
@@ -223,9 +222,8 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol, max_evals, check):
     fy = f(t, y)
     h_abs = _first_step(f, y, fy, t_end, rtol, atol)
     K = np.empty((_N_STAGES_EXTENDED, y.size))
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        ys = np.empty((t_eval.size, y.size))
+    t_eval = np.asarray(t_eval, dtype=float)
+    ys = np.empty((t_eval.size, y.size))
     taken = 0
     while t < t_end:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -253,9 +251,8 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol, max_evals, check):
         t_old, y_old = t, y
         t, y, fy = t_new, y_new, f_new
         check(y)
-        if t_eval is not None:
-            stop = np.searchsorted(t_eval, t, side="right")
-            if stop > taken:
-                ys[taken:stop] = _interpolate(f, t_old, y_old, y, fy, h, K, t_eval[taken:stop])
-                taken = stop
-    return (y if t_eval is None else ys), n_evals
+        stop = np.searchsorted(t_eval, t, side="right")
+        if stop > taken:
+            ys[taken:stop] = _interpolate(f, t_old, y_old, y, fy, h, K, t_eval[taken:stop])
+            taken = stop
+    return ys, n_evals

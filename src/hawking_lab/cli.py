@@ -155,9 +155,6 @@ class RunConfig:
         with open(path) as fh:
             return cls(json.load(fh))
 
-    def to_json(self):
-        return dump_stable(self.data)
-
     @property
     def metric(self):
         return metric_from_config(self.data["metric"])
@@ -294,8 +291,7 @@ def cmd_expansion(config, out_dir):
         cfg=config.geodesic_config,
     )
     fit = fit_coefficients(ladder.radii, ladder.masses)
-    pred_mode = "generalized" if K != 0 else mode
-    pred = predicted_coefficients(ladder.packet, pred_mode, K)
+    pred = predicted_coefficients(ladder.packet, mode, K)
     tols = config.data["tolerances"]
     comparison = compare_report(
         fit,

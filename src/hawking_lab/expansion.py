@@ -192,33 +192,20 @@ class PredictedCoefficients:
 
 
 def predicted_coefficients(packet, mode, K=0):
-    """Evaluate the predicted (c3, c5) for the requested surface family."""
+    """Predicted (c3, c5) of the ``optimal`` or ``unperturbed`` family for the
+    mass with the ``4 K |Sigma|`` term, which shifts both families alike:
+    their areas agree to the order the shift reads."""
     sc = packet.scalar
     s2 = packet.traceless_norm_sq
     dsc = packet.scalar_laplacian
-    if mode == "optimal":
-        c3 = sc / 12.0
-        c5 = dsc / 120.0 + s2 / 90.0 - sc**2 / 144.0
-        w2 = -(8.0 * np.pi / 3.0) * sc
-        w4 = (4.0 * np.pi / 27.0) * sc**2 - (16.0 * np.pi / 45.0) * s2 - (4.0 * np.pi / 15.0) * dsc
-    elif mode == "unperturbed":
-        c3 = sc / 12.0
-        c5 = dsc / 120.0 - sc**2 / 144.0
-        w2 = -(8.0 * np.pi / 3.0) * sc
-        w4 = (4.0 * np.pi / 27.0) * sc**2 - (4.0 * np.pi / 15.0) * dsc
-    elif mode == "generalized":
-        # optimal surfaces, mass with the 4 K |Sigma| normalization
-        c3 = sc / 12.0 - K / 2.0
-        c5 = dsc / 120.0 + s2 / 90.0 - sc**2 / 144.0 + K * sc / 24.0
-        w2 = -((8.0 * np.pi / 3.0) * sc - 16.0 * np.pi * K)
-        w4 = -(
-            (4.0 * np.pi / 15.0) * dsc
-            + (16.0 * np.pi / 45.0) * s2
-            - (4.0 * np.pi / 27.0) * sc**2
-            + (8.0 * np.pi * K / 9.0) * sc
-        )
-    else:
-        raise ValueError("mode must be optimal, unperturbed or generalized")
+    if mode not in ("optimal", "unperturbed"):
+        raise ValueError("mode must be optimal or unperturbed")
+    shape = s2 if mode == "optimal" else 0.0
+    c3 = sc / 12.0 - K / 2.0
+    c5 = dsc / 120.0 + shape / 90.0 - sc**2 / 144.0 + K * sc / 24.0
+    w2 = 16.0 * np.pi * K - (8.0 * np.pi / 3.0) * sc
+    w4 = (4.0 * np.pi / 27.0) * sc**2 - (16.0 * np.pi / 45.0) * shape - (4.0 * np.pi / 15.0) * dsc
+    w4 -= (8.0 * np.pi * K / 9.0) * sc
     return PredictedCoefficients(
         mode=mode,
         K=int(K),
@@ -378,8 +365,7 @@ def bartnik_lower_bound(packet, rho, validity_radius):
 def ladder_to_csv(ladder, path, predicted=None):
     """Write the per-rung table (rho, area, willmore, hawking, predicted_leading)."""
     if predicted is None:
-        mode = "generalized" if ladder.K != 0 else ladder.mode
-        predicted = predicted_coefficients(ladder.packet, mode, ladder.K)
+        predicted = predicted_coefficients(ladder.packet, ladder.mode, ladder.K)
     with open(path, "w") as fh:
         fh.write("rho,area,willmore,hawking,predicted_leading\n")
         for rho, area, willmore, mass in zip(

@@ -78,14 +78,13 @@ _N_SAMPLES = 33
 _SHOOTING_N_THETA = (12, 16, 24, 32)
 
 
-def _integrate(metric, x0, v0, t_end, cfg, t_eval=None):
+def _integrate(metric, x0, v0, t_end, cfg, t_eval):
     """Integrate a stack of geodesics by DOP853 (:mod:`._dop853`).
 
     Returns the states ``[x, v]`` at the arclengths ``t_eval``, shape
-    (len(t_eval), 2, n, 3), or at ``t_end`` when ``t_eval`` is None, shape
-    (2, n, 3), and the right-hand sides evaluated.  Every step end must stay
-    inside the chart (DomainExit), and the integration may use at most
-    16 ``max_steps`` right-hand sides (StepLimit, also on step underflow).
+    (len(t_eval), 2, n, 3), and the right-hand sides evaluated.  Step ends
+    must stay inside the chart (DomainExit), and the integration may use at
+    most 16 ``max_steps`` right-hand sides (StepLimit, also on underflow).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
@@ -126,8 +125,9 @@ def exp_map(metric, p, v, cfg=None):
         if not np.all(metric.domain_guard(p)):
             raise DomainError("base point outside the chart")
         return p.copy()
-    state, _ = _integrate(metric, p[np.newaxis], v[np.newaxis], 1.0, cfg)
-    return state[0, 0]
+    # the dense output at the last step's end, the end state to rounding
+    states, _ = _integrate(metric, p[np.newaxis], v[np.newaxis], 1.0, cfg, [1.0])
+    return states[0, 0, 0]
 
 
 class GeodesicFan:

@@ -9,12 +9,18 @@ Laplace-Beltrami operator of the unit sphere acts as multiplication by
 ``(-l(l+1)) * (-l(l+1) + 2)`` and annihilates exactly the degree-0 and
 degree-1 modes.
 
+Mode (l, m) is a Legendre function of order |m| in colatitude times 1,
+sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi), so :func:`project` and
+:func:`expand` run as one longitude sum per order and one colatitude sum per
+mode (Schaeffer, G^3 2013).  They build these factors on every call; no
+basis matrix is formed and nothing is cached.
+
 The Euler-Lagrange left-hand side ``E = 2 Lap H + H (H^2 - 4 D + 2 Ric(N, N))``
 is assembled once, weakly, as node densities (:func:`willmore_densities`;
 Dziuk and Elliott, Acta Numerica 2013): summed against normal speeds they
 give the optimizer's first variation, and tested against the real harmonics
-of degree up to ``n_theta // 2`` they give the Galerkin residual and its
-multiplier.  No fourth derivative of the positions is formed pointwise.
+of degree up to :func:`galerkin_degree` they give the Galerkin residual and
+its multiplier.  No fourth derivative of the positions is formed pointwise.
 ``Ric(N, N)`` comes from :func:`manifold.ricci_along` at the nodes, the
 closed form of the metric kind where it has one, so no Ricci tensor is
 assembled along the surface.
@@ -30,6 +36,8 @@ from .surface import SphereGrid
 
 __all__ = [
     "HarmonicField",
+    "project",
+    "expand",
     "analyze",
     "synthesize",
     "kernel_projection",
@@ -44,9 +52,6 @@ __all__ = [
     "willmore_el_residual",
     "coefficients_to_csv",
 ]
-
-_BASIS_CACHE = {}
-
 
 def mode_index(l, m):
     """Flat index of the real mode (l, m)."""
@@ -87,30 +92,42 @@ def _legendre_table(theta, max_degree):
     return table
 
 
-def _basis_matrix(grid, max_degree):
-    """Real orthonormal spherical harmonics at the grid nodes, (modes, N).
+def _longitude_rows(phi, max_degree):
+    """Longitude factors of the real basis, row ``m + max_degree`` for order m:
+    1, sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi)."""
+    m = np.arange(-max_degree, max_degree + 1)[:, np.newaxis]
+    rows = np.sqrt(2.0) * np.where(m < 0, np.sin(-m * phi), np.cos(m * phi))
+    rows[max_degree] = 1.0
+    return rows
 
-    Mode (l, m) separates into the orthonormal associated Legendre function
-    of order |m| on the colatitudes (:func:`_legendre_table`) times 1,
-    sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi) on the longitudes.
-    """
-    key = (grid.n_theta, grid.n_phi, max_degree)
-    if key in _BASIS_CACHE:
-        return _BASIS_CACHE[key]
-    trig = {0: np.ones(grid.n_phi)}
-    for m in range(1, max_degree + 1):
-        trig[m], trig[-m] = np.cos(m * grid.phi_axis), np.sin(m * grid.phi_axis)
+
+def project(values, grid, max_degree):
+    """``Y @ values`` for the real orthonormal harmonics Y of degree at most
+    ``max_degree`` at the nodes, unweighted, for values (N,) or (N, C): one
+    longitude sum per order, then one colatitude sum per mode."""
+    values = np.asarray(values, dtype=float)
     legendre = _legendre_table(grid.theta_axis, max_degree)
-    basis = np.empty(((max_degree + 1) ** 2, grid.n_theta, grid.n_phi))
-    for l in range(max_degree + 1):
-        for m in range(-l, l + 1):
-            row = basis[mode_index(l, m)]
-            np.outer(legendre[l, abs(m)], trig[m], out=row)
-            if m:
-                row *= np.sqrt(2.0)
-    basis = basis.reshape(-1, grid.n_nodes)
-    _BASIS_CACHE[key] = basis
-    return basis
+    f = values.reshape(grid.n_theta, grid.n_phi, -1)
+    sums = _longitude_rows(grid.phi_axis, max_degree) @ f  # (n_theta, orders, C)
+    coeffs = np.empty(((max_degree + 1) ** 2, f.shape[2]))
+    for m in range(-max_degree, max_degree + 1):
+        l = np.arange(abs(m), max_degree + 1)
+        coeffs[mode_index(l, m)] = legendre[abs(m):, abs(m)] @ sums[:, m + max_degree]
+    return coeffs.reshape((-1,) + values.shape[1:])
+
+
+def expand(coeffs, grid, max_degree):
+    """``Y.T @ coeffs``, the transpose of :func:`project`: node values of the
+    expansion with coefficients (modes,) or (modes, C)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    legendre = _legendre_table(grid.theta_axis, max_degree)
+    c = coeffs.reshape(coeffs.shape[0], -1)
+    sums = np.empty((grid.n_theta, 2 * max_degree + 1, c.shape[1]))
+    for m in range(-max_degree, max_degree + 1):
+        l = np.arange(abs(m), max_degree + 1)
+        sums[:, m + max_degree] = legendre[abs(m):, abs(m)].T @ c[mode_index(l, m)]
+    values = _longitude_rows(grid.phi_axis, max_degree).T @ sums
+    return values.reshape((grid.n_nodes,) + coeffs.shape[1:])
 
 
 @dataclass
@@ -140,12 +157,12 @@ class HarmonicField:
 
 def analyze(values, grid, max_degree):
     """Project grid values onto the real orthonormal basis by quadrature."""
-    if max_degree > grid.n_theta - 2:
+    limit = min(grid.n_theta - 2, grid.n_phi // 2 - 1)
+    if max_degree > limit:
         raise BandLimitExceeded(
-            f"degree {max_degree} exceeds the grid band limit {grid.n_theta - 2}"
+            f"degree {max_degree} exceeds the grid band limit {limit}"
         )
-    basis = _basis_matrix(grid, max_degree)
-    coeffs = basis @ (grid.weights * np.asarray(values, dtype=float))
+    coeffs = project(grid.weights * np.asarray(values, dtype=float), grid, max_degree)
     return HarmonicField(max_degree, coeffs, grid)
 
 
@@ -153,8 +170,7 @@ def synthesize(field, grid=None):
     """Evaluate a harmonic field on grid nodes."""
     if grid is None:
         grid = field.grid
-    basis = _basis_matrix(grid, field.max_degree)
-    return basis.T @ field.coeffs
+    return expand(field.coeffs, grid, field.max_degree)
 
 
 def kernel_projection(field):
@@ -287,11 +303,11 @@ def willmore_densities(surface, metric):
 
 
 def galerkin_degree(grid):
-    """Highest degree of the real harmonics the Euler-Lagrange residual is
-    tested against: half the colatitude count, so that the round quadrature
-    of an ``n_phi = 2 n_theta`` grid integrates products of two test
-    functions exactly."""
-    return grid.n_theta // 2
+    """Highest degree L of the real harmonics the Euler-Lagrange residual is
+    tested against: half the colatitude count, and at most
+    ``n_phi // 2 - 1`` so that the uniform longitudes integrate the
+    frequency-2L products of two test functions exactly."""
+    return min(grid.n_theta // 2, grid.n_phi // 2 - 1)
 
 
 def _galerkin_fields(surface, metric):
@@ -305,8 +321,8 @@ def _galerkin_fields(surface, metric):
     measure is solved.
     """
     grid = surface.grid
-    basis = _basis_matrix(grid, galerkin_degree(grid))
-    fields = basis.T @ (basis @ np.column_stack(willmore_densities(surface, metric)))
+    L = galerkin_degree(grid)
+    fields = expand(project(np.column_stack(willmore_densities(surface, metric)), grid, L), grid, L)
     fields /= (surface.area_element / grid.sin_theta)[:, np.newaxis]
     r_e, r_h = fields.T
     H = surface.mean_curvature

@@ -49,9 +49,10 @@ from .errors import DomainError
 from .geodesics import GeodesicFan, sphere_reach, surface_tangents
 from .harmonics import (
     HarmonicField,
-    _basis_matrix,
     _shifted_bilaplacian_eigenvalues,
+    expand,
     optimal_perturbation,
+    project,
     willmore_densities,
     willmore_el_residual,
 )
@@ -141,7 +142,7 @@ def optimizer_fan(metric, p, rho, grid, geo_cfg=None):
 
 
 class _SurfaceEvaluator:
-    """Shared machinery: fan, shape basis, area solve and mass evaluation.
+    """Shared machinery: fan, shape synthesis, area solve and mass evaluation.
 
     Without ``fan`` it shoots the :func:`optimizer_fan` around ``rho``.
     """
@@ -154,12 +155,10 @@ class _SurfaceEvaluator:
         if fan is None:
             fan = optimizer_fan(metric, p, rho, grid, geo_cfg)
         self.fan = fan
-        basis = _basis_matrix(grid, cfg.max_degree)
-        self.shape_basis = basis[4:]          # degrees >= 2, shape (n_coeff, N)
-        self.n_coeff = self.shape_basis.shape[0]
+        self.n_coeff = (cfg.max_degree + 1) ** 2 - 4  # degrees >= 2
 
     def w_values(self, coeffs):
-        return self.shape_basis.T @ coeffs
+        return expand(np.concatenate([np.zeros(4), coeffs]), self.grid, self.cfg.max_degree)
 
     def area_of(self, rho, w):
         """Area of the surface at radius ``rho`` and shape ``w``, from its
@@ -205,12 +204,12 @@ class _SurfaceEvaluator:
         g = metric_at(self.metric, surf.positions)
         # g(gamma', N): the surface's outward field is the fan's velocity
         v_n = np.einsum("na,nab,nb->n", surf.outward, g, surf.normal)
-        # column 0 moves the radius, (1 - w) gamma'; column 1 + k is mode k
-        speeds = np.column_stack([(1.0 - w) * v_n, -rho * (self.shape_basis * v_n).T])
         g_e, g_h = willmore_densities(surf, self.metric)
-        d_w, d_a = speeds.T @ g_e, -(speeds.T @ g_h)
-        lam = -d_w[0] / d_a[0]  # int E psi_rho / int H psi_rho
-        return -np.sqrt(surf.area / (16.0 * np.pi) ** 3) * (d_w[1:] + lam * d_a[1:])
+        radial = (1.0 - w) * v_n  # psi_rho
+        lam = (radial @ g_e) / (radial @ g_h)  # int E psi_rho / int H psi_rho
+        # psi_k = -rho phi_k v_n, so int (E - lam H) psi_k dmu = -rho moments[k]
+        moments = project(v_n * (g_e - lam * g_h), self.grid, self.cfg.max_degree)[4:]
+        return np.sqrt(surf.area / (16.0 * np.pi) ** 3) * rho * moments
 
 
 def maximize_hawking(

@@ -71,6 +71,28 @@ def test_el_residual_on_space_forms(capsys, tmp_path, kind):
     assert report["residual"]["sup_norm_relative"] <= 1e-9
 
 
+@pytest.mark.parametrize("K", [1, -1])
+def test_unperturbed_ladder_with_curvature_normalization(capsys, tmp_path, K):
+    # the prediction is the unperturbed family's, shifted by K: the optimal
+    # family's would miss the fit by its |S|^2/90 term, about 3e-4 here
+    config = {
+        "metric": {
+            "kind": "conformal",
+            "phi_poly": [[0.1, [2, 0, 0]], [0.05, [0, 1, 1]], [0.03, [1, 0, 0]],
+                         [-0.02, [0, 0, 3]]],
+        },
+        "point": [0.05, 0.02, 0.0],
+        "grid": {"n_theta": 32, "n_phi": 64},
+        "ladder": {"rho0": 0.4, "n": 6},
+        "mode": "unperturbed",
+        "K": K,
+    }
+    code, report = run(capsys, tmp_path, "expansion", config)
+    assert report["predicted"]["mode"] == "unperturbed"
+    assert abs(report["comparison"]["c5_delta"]) <= 1e-4
+    assert code == 0
+
+
 OPTIMIZE_FLAT = {
     "grid": {"n_theta": 24, "n_phi": 48},
     "optimizer": {"max_degree": 2, "max_iters": 2},

@@ -110,9 +110,25 @@ class TestPredicted:
         # Sc = 6K and S = 0 kill both leading coefficients
         for metric, K in ((HyperbolicMetric(), -1), (RoundSphereMetric(), 1)):
             packet = curvature_packet(metric, np.array([0.05, 0.1, 0.0]))
-            pred = predicted_coefficients(packet, "generalized", K)
+            pred = predicted_coefficients(packet, "optimal", K)
             assert abs(pred.c3) < 1e-10
             assert abs(pred.c5) < 1e-9
+
+    def test_curvature_normalization_shifts_both_families(self):
+        packet = curvature_packet(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]))
+        names = ("c3", "c5", "willmore_quadratic", "willmore_quartic", "area_quadratic")
+        for K in (-1, 1):
+            shifts = []
+            for mode in ("optimal", "unperturbed"):
+                shifted, plain = (predicted_coefficients(packet, mode, k) for k in (K, 0))
+                shifts.append([getattr(shifted, n) - getattr(plain, n) for n in names])
+            assert_allclose(shifts[0], shifts[1], rtol=0, atol=1e-15)
+            pred_o = predicted_coefficients(packet, "optimal", K)
+            pred_u = predicted_coefficients(packet, "unperturbed", K)
+            assert pred_u.mode == "unperturbed"
+            assert abs((pred_o.c5 - pred_u.c5) - packet.traceless_norm_sq / 90.0) < 1e-12
+            assert pred_o.c3 == pred_u.c3
+            assert abs(pred_u.c3 + K / 2.0) < 1e-12  # Sc = 0 on the vacuum slice
 
     def test_invalid_mode(self):
         packet = curvature_packet(EuclideanMetric(), np.zeros(3))

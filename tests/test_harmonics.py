@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from hawking_lab import harmonics
 from hawking_lab.errors import BandLimitExceeded
 from hawking_lab.geodesics import GeodesicConfig, geodesic_sphere_surface
 from hawking_lab.harmonics import (
@@ -11,10 +12,13 @@ from hawking_lab.harmonics import (
     analyze,
     apply_bilaplacian_shifted,
     coefficients_to_csv,
+    expand,
+    galerkin_degree,
     kernel_projection,
     mode_index,
     optimal_perturbation,
     pde_residual,
+    project,
     ricci_direction_field,
     solve_constrained,
     synthesize,
@@ -104,6 +108,81 @@ class TestTransforms:
         lines = path.read_text().splitlines()
         assert lines[0] == "l,m,value"
         assert len(lines) == 1 + 9
+
+
+def dense_basis(grid, max_degree):
+    """Reference (modes, N) matrix of the real orthonormal harmonics: each
+    mode's Legendre row times 1, sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi)."""
+    legendre = _legendre_table(grid.theta_axis, max_degree)
+    rows = []
+    for l in range(max_degree + 1):
+        for m in range(-l, l + 1):
+            if m < 0:
+                trig = np.sqrt(2.0) * np.sin(-m * grid.phi_axis)
+            elif m > 0:
+                trig = np.sqrt(2.0) * np.cos(m * grid.phi_axis)
+            else:
+                trig = np.ones(grid.n_phi)
+            rows.append(np.outer(legendre[l, abs(m)], trig).ravel())
+    return np.array(rows)
+
+
+class TestSeparableTransforms:
+    @pytest.mark.parametrize("shape, max_degree", [((48, 96), 24), ((32, 64), 4)])
+    @pytest.mark.parametrize("columns", [(), (2,)])
+    def test_against_dense_basis(self, shape, max_degree, columns):
+        # measured at most 1.4e-15 (degree 24 on 48x96, two columns)
+        grid = build_grid(*shape)
+        basis = dense_basis(grid, max_degree)
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(grid.n_nodes,) + columns)
+        coeffs = rng.normal(size=(basis.shape[0],) + columns)
+        for got, want in (
+            (project(values, grid, max_degree), basis @ values),
+            (expand(coeffs, grid, max_degree), basis.T @ coeffs),
+        ):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_galerkin_degree_respects_the_longitudes(self):
+        # 16 longitudes integrate frequencies up to 15 exactly, so products of
+        # two test functions allow degree 7 although 24 colatitudes allow 12
+        grid = build_grid(24, 16)
+        degree = galerkin_degree(grid)
+        assert degree == 7
+        modes = (degree + 1) ** 2
+        values = expand(np.eye(modes), grid, degree)
+        gram = project(grid.weights[:, np.newaxis] * values, grid, degree)
+        assert np.max(np.abs(gram - np.eye(modes))) <= 1e-13
+        analyze(np.ones(grid.n_nodes), grid, degree)
+        with pytest.raises(BandLimitExceeded):
+            analyze(np.ones(grid.n_nodes), grid, degree + 1)
+
+    def test_transforms_cache_nothing(self):
+        def snapshot():
+            return {
+                name: (value, len(value) if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(harmonics).items()
+                if not name.startswith("__")
+            }
+
+        before = snapshot()
+        metric = SchwarzschildMetric(1.0)
+        p = np.array([4.0, 0.0, 0.0])
+        packet = curvature_packet(metric, p)
+        for shape in ((16, 32), (24, 48)):
+            grid = build_grid(*shape)
+            pert = optimal_perturbation(packet, grid)
+            w = synthesize(analyze(pert.w_values(0.2, grid), grid, 4))
+            assert not grid._diff_cache
+            surf = geodesic_sphere_surface(
+                metric, p, 0.2, w, grid, GeodesicConfig(), packet=packet
+            )
+            willmore_el_residual(surf, metric)
+        after = snapshot()
+        assert after.keys() == before.keys()
+        for name, (value, size) in before.items():
+            assert after[name][0] is value and after[name][1] == size, name
 
 
 class TestOperators:
