@@ -1,9 +1,12 @@
 """Richardson-extrapolated finite-difference derivatives of batched callables.
 
 The point-cloud helpers here differentiate smooth fields of chart coordinates
-(scalar curvature) with a relative step chosen by the caller: the absolute
-step is ``step * max(1, |x|)``.  Grid differentiation on the sphere is
-spectral and lives in the surface module.
+with a relative step chosen by the caller: the absolute step is
+``step * max(1, |x|)``.  The package uses them for one thing, the gradient
+and Laplacian of scalar curvature on the polynomial-perturbation metric, the
+one kind without a closed form (:meth:`manifold.MetricField.scalar_derivatives`);
+every other kind differentiates Sc exactly.  Grid differentiation on the
+sphere is spectral and lives in the surface module.
 """
 
 import numpy as np

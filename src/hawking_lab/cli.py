@@ -115,7 +115,8 @@ class RunConfig:
     """Normalized run configuration with strict key checking.
 
     Sections with object defaults accept exactly the default's keys; the
-    metric section is checked by :func:`metric_from_config`.
+    metric section is checked by :func:`metric_from_config`, whose metric
+    every command then reads as ``metric``.
     """
 
     def __init__(self, data):
@@ -143,7 +144,8 @@ class RunConfig:
         # reference_rho and target_area configure the command, not the search
         search = {f.name: merged["optimizer"][f.name] for f in fields(OptimizeConfig)}
         try:
-            metric_from_config(merged["metric"])  # validates kind and params
+            # validates kind and params; the commands read this one object
+            self.metric = metric_from_config(merged["metric"])
             self.geodesic_config = GeodesicConfig(**merged["geodesic"])
             self.optimizer_config = OptimizeConfig(**search)
         except (TypeError, ValueError) as exc:
@@ -154,10 +156,6 @@ class RunConfig:
     def from_file(cls, path):
         with open(path) as fh:
             return cls(json.load(fh))
-
-    @property
-    def metric(self):
-        return metric_from_config(self.data["metric"])
 
     @property
     def point(self):

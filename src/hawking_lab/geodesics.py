@@ -187,22 +187,23 @@ class GeodesicFan:
             x0 = np.broadcast_to(self.p, (shot.n_nodes, 3))
             states, n_evals = _integrate(metric, x0, directions, self.s_max, cfg, t_eval=nodes)
             self.rhs_evals += n_evals
-            samples = np.concatenate([states[:, 0], states[:, 1]], axis=-1)  # (M, N, 6)
-            self.spectral_tail = shot.spectral_tail(samples[-1] - offset)
+            # (N, 6, M): [x, v] of each node over the arclength samples
+            samples = np.concatenate([states[:, 0], states[:, 1]], axis=-1).transpose(1, 2, 0)
+            self.spectral_tail = shot.spectral_tail(samples[..., -1] - offset)
             if self.spectral_tail <= cfg.abs_tol:
                 break
         self.shooting_grid = [shot.n_theta, shot.n_phi]
         if shot is not grid:
-            # (N, 6, M) node fields of x - p and v, upsampled together
-            fields = (samples - offset).transpose(1, 2, 0)
-            samples = shot.upsample(fields, grid).transpose(2, 0, 1)
-            samples[..., :3] += self.p
-            if not np.all(metric.domain_guard(samples[..., :3])):
+            # the node fields of x - p and v, upsampled together
+            samples = shot.upsample(samples - offset[:, np.newaxis], grid)
+            samples[:, :3] += self.p[:, np.newaxis]
+            if not np.all(metric.domain_guard(samples[:, :3].transpose(0, 2, 1))):
                 raise DomainExit("an upsampled fan geodesic left the chart")
         self._nodes = nodes
-        self._samples = samples
-        self._positions = samples[..., :3]   # (M, N, 3)
-        self._velocities = samples[..., 3:]  # (M, N, 3)
+        # node-major and contiguous, so a read contracts over contiguous rows
+        self._samples = np.ascontiguousarray(samples)
+        self._positions = self._samples[:, :3].transpose(2, 0, 1)   # (M, N, 3)
+        self._velocities = self._samples[:, 3:].transpose(2, 0, 1)  # (M, N, 3)
         w = np.ones(_N_SAMPLES)
         w[1::2] = -1.0
         w[0] *= 0.5
@@ -232,13 +233,16 @@ class GeodesicFan:
         s = np.asarray(s, dtype=float)
         if np.any(s < -1e-12) or np.any(s > self.s_max * (1.0 + 1e-12)):
             raise DomainError("arclength outside the sampled fan range")
-        diff = s[np.newaxis, :] - self._nodes[:, np.newaxis]  # (M, N)
+        diff = s[:, np.newaxis] - self._nodes  # (N, M)
         exact = np.abs(diff) <= 1e-15 * max(1.0, self.s_max)
-        diff = np.where(exact, 1.0, diff)
-        w = self._bary_w[:, np.newaxis] / diff
-        out = np.einsum("mn,mnc->nc", w, self._samples) / np.sum(w, axis=0)[:, np.newaxis]
-        hit_col, hit_row = np.nonzero(exact.T)
-        out[hit_col] = self._samples[hit_row, hit_col]
+        hit = np.any(exact)
+        if hit:
+            diff = np.where(exact, 1.0, diff)
+        w = self._bary_w / diff
+        out = np.einsum("ncm,nm->nc", self._samples, w) / np.sum(w, axis=1)[:, np.newaxis]
+        if hit:
+            node, sample = np.nonzero(exact)
+            out[node] = self._samples[node, :, sample]
         return out
 
     def positions_at(self, s):

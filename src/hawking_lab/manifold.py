@@ -5,8 +5,13 @@ coordinate derivatives on batches of chart points.  Every kind carries exact
 derivative data: closed forms for the built-in kinds (Euclidean, round
 sphere, hyperbolic, Schwarzschild), and monomial exponent shifts for the
 polynomial ones (polynomial perturbation, polynomial conformal factor).
-Only the gradient and Laplacian of scalar curvature at a point are taken by
-Richardson-extrapolated central differences.  The full curvature tensors are
+The gradient and Laplacian of scalar curvature at a point
+(:meth:`MetricField.scalar_derivatives`) are closed forms too: exact zeros on
+the kinds of constant Sc (Euclidean, round sphere, hyperbolic,
+Schwarzschild), and the conformal formulas in the derivatives of phi up to
+order four on the polynomial conformal kind.  The polynomial perturbation
+alone takes them by Richardson-extrapolated central differences of the
+assembled Sc (:mod:`._fd`).  The full curvature tensors are
 assembled from ``(g, dg, ddg)`` by the standard Levi-Civita formulas;
 :func:`geodesic_acceleration` contracts ``dg`` with a velocity directly,
 without inverting g or forming Gamma.  :func:`ricci_along` gives Ric(n, n)
@@ -204,7 +209,9 @@ class MetricField:
     Subclasses provide :meth:`metric`, :meth:`metric_deriv` and
     :meth:`metric_deriv2`, all exact, so assembled curvature tensors carry
     rounding only, and override :meth:`ricci_along` where Ric(n, n) has a
-    closed form.
+    closed form and :meth:`scalar_derivatives` where d Sc and Delta Sc do:
+    every built-in kind but the polynomial perturbation, which keeps the
+    finite-difference default.
     """
 
     kind = "abstract"
@@ -224,6 +231,27 @@ class MetricField:
         assembled tensor."""
         g, dg, ddg = self.metric(x), self.metric_deriv(x), self.metric_deriv2(x)
         return np.einsum("...ab,...a,...b->...", _curvature_from(g, dg, ddg)[2], n, n)
+
+    def scalar_derivatives(self, p):
+        """Chart gradient d_a Sc (3,) and covariant Laplacian Delta_g Sc at
+        the one point ``p`` (3,), unguarded.
+
+        The default differentiates the assembled Sc by Richardson-extrapolated
+        central differences (50 stencil points) and raises
+        :class:`ConditioningError` when a stencil leaves the chart; kinds
+        with a closed form override it.
+        """
+        h1, h2 = _sc_steps(p)
+        scale = max(1.0, float(np.linalg.norm(p)))
+        fn = lambda q: scalar_curvature_at(self, q)
+        _check_stencil(self, p, h1)
+        grad = _fd.diff1_richardson(fn, p, step=h1 / scale)
+        _check_stencil(self, p, 2.0 * h2)
+        hess = _fd.diff2_richardson(fn, p, step=h2 / scale)
+        g_inv = np.linalg.inv(self.metric(p))
+        gamma = _christoffel_from(g_inv, _braces(self.metric_deriv(p)))
+        cov_hess = hess - np.einsum("cab,c->ab", gamma, grad)
+        return grad, float(np.einsum("ab,ab->", g_inv, cov_hess))
 
     def domain_guard(self, x):
         """Boolean chart-validity mask for points ``x`` of shape (..., 3)."""
@@ -267,6 +295,9 @@ class EuclideanMetric(MetricField):
 
     def ricci_along(self, x, n):
         return np.zeros(np.shape(x)[:-1])
+
+    def scalar_derivatives(self, p):
+        return np.zeros(3), 0.0  # Sc = 0
 
 
 class _ConformallyFlat(MetricField):
@@ -346,6 +377,9 @@ class RoundSphereMetric(_ConformallyFlat):
             + 4.0 * outer / (den**2)[..., np.newaxis, np.newaxis]
         )
 
+    def scalar_derivatives(self, p):
+        return np.zeros(3), 0.0  # Sc = 6 / radius^2
+
     def injectivity_bound(self, p):
         # stay inside the hemisphere around the base point
         return 0.5 * np.pi * self.radius
@@ -382,6 +416,9 @@ class HyperbolicMetric(_ConformallyFlat):
             2.0 * np.eye(3) / den[..., np.newaxis, np.newaxis]
             + 4.0 * outer / (den**2)[..., np.newaxis, np.newaxis]
         )
+
+    def scalar_derivatives(self, p):
+        return np.zeros(3), 0.0  # Sc = -6 / radius^2
 
     def domain_guard(self, x):
         x = np.asarray(x, dtype=float)
@@ -500,6 +537,9 @@ class SchwarzschildMetric(MetricField):
         g_nn = np.sum(n * n, axis=-1) + psi * u_n * u_n
         return self.mass / r**3 * (g_nn - 3.0 * (1.0 + psi) * u_n * u_n)
 
+    def scalar_derivatives(self, p):
+        return np.zeros(3), 0.0  # the slice is scalar-flat
+
     def domain_guard(self, x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
@@ -536,7 +576,8 @@ class ConformalMetric(_ConformallyFlat):
     """g = exp(2 phi) * delta for a polynomial conformal factor.
 
     ``terms`` is an iterable of ``(coef, (e1, e2, e3))`` monomials of phi;
-    its derivatives are exact, by exponent shifts.
+    its derivatives are exact, by exponent shifts, up to the fourth order
+    that Delta Sc needs.
     """
 
     kind = "conformal"
@@ -548,6 +589,8 @@ class ConformalMetric(_ConformallyFlat):
         )
         self._grad = self.phi.gradient()
         self._hess = self._grad.gradient()
+        self._d3 = self._hess.gradient()
+        self._d4 = self._d3.gradient()
 
     @classmethod
     def from_polynomial(cls, terms):
@@ -562,6 +605,23 @@ class ConformalMetric(_ConformallyFlat):
 
     def _phi_hess(self, x):
         return self._hess(x)
+
+    def scalar_derivatives(self, p):
+        # Sc = -E u with E = exp(-2 phi) and u = 4 Lap phi + 2 |d phi|^2, and
+        # Delta_g f = E (Lap f + d phi . d f) in three dimensions; every
+        # derivative here is flat
+        d1, d2, d3, d4 = self._grad(p), self._hess(p), self._d3(p), self._d4(p)
+        e = np.exp(-2.0 * self.phi(p))
+        lap = np.trace(d2)
+        grad_lap = np.einsum("caa->c", d3)
+        d1_sq = d1 @ d1
+        u = 4.0 * lap + 2.0 * d1_sq
+        du = 4.0 * grad_lap + 4.0 * d2 @ d1
+        lap_u = 4.0 * np.einsum("ccaa->", d4) + 4.0 * (np.sum(d2 * d2) + d1 @ grad_lap)
+        grad = -e * (du - 2.0 * u * d1)
+        # Lap E = E (4 |d phi|^2 - 2 Lap phi)
+        lap_sc = -e * (lap_u - 4.0 * d1 @ du + u * (4.0 * d1_sq - 2.0 * lap))
+        return grad, float(e * (lap_sc + d1 @ grad))
 
     def params(self):
         return {"phi_poly": [[c, list(e)] for c, e in self.poly_terms]}
@@ -633,7 +693,11 @@ class CurvaturePacket:
 
     ``frame[mu]`` holds the chart components of the frame vector E_mu; the
     tensor fields below are frame components (so index gymnastics reduce to
-    plain matrix algebra).
+    plain matrix algebra).  The curvature tensors come from the exact
+    ``(g, dg, ddg)`` at the point; ``scalar_gradient`` and
+    ``scalar_laplacian`` from :meth:`MetricField.scalar_derivatives`, closed
+    forms on every kind but the polynomial perturbation, which differences
+    the assembled Sc over a stencil.
     """
 
     point: np.ndarray
@@ -746,34 +810,17 @@ def _check_stencil(metric, p, h):
 
 
 def scalar_gradient(metric, p):
-    """Chart-component gradient d_a Sc at ``p`` by Richardson differences."""
+    """Chart-component gradient d_a Sc at the point ``p``."""
     p = _as_points(p)
     _guard(metric, p)
-    h1, _ = _sc_steps(p)
-    _check_stencil(metric, p, h1)
-    fn = lambda q: scalar_curvature_at(metric, q)
-    return _fd.diff1_richardson(fn, p, step=h1 / max(1.0, float(np.linalg.norm(p))))
+    return metric.scalar_derivatives(p)[0]
 
 
 def scalar_laplacian(metric, p):
     """Covariant Laplacian g^{ab} grad_a grad_b Sc at the point ``p``."""
     p = _as_points(p)
     _guard(metric, p)
-    return _scalar_laplacian(metric, p, scalar_gradient(metric, p))
-
-
-def _scalar_laplacian(metric, p, grad):
-    """:func:`scalar_laplacian` from the chart gradient ``grad`` of Sc."""
-    _, h2 = _sc_steps(p)
-    _check_stencil(metric, p, 2.0 * h2)
-    scale = max(1.0, float(np.linalg.norm(p)))
-    fn = lambda q: scalar_curvature_at(metric, q)
-    hess = _fd.diff2_richardson(fn, p, step=h2 / scale)
-    g = metric.metric(p)
-    g_inv = np.linalg.inv(g)
-    gamma = _christoffel_from(g_inv, _braces(metric.metric_deriv(p)))
-    cov_hess = hess - np.einsum("cab,c->ab", gamma, grad)
-    return float(np.einsum("ab,ab->", g_inv, cov_hess))
+    return metric.scalar_derivatives(p)[1]
 
 
 def curvature_packet(metric, p):
@@ -790,7 +837,7 @@ def curvature_packet(metric, p):
     sc = float(scalar)
     traceless = ric_f - (sc / 3.0) * np.eye(3)
     rm_f = np.einsum("ma,nb,sc,td,abcd->mnst", frame, frame, frame, frame, riemann)
-    grad_chart = scalar_gradient(metric, p)
+    grad_chart, laplacian = metric.scalar_derivatives(p)
     grad_f = frame @ grad_chart
     return CurvaturePacket(
         point=np.array(p, dtype=float),
@@ -799,7 +846,7 @@ def curvature_packet(metric, p):
         scalar=sc,
         traceless=traceless,
         traceless_norm_sq=float(np.sum(traceless * traceless)),
-        scalar_laplacian=_scalar_laplacian(metric, p, grad_chart),
+        scalar_laplacian=laplacian,
         scalar_gradient=grad_f,
         riemann=rm_f,
     )

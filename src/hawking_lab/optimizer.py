@@ -187,20 +187,24 @@ class _SurfaceEvaluator:
                 raise DomainError("area solve collapsed the radius")
         raise DomainError("area constraint did not converge")
 
-    def constrained_mass(self, coeffs, rho_guess, target_area):
+    def constrained_mass(self, coeffs, rho_guess, target_area, w=None):
         """Hawking mass at the area-matched radius for the given shape.
 
-        Returns ``(mass, rho, surface)``.
+        Returns ``(mass, rho, surface)``.  ``w`` is
+        ``w_values(coeffs)`` when the caller has expanded it already.
         """
-        w = self.w_values(coeffs)
+        if w is None:
+            w = self.w_values(coeffs)
         rho, _ = self.solve_radius(rho_guess, w, target_area)
         surf = self.fan.surface(rho, w)
         return hawking_mass(surf, self.K).generalized, rho, surf
 
-    def mass_gradient(self, coeffs, rho, surf):
+    def mass_gradient(self, coeffs, rho, surf, w=None):
         """Gradient of :meth:`constrained_mass` in the shape coefficients,
-        from the first variation at ``surf`` (module docstring)."""
-        w = self.w_values(coeffs)
+        from the first variation at ``surf`` (module docstring); ``w`` as
+        there."""
+        if w is None:
+            w = self.w_values(coeffs)
         g = metric_at(self.metric, surf.positions)
         # g(gamma', N): the surface's outward field is the fan's velocity
         v_n = np.einsum("na,nab,nb->n", surf.outward, g, surf.normal)
@@ -258,13 +262,15 @@ def maximize_hawking(
         _shifted_bilaplacian_eigenvalues(cfg.max_degree)[4:]
     )
 
+    # each iterate's shape is expanded once, for its surface and its gradient
     coeffs = np.zeros(ev.n_coeff)
-    value, rho, surf = ev.constrained_mass(coeffs, rho_flat, target_area)
+    w = ev.w_values(coeffs)
+    value, rho, surf = ev.constrained_mass(coeffs, rho_flat, target_area, w)
     trace = []
     stop_reason = "max_iters"
 
     for iterations in range(1, cfg.max_iters + 1):
-        grad = ev.mass_gradient(coeffs, rho, surf)
+        grad = ev.mass_gradient(coeffs, rho, surf, w)
         grad_norm = float(np.linalg.norm(grad))
         row = {
             "iteration": iterations,
@@ -280,11 +286,12 @@ def maximize_hawking(
         step = grad / minus_hessian
         row["step"] = float(np.linalg.norm(step))
         coeffs = coeffs + step
-        value, rho, surf = ev.constrained_mass(coeffs, rho, target_area)
+        w = ev.w_values(coeffs)
+        value, rho, surf = ev.constrained_mass(coeffs, rho, target_area, w)
     else:
         # the budget ran out after a step: report the returned surface's own
         # gradient, not the one the step was taken from
-        grad_norm = float(np.linalg.norm(ev.mass_gradient(coeffs, rho, surf)))
+        grad_norm = float(np.linalg.norm(ev.mass_gradient(coeffs, rho, surf, w)))
         if grad_norm <= cfg.gradient_tol:
             stop_reason = "gradient_tol"
 

@@ -324,3 +324,19 @@ def test_commands_run_without_scipy(tmp_path):
     assert len(blocked["codes"]) == 12
     assert blocked["codes"] == allowed["codes"]
     assert blocked["scipy"] == []
+
+
+def test_config_builds_its_metric_once(monkeypatch):
+    # through the module's metric_from_config, where a wrapper installed on
+    # the module sees it
+    from hawking_lab import cli
+
+    built = []
+    build = cli.metric_from_config
+    monkeypatch.setattr(
+        cli, "metric_from_config", lambda spec: built.append(spec) or build(spec)
+    )
+    cfg = RunConfig({"metric": {"kind": "conformal", "phi_poly": [[0.05, [2, 0, 0]]]}})
+    assert cfg.metric is cfg.metric
+    assert cfg.metric.kind == "conformal"
+    assert len(built) == 1

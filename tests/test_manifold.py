@@ -375,10 +375,80 @@ class TestScalarLaplacian:
         assert np.array_equal(packet.scalar_gradient, grad)
 
     def test_stencil_leaving_domain(self):
-        metric = SchwarzschildMetric(mass=1.0)
-        point = np.array([2.100001 * 1.0, 0.0, 0.0]) * (1.0 + 1e-7)
+        # the polynomial kind alone differentiates Sc by stencils; g_00 =
+        # 1 - x^2 is still positive at the point, but not a stencil step out
+        metric = PolynomialMetric([(0, 0, -1.0, (2, 0, 0))])
+        point = np.array([1.0 - 1e-4, 0.0, 0.0])
         with pytest.raises((ConditioningError, DomainError)):
             scalar_laplacian(metric, point)
+
+
+def _count_ddg_points(metric):
+    """Count the chart points at which ``metric`` evaluates ddg; the counter
+    wraps the instance's method, so the metric's own calls count too."""
+    points = []
+    inner = metric.metric_deriv2
+
+    def counted(x):
+        points.append(int(np.prod(np.shape(x)[:-1])))
+        return inner(x)
+
+    metric.metric_deriv2 = counted
+    return points
+
+
+class TestScalarDerivatives:
+    def test_conformal_against_symbolic(self):
+        # cubic and quartic monomials, so the third and fourth derivatives
+        # of phi enter grad Sc and Delta Sc
+        import sympy as sp
+
+        metric = ConformalMetric.from_polynomial(
+            [
+                (0.1, (2, 0, 0)), (0.05, (0, 1, 1)), (0.03, (1, 0, 0)),
+                (-0.02, (0, 0, 3)), (0.04, (1, 1, 2)), (-0.03, (0, 4, 0)),
+            ]
+        )
+        oracle = oracles.ConformalScalarOracle(
+            lambda x1, x2, x3: sp.Rational(1, 10) * x1**2
+            + sp.Rational(1, 20) * x2 * x3
+            + sp.Rational(3, 100) * x1
+            - sp.Rational(1, 50) * x3**3
+            + sp.Rational(1, 25) * x1 * x2 * x3**2
+            - sp.Rational(3, 100) * x2**4
+        )
+        for point in np.random.default_rng(37).uniform(-0.5, 0.5, size=(4, 3)):
+            grad, lap = metric.scalar_derivatives(point)
+            want_grad = oracle.scalar_gradient(point)
+            want_lap = oracle.scalar_laplacian(point)
+            assert np.linalg.norm(grad - want_grad) <= 1e-12 * np.linalg.norm(want_grad)
+            assert abs(lap - want_lap) <= 1e-12 * abs(want_lap)
+            assert curvature_packet(metric, point).scalar_laplacian == lap
+
+    @pytest.mark.parametrize(
+        "metric", all_builtin_metrics(), ids=lambda metric: metric.kind
+    )
+    def test_constant_scalar_kinds_are_exact_zeros(self, metric):
+        x = sample_point(metric, np.random.default_rng(43))
+        assert np.array_equal(scalar_gradient(metric, x), np.zeros(3))
+        assert scalar_laplacian(metric, x) == 0.0
+        packet = curvature_packet(metric, x)
+        assert np.array_equal(packet.scalar_gradient, np.zeros(3))
+        assert packet.scalar_laplacian == 0.0
+
+    def test_closed_form_packet_reads_ddg_at_the_point_alone(self):
+        metric = ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.02, (0, 0, 3))])
+        points = _count_ddg_points(metric)
+        curvature_packet(metric, np.array([0.3, 0.2, -0.1]))
+        assert sum(points) == 1
+
+    def test_polynomial_packet_keeps_its_stencil(self):
+        # the packet point and 50 stencil points, 12 for grad Sc and 2 x 19
+        # for its Richardson-extrapolated Hessian
+        metric = PolynomialMetric(POLY_TERMS)
+        points = _count_ddg_points(metric)
+        curvature_packet(metric, np.array([0.25, 0.1, -0.2]))
+        assert sum(points) == 51
 
 
 class TestTensorSymmetries:
