@@ -11,11 +11,22 @@ stacked batch.  Every step end is held to the chart by
 
 Building a surface needs one geodesic per grid node; :class:`GeodesicFan`
 integrates the whole fan of unit-speed radial geodesics in a single stacked
-ODE solve, samples it on Chebyshev-Lobatto arclength nodes, and reconstructs
-positions at arbitrary per-node radii by barycentric interpolation.
-Re-embedding the same fan at a new radius or graph function is then just
-interpolation, which is what makes radius ladders and coefficient
-optimizers affordable.
+ODE solve, samples it on 17 Chebyshev-Lobatto arclength nodes, and
+reconstructs positions at arbitrary per-node radii by barycentric
+interpolation (Berrut and Trefethen, SIAM Rev. 2004).  Re-embedding the same
+fan at a new radius or graph function is then just interpolation, which is
+what makes radius ladders and coefficient optimizers affordable.
+
+Seventeen samples resolve a fan to the integrator's own noise.  From 33
+samples, the Chebyshev coefficients in arclength of x and v (largest over
+the nodes of a 48x96 fan) beyond degree 12 are at most 5e-15
+(Schwarzschild, m = 1, p = (4, 0, 0)), 2e-15 (a polynomial conformal
+factor) and 2e-14 (the round 3-sphere) at s_max = 0.21, and at s_max = 0.84
+they sit on a floor of 1e-12 to 4e-11 that the integrator's tolerances set,
+reached by degree 10 to 12 (Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 4 and 8).  The 17 Lobatto arclengths are every
+other one of the 33, and the dense output is read per arclength, so the
+samples kept are the same values bit for bit.
 
 At arclength s the fan is p + s Theta plus terms in s^3, s^4, ... that are
 polynomials of low degree in Theta, so a small radius needs far fewer
@@ -41,7 +52,7 @@ import numpy as np
 
 from . import _dop853
 from .errors import DomainError, DomainExit, PerturbationTooLarge, RadiusOutOfRange
-from .manifold import curvature_packet, geodesic_acceleration
+from .manifold import _apply_sym3, _dot3, curvature_packet, geodesic_acceleration
 from .surface import build_grid, extrinsic_geometry
 
 __all__ = [
@@ -72,8 +83,8 @@ class GeodesicConfig:
             raise ValueError("max_steps must be at least 100")
 
 
-# Chebyshev-Lobatto arclength samples per fan geodesic
-_N_SAMPLES = 33
+# Chebyshev-Lobatto arclength samples per fan geodesic (module docstring)
+_N_SAMPLES = 17
 # colatitude counts of the shooting grids a fan tries before its surface grid
 _SHOOTING_N_THETA = (12, 16, 24, 32)
 
@@ -134,8 +145,9 @@ class GeodesicFan:
     """All radial geodesics from one centre, sampled for fast re-evaluation.
 
     The fan holds the unit-speed geodesic in direction Theta(node) for every
-    node of the surface grid, sampled on Chebyshev-Lobatto arclength nodes in
-    ``[0, s_max]``, and exposes barycentric interpolants for positions and
+    node of the surface grid, sampled on 17 Chebyshev-Lobatto arclength nodes
+    in ``[0, s_max]`` (enough to reach the integrator's noise; module
+    docstring), and exposes barycentric interpolants for positions and
     velocities at per-node arclengths.
 
     The geodesics are shot on the first *shooting grid* that resolves them:
@@ -215,7 +227,7 @@ class GeodesicFan:
         # evaluated on first use, so a fan build reads the metric only in
         # the integrator's right-hand side
         x, v = self._positions[-1], self._velocities[-1]
-        speed_sq = np.einsum("na,nab,nb->n", v, self.metric.metric(x), v)
+        speed_sq = _dot3(v, _apply_sym3(self.metric.metric(x), v))
         return float(np.max(np.abs(speed_sq - 1.0)))
 
     def diagnostics(self):
@@ -228,8 +240,9 @@ class GeodesicFan:
             "spectral_tail": self.spectral_tail,
         }
 
-    def _interpolate(self, s):
-        """The stacked samples [x, v], (N, 6), at per-node arclengths ``s``."""
+    def _interpolate(self, s, rows=slice(None)):
+        """The rows ``rows`` of the samples [x, v] (all six by default) at
+        per-node arclengths ``s``, shape (N, len(rows))."""
         s = np.asarray(s, dtype=float)
         if np.any(s < -1e-12) or np.any(s > self.s_max * (1.0 + 1e-12)):
             raise DomainError("arclength outside the sampled fan range")
@@ -239,19 +252,20 @@ class GeodesicFan:
         if hit:
             diff = np.where(exact, 1.0, diff)
         w = self._bary_w / diff
-        out = np.einsum("ncm,nm->nc", self._samples, w) / np.sum(w, axis=1)[:, np.newaxis]
+        samples = self._samples[:, rows]
+        out = np.einsum("ncm,nm->nc", samples, w) / np.sum(w, axis=1)[:, np.newaxis]
         if hit:
             node, sample = np.nonzero(exact)
-            out[node] = self._samples[node, :, sample]
+            out[node] = samples[node, :, sample]
         return out
 
     def positions_at(self, s):
         """Chart positions at per-node arclengths ``s`` of shape (N,)."""
-        return self._interpolate(s)[:, :3]
+        return self._interpolate(s, slice(0, 3))
 
     def velocities_at(self, s):
         """Outward unit-speed geodesic velocities at per-node arclengths."""
-        return self._interpolate(s)[:, 3:]
+        return self._interpolate(s, slice(3, 6))
 
     def surface(self, rho, w):
         """The surface Exp_p[rho (1 - w) Theta] for node values ``w``, with

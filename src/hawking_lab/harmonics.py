@@ -294,11 +294,15 @@ def willmore_densities(surface, metric):
     grid = surface.grid
     H = surface.mean_curvature
     dmu = grid.weights * surface.area_element / grid.sin_theta
-    dh = np.stack([grid.dtheta(H), grid.dphi(H)], axis=-1)
-    grad_h = np.einsum("nij,nj->ni", np.linalg.inv(surface.first_form), dh)
-    flux = dmu[:, np.newaxis] * grad_h
+    dh1, dh2 = grid.dtheta(H), grid.dphi(H)
+    # the flux dmu g^{ij} d_j H, by the 2x2 inverse written out
+    first = surface.first_form
+    e, f, gg = first[:, 0, 0], first[:, 0, 1], first[:, 1, 1]
+    scale = dmu / (e * gg - f * f)
     # the transpose of dphi is -dphi
-    weak_lap = grid.dtheta_adjoint(flux[:, 0]) - grid.dphi(flux[:, 1])
+    weak_lap = grid.dtheta_adjoint(scale * (gg * dh1 - f * dh2)) - grid.dphi(
+        scale * (e * dh2 - f * dh1)
+    )
     return dmu * _willmore_potential(surface, metric) - 2.0 * weak_lap, dmu * H
 
 

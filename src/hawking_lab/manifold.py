@@ -150,21 +150,53 @@ def _solve_sym3(g, r):
     )
 
 
+def _apply_sym3(g, v):
+    """g v for symmetric 3x3 ``g`` (..., 3, 3) and ``v`` (..., 3), component
+    by component."""
+    g00, g01, g02 = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2]
+    g11, g12, g22 = g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack(
+        [
+            g00 * v0 + g01 * v1 + g02 * v2,
+            g01 * v0 + g11 * v1 + g12 * v2,
+            g02 * v0 + g12 * v1 + g22 * v2,
+        ],
+        axis=-1,
+    )
+
+
+def _dot3(a, b):
+    """Euclidean a . b over the last axis of (..., 3) arrays, component by
+    component."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 class _Polynomial:
     """Sum of array coefficients times monomials x1^e1 x2^e2 x3^e3.
 
     ``exps`` is (M, 3) and ``coefs`` (M, *shape); evaluation at points of
     shape (..., 3) returns (..., *shape).  Repeated exponents are merged and
     vanishing terms dropped, so derivatives by exponent shifts stay short.
+    The merged exponents come in lexicographic order and each sum adds its
+    terms in input order, as ``np.unique(axis=0)`` and ``np.add.at`` would,
+    but in plain Python: a polynomial has a few dozen terms at most.
     """
 
     def __init__(self, exps, coefs):
         exps = np.asarray(exps, dtype=int).reshape(-1, 3)
         coefs = np.asarray(coefs, dtype=float)
         self.shape = coefs.shape[1:]
-        merged, where = np.unique(exps, axis=0, return_inverse=True)
-        summed = np.zeros((len(merged),) + self.shape)
-        np.add.at(summed, where.ravel(), coefs)
+        terms = {}  # exponent -> indices of its terms, in input order
+        for i, e in enumerate(map(tuple, exps.tolist())):
+            terms.setdefault(e, []).append(i)
+        keys = sorted(terms)
+        merged = np.array(keys, dtype=int).reshape(-1, 3)
+        summed = np.zeros((len(keys),) + self.shape)
+        # round j adds the j-th term of every exponent that has one
+        for j in range(max(map(len, terms.values()), default=0)):
+            slots = [k for k, e in enumerate(keys) if len(terms[e]) > j]
+            summed[slots] += coefs[[terms[keys[k]][j] for k in slots]]
         size = int(np.prod(self.shape, dtype=int))
         keep = np.any(summed.reshape(len(merged), size) != 0.0, axis=1)
         self.exps = merged[keep]

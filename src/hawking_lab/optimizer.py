@@ -56,8 +56,8 @@ from .harmonics import (
     willmore_densities,
     willmore_el_residual,
 )
-from .manifold import curvature_packet, metric_at
-from .surface import first_form, hawking_mass
+from .manifold import _apply_sym3, _dot3, curvature_packet, metric_at
+from .surface import _on_tangents, first_form, hawking_mass
 
 __all__ = [
     "OptimizeConfig",
@@ -166,7 +166,7 @@ class _SurfaceEvaluator:
         positions = self.fan.positions_at(rho * (1.0 - w))
         tangents = surface_tangents(positions, self.grid)
         g = metric_at(self.metric, positions)
-        _, det = first_form(tangents, g @ np.swapaxes(tangents, 1, 2))
+        _, det = first_form(tangents, _on_tangents(g, tangents))
         return float(
             np.sum(self.grid.weights * np.sqrt(det) / self.grid.sin_theta)
         )
@@ -207,7 +207,7 @@ class _SurfaceEvaluator:
             w = self.w_values(coeffs)
         g = metric_at(self.metric, surf.positions)
         # g(gamma', N): the surface's outward field is the fan's velocity
-        v_n = np.einsum("na,nab,nb->n", surf.outward, g, surf.normal)
+        v_n = _dot3(surf.outward, _apply_sym3(g, surf.normal))
         g_e, g_h = willmore_densities(surf, self.metric)
         radial = (1.0 - w) * v_n  # psi_rho
         lam = (radial @ g_e) / (radial @ g_h)  # int E psi_rho / int H psi_rho

@@ -19,6 +19,15 @@ Quadrature weights integrate against the measure ``d(cos theta) d(phi)``, so
 surface integrals divide the area element sqrt(det g) by sin(theta1) before
 applying the weights.
 
+Per-node algebra
+----------------
+Metric products, dot products, the 2x2 forms and their inverses are written
+out component by component over node arrays: numpy's stacked ``matmul`` and
+``inv`` run a per-matrix inner loop on 3x3 and 2x2 blocks, which costs
+several times the arithmetic at a few thousand nodes.  The contraction
+(N.d)g of the metric derivative stays one ``einsum``, which measured faster
+than its components.
+
 Second fundamental form
 -----------------------
 h_ij = -g(D_i N, Z_j), symmetrised, needs no Christoffel symbols: the
@@ -35,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSurface, FitUnstable, GridTooCoarse
-from .manifold import _solve_sym3, metric_at
+from .manifold import _apply_sym3, _dot3, _solve_sym3, metric_at
 
 __all__ = [
     "SphereGrid",
@@ -269,19 +278,32 @@ class EmbeddedSurface:
         return self.integrate(self.mean_curvature**2)
 
 
+def _sym2(a, b, c):
+    """Per-node symmetric 2x2 matrices [[a, b], [b, c]], shape (N, 2, 2)."""
+    return np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
+
+
 def first_form(tangents, g_z):
     """Symmetrised first fundamental form g(Z_i, Z_j) and its determinant.
 
-    ``g_z`` holds the metric applied to the tangents, ``g @ Z`` with the
-    tangents as columns (N, 3, 2).  Raises DegenerateSurface where the form
+    ``g_z[n, i]`` holds the metric applied to the tangent Z_i, (N, 2, 3),
+    in the layout of ``tangents``.  Raises DegenerateSurface where the form
     is singular.
     """
-    first = tangents @ g_z
-    first = 0.5 * (first + np.swapaxes(first, 1, 2))
-    det = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] ** 2
+    z1, z2 = tangents[:, 0], tangents[:, 1]
+    e = _dot3(z1, g_z[:, 0])
+    f = 0.5 * (_dot3(z1, g_z[:, 1]) + _dot3(z2, g_z[:, 0]))
+    gg = _dot3(z2, g_z[:, 1])
+    det = e * gg - f * f
     if np.any(det <= 0.0):
         raise DegenerateSurface("first fundamental form is singular at a node")
-    return first, det
+    return _sym2(e, f, gg), det
+
+
+def _on_tangents(form, tangents):
+    """A symmetric 3x3 form applied to each tangent, ``out[n, i] = form Z_i``
+    (N, 2, 3)."""
+    return np.stack([_apply_sym3(form, tangents[:, 0]), _apply_sym3(form, tangents[:, 1])], axis=1)
 
 
 def extrinsic_geometry(metric, grid, positions, tangents, outward):
@@ -301,35 +323,33 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward):
     """
     positions = np.asarray(positions, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
+    z1, z2 = tangents[:, 0], tangents[:, 1]
     g = metric_at(metric, positions)
-    z_cols = np.swapaxes(tangents, 1, 2)  # (N, 3, 2), columns Z_j
-    g_z = g @ z_cols
+    g_z = _on_tangents(g, tangents)
     first, det_first = first_form(tangents, g_z)
 
     # normal: g N is euclidean-orthogonal to Z_1, Z_2, so g N = cross / |.|,
     # g(N, N) = N . cross and g(N, outward) has the sign of cross . outward
     outward = np.asarray(outward, dtype=float)
-    cross = np.cross(tangents[:, 0], tangents[:, 1])
+    cross = np.cross(z1, z2)
     n_raw = _solve_sym3(g, cross)
-    normal = n_raw / np.sqrt(np.sum(n_raw * cross, axis=1))[:, None]
-    normal[np.sum(cross * outward, axis=1) > 0.0] *= -1.0
+    normal = n_raw / np.sqrt(_dot3(n_raw, cross))[:, None]
+    normal[_dot3(cross, outward) > 0.0] *= -1.0
 
-    # (N, 2, 3) partial derivatives of the normal components
-    dn = np.stack([grid.dtheta(normal), grid.dphi(normal)], axis=1)
-    # symmetrised, the Christoffel part of -g(D_i N, Z_j) is
-    # -1/2 (N.d)g(Z_i, Z_j) (module docstring); positions are guarded above
-    dg = metric.metric_deriv(positions)
-    dg_n = (normal[:, np.newaxis, :] @ dg.reshape(-1, 3, 9)).reshape(-1, 3, 3)
-    second = -(dn @ g_z) - 0.5 * (tangents @ (dg_n @ z_cols))
-    second = 0.5 * (second + np.swapaxes(second, 1, 2))
+    # h_ij = -g(d_i N, Z_j) - 1/2 Z_i . (N.d)g Z_j, symmetrised: the
+    # Christoffel part of -g(D_i N, Z_j) (module docstring); positions are
+    # guarded above
+    dn1, dn2 = grid.dtheta(normal), grid.dphi(normal)
+    dg_n = np.einsum("nc,ncab->nab", normal, metric.metric_deriv(positions))
+    dg_z = _on_tangents(dg_n, tangents)
+    h11 = -_dot3(dn1, g_z[:, 0]) - 0.5 * _dot3(z1, dg_z[:, 0])
+    h22 = -_dot3(dn2, g_z[:, 1]) - 0.5 * _dot3(z2, dg_z[:, 1])
+    h12 = -0.5 * (_dot3(dn1, g_z[:, 1]) + _dot3(dn2, g_z[:, 0]) + _dot3(z1, dg_z[:, 1]))
 
     # trace and determinant of the shape operator first^{-1} second
-    mean = (
-        first[:, 1, 1] * second[:, 0, 0]
-        - 2.0 * first[:, 0, 1] * second[:, 0, 1]
-        + first[:, 0, 0] * second[:, 1, 1]
-    ) / det_first
-    gauss = (second[:, 0, 0] * second[:, 1, 1] - second[:, 0, 1] ** 2) / det_first
+    e, f, gg = first[:, 0, 0], first[:, 0, 1], first[:, 1, 1]
+    mean = (gg * h11 - 2.0 * f * h12 + e * h22) / det_first
+    gauss = (h11 * h22 - h12 * h12) / det_first
     return EmbeddedSurface(
         grid=grid,
         positions=positions,
@@ -337,7 +357,7 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward):
         normal=normal,
         outward=outward,
         first_form=first,
-        second_form=second,
+        second_form=_sym2(h11, h12, h22),
         mean_curvature=mean,
         gauss_product=gauss,
         area_element=np.sqrt(det_first),

@@ -215,6 +215,75 @@ class TestGeodesicFan:
         with pytest.raises(DomainError, match="finite and positive"):
             GeodesicFan(EuclideanMetric(), np.zeros(3), grid, s_max, cfg)
 
+    # (metric, centre, (bound at s_max 0.21, bound at s_max 0.84)): about
+    # three times the largest read error of a 33-sample fan, which measured
+    # 9.8e-15 / 1.2e-10 (Schwarzschild), 8.6e-14 / 1.1e-11 (conformal) and
+    # 4.3e-12 / 4.5e-11 (round sphere)
+    READ_CASES = [
+        (SchwarzschildMetric(1.0), (4.0, 0.0, 0.0), (3e-14, 3.5e-10)),
+        (
+            ConformalMetric.from_polynomial(
+                [(0.1, (2, 0, 0)), (0.05, (0, 1, 1)), (0.03, (1, 0, 0)), (-0.02, (0, 0, 3))]
+            ),
+            (0.05, 0.02, 0.0),
+            (2.6e-13, 3.3e-11),
+        ),
+        (RoundSphereMetric(), (0.3, 0.1, 0.0), (1.3e-11, 1.3e-10)),
+    ]
+
+    def test_sample_count_resolves_the_fan(self, monkeypatch):
+        # fan reads at random arclengths against a tightly integrated exp_map
+        # at 40 nodes stay within about three times the 33-sample error, and
+        # 9 samples do not, so the bounds catch a sample count that is too low
+        grid = build_grid(32, 64)
+        tight = GeodesicConfig(rel_tol=1e-13, abs_tol=1e-15)
+        cases = []
+        for metric, p, bounds in self.READ_CASES:
+            p = np.array(p)
+            packet = curvature_packet(metric, p)
+            for s_max, bound in zip((0.21, 0.84), bounds):
+                rng = np.random.default_rng(0)
+                s = rng.uniform(0.0, s_max, grid.n_nodes)
+                nodes = rng.choice(grid.n_nodes, 40, replace=False)
+                direct = np.array([
+                    exp_map(metric, p, s[k] * (grid.unit[k] @ packet.frame), tight)
+                    for k in nodes
+                ])
+                cases.append((metric, p, packet, s_max, s, nodes, direct, bound))
+
+        def excess():
+            """Largest read error over its bound, per case."""
+            return np.array([
+                np.max(np.abs(
+                    GeodesicFan(metric, p, grid, s_max, packet=packet).positions_at(s)[nodes]
+                    - direct
+                )) / bound
+                for metric, p, packet, s_max, s, nodes, direct, bound in cases
+            ])
+
+        assert np.all(excess() <= 1.0)
+        monkeypatch.setattr(geodesics, "_N_SAMPLES", 9)
+        assert np.any(excess() > 1.0)
+
+    def test_kept_samples_are_every_other_of_33(self, monkeypatch):
+        # the 17 Lobatto arclengths are every other one of the 33, and the
+        # dense output is read per arclength, so the kept samples repeat
+        # bit for bit, upsampled (32x64) or shot on the surface grid (16x32)
+        metric = RoundSphereMetric()
+        p = np.array([0.3, 0.1, 0.0])
+        shot = []
+        for n_theta, s_max in ((32, 0.21), (32, 0.84), (16, 0.84)):
+            grid = build_grid(n_theta, 2 * n_theta)
+            fan = GeodesicFan(metric, p, grid, s_max)
+            monkeypatch.setattr(geodesics, "_N_SAMPLES", 33)
+            fine = GeodesicFan(metric, p, grid, s_max)
+            monkeypatch.undo()
+            assert fan.shooting_grid == fine.shooting_grid
+            assert fan.rhs_evals == fine.rhs_evals
+            assert np.array_equal(fan._samples, fine._samples[..., ::2])
+            shot.append(fan.shooting_grid == [grid.n_theta, grid.n_phi])
+        assert shot == [False, False, True]
+
     def test_deterministic_rebuild(self, grid, cfg):
         metric = RoundSphereMetric()
         p = np.array([0.1, 0.0, 0.0])

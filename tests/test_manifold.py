@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from hawking_lab.errors import ConditioningError, DomainError
 from hawking_lab.manifold import (
     ConformalMetric,
+    _Polynomial,
     EuclideanMetric,
     HyperbolicMetric,
     PolynomialMetric,
@@ -239,6 +240,42 @@ class TestExactPolynomialDerivatives:
         )
         points = np.random.default_rng(31).uniform(-0.5, 0.5, size=(6, 3))
         self._check(metric, oracle, points)
+
+
+def unique_merge(exps, coefs):
+    """Repeated exponents merged by ``np.unique(axis=0)`` and ``np.add.at``,
+    vanishing terms dropped: ``(exps, flat coefficients)``."""
+    exps = np.asarray(exps, dtype=int).reshape(-1, 3)
+    coefs = np.asarray(coefs, dtype=float)
+    merged, where = np.unique(exps, axis=0, return_inverse=True)
+    summed = np.zeros((len(merged),) + coefs.shape[1:])
+    np.add.at(summed, where.ravel(), coefs)
+    flat = summed.reshape(len(merged), -1)
+    keep = np.any(flat != 0.0, axis=1)
+    return merged[keep], flat[keep]
+
+
+class TestPolynomialMerge:
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    def test_matches_unique_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(41)
+        exps = rng.integers(0, 3, size=(40, 3))  # 27 exponents, so many repeats
+        coefs = rng.normal(size=(40,) + shape)
+        # a cancelling pair, a term that cancels in one component only, and
+        # a zero term
+        exps = np.concatenate([exps, [[4, 0, 1], [4, 0, 1], [0, 4, 1], [0, 4, 1], [1, 1, 4]]])
+        partial = np.ones((2,) + shape)
+        partial.reshape(2, -1)[1, 0] = -1.0
+        coefs = np.concatenate([coefs, [np.full(shape, 0.3), np.full(shape, -0.3)], partial,
+                                [np.zeros(shape)]])
+        poly = _Polynomial(exps, coefs)
+        ref_exps, ref_flat = unique_merge(exps, coefs)
+        assert poly.exps.dtype == ref_exps.dtype and poly.exps.shape == ref_exps.shape
+        assert poly.exps.tobytes() == ref_exps.tobytes()
+        assert poly._flat.shape == ref_flat.shape
+        assert poly._flat.tobytes() == ref_flat.tobytes()
+        assert [4, 0, 1] not in poly.exps.tolist() and [1, 1, 4] not in poly.exps.tolist()
+        assert [0, 4, 1] in poly.exps.tolist() or shape == ()
 
 
 class TestCurvature:
