@@ -3,11 +3,13 @@
 Geodesics solve x'' + Gamma(x)(x', x') = 0 with Dormand and Prince's
 adaptive Runge-Kutta method of order 8 (DOP853, in :mod:`._dop853`), read
 at the sample arclengths from its order-7 dense output.  The right-hand
-side contracts the metric derivative with the velocity
-(:func:`manifold.geodesic_acceleration`) and never forms g^{-1} or the full
-Christoffel tensor; each evaluation reads g and dg once on the whole
-stacked batch.  Every step end is held to the chart by
-``metric.domain_margin``.
+side is the metric's closed-form ``acceleration(x, v)`` = -Gamma(v, v)
+where its kind has one (the conformally flat kinds and Schwarzschild), which
+reads neither g nor dg.  Other kinds contract dg with the velocity
+(:func:`manifold.geodesic_acceleration`), reading g and dg once per
+evaluation on the whole stacked batch through the metric object the fan was
+handed; neither path forms g^{-1} or the full Christoffel tensor.  Every
+step end is held to the chart by ``metric.domain_margin``.
 
 Building a surface needs one geodesic per grid node; :class:`GeodesicFan`
 integrates the whole fan of unit-speed radial geodesics in a single stacked
@@ -93,9 +95,12 @@ def _integrate(metric, x0, v0, t_end, cfg, t_eval):
     """Integrate a stack of geodesics by DOP853 (:mod:`._dop853`).
 
     Returns the states ``[x, v]`` at the arclengths ``t_eval``, shape
-    (len(t_eval), 2, n, 3), and the right-hand sides evaluated.  Step ends
-    must stay inside the chart (DomainExit), and the integration may use at
-    most 16 ``max_steps`` right-hand sides (StepLimit, also on underflow).
+    (len(t_eval), 2, n, 3), and the right-hand sides evaluated.  A
+    right-hand side calls ``metric.acceleration`` where the metric has it and
+    otherwise contracts ``metric.metric`` and ``metric.metric_deriv`` (module
+    docstring).  Step ends must stay inside the chart (DomainExit), and the
+    integration may use at most 16 ``max_steps`` right-hand sides (StepLimit,
+    also on underflow).
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
@@ -103,12 +108,16 @@ def _integrate(metric, x0, v0, t_end, cfg, t_eval):
     if not np.all(metric.domain_guard(x0)):
         raise DomainError("geodesic initial point outside the chart")
 
+    # raw (unguarded) metric evaluation: trial stages may probe past the
+    # margin, and only step ends are held to the chart
+    acceleration = getattr(metric, "acceleration", None)
+    if acceleration is None:
+        def acceleration(x, v):
+            return geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
+
     def rhs(t, y):
         x, v = y.reshape(2, n, 3)
-        # raw (unguarded) metric evaluation: trial stages may probe past the
-        # margin, and only step ends are held to the chart
-        acc = geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v)
-        return np.concatenate([v.ravel(), acc.ravel()])
+        return np.concatenate([v.ravel(), acceleration(x, v).ravel()])
 
     def check(y):
         if np.min(metric.domain_margin(y[: 3 * n].reshape(n, 3))) < 0.0:

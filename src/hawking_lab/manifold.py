@@ -18,6 +18,23 @@ without inverting g or forming Gamma.  :func:`ricci_along` gives Ric(n, n)
 alone, from a closed form per kind where one exists (conformally flat kinds,
 Schwarzschild, Euclidean) and from the assembled tensor otherwise.
 
+The geodesic fan and the surface geometry need dg only through -Gamma(v, v)
+and the directional derivative (n.d)g, and kinds with closed forms of these
+define ``acceleration(x, v)`` and ``metric_deriv_along(x, n)``:
+
+* conformally flat kinds (round sphere, hyperbolic, conformal), g =
+  exp(2 phi) delta: -Gamma(v, v) = |v|^2 d phi - 2 (d phi . v) v and
+  (n.d)g = 2 exp(2 phi) (n . d phi) delta;
+* Schwarzschild, g = delta + h x x^T with h = psi / r^2:
+  -Gamma(v, v) = -x (h |v|^2 + h' (x.v)^2 / (2 r)) / (1 + psi) and
+  (n.d)g = h' (x.n / r) x x^T + h (n x^T + x n^T);
+* Euclidean: (n.d)g = 0, and no ``acceleration``.
+
+Callers look these up with ``getattr`` and otherwise contract
+``metric.metric`` and ``metric.metric_deriv`` of the object they hold (the
+polynomial perturbation, and Euclidean in the fan), so a proxy around a
+metric sees those reads.
+
 Index conventions for the arrays returned here:
 
 * ``metric(x)[..., a, b]``            -> g_ab
@@ -244,6 +261,12 @@ class MetricField:
     closed form and :meth:`scalar_derivatives` where d Sc and Delta Sc do:
     every built-in kind but the polynomial perturbation, which keeps the
     finite-difference default.
+
+    Kinds with closed forms also define ``acceleration(x, v)``, -Gamma(v, v)
+    for velocities ``v`` (..., 3), and ``metric_deriv_along(x, n)``, (n.d)g
+    (..., 3, 3), both unguarded (module docstring).  The base class defines
+    neither: a caller that does not find them contracts ``metric`` and
+    ``metric_deriv`` itself, through the object it holds.
     """
 
     kind = "abstract"
@@ -325,6 +348,12 @@ class EuclideanMetric(MetricField):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (3, 3, 3, 3))
 
+    # no acceleration: a fan reads its zero -Gamma(v, v) through the
+    # contraction, so a proxy around the metric sees each right-hand side
+
+    def metric_deriv_along(self, x, n):
+        return np.zeros(np.shape(x)[:-1] + (3, 3))
+
     def ricci_along(self, x, n):
         return np.zeros(np.shape(x)[:-1])
 
@@ -365,15 +394,25 @@ class _ConformallyFlat(MetricField):
         out = core * conf[..., np.newaxis, np.newaxis]
         return out[..., :, :, np.newaxis, np.newaxis] * np.eye(3)
 
+    def acceleration(self, x, v):
+        # Gamma^c_ab = delta_ca d_b phi + delta_cb d_a phi - delta_ab d_c phi
+        grad = self._phi_grad(np.asarray(x, dtype=float))
+        return _dot3(v, v)[..., np.newaxis] * grad - (2.0 * _dot3(grad, v))[..., np.newaxis] * v
+
+    def metric_deriv_along(self, x, n):
+        x = np.asarray(x, dtype=float)
+        scale = 2.0 * np.exp(2.0 * self._phi(x)) * _dot3(n, self._phi_grad(x))
+        return scale[..., np.newaxis, np.newaxis] * np.eye(3)
+
     def ricci_along(self, x, n):
         # Ric = -(Hess phi - dphi dphi) - (Lap phi + |dphi|^2) delta in three
         # dimensions, with flat derivatives of phi
         x = np.asarray(x, dtype=float)
         grad, hess = self._phi_grad(x), self._phi_hess(x)
-        dphi_n = np.sum(grad * n, axis=-1)
-        hess_nn = np.einsum("...a,...ab,...b->...", n, hess, n)
-        lap = np.trace(hess, axis1=-2, axis2=-1) + np.sum(grad * grad, axis=-1)
-        return dphi_n * dphi_n - hess_nn - lap * np.sum(n * n, axis=-1)
+        dphi_n = _dot3(grad, n)
+        hess_nn = _dot3(n, _apply_sym3(hess, n))
+        lap = hess[..., 0, 0] + hess[..., 1, 1] + hess[..., 2, 2] + _dot3(grad, grad)
+        return dphi_n * dphi_n - hess_nn - lap * _dot3(n, n)
 
 
 
@@ -493,6 +532,32 @@ class SchwarzschildMetric(MetricField):
 
     def _psi(self, r):
         return 2.0 * self.mass / (r - 2.0 * self.mass)
+
+    def acceleration(self, x, v):
+        # g = delta + h x x^T with h = psi / r^2 gives
+        # -Gamma(v, v) = -x (h |v|^2 + h' (x.v)^2 / (2 r)) / (1 + psi), and
+        # h / (1 + psi) = 2m / r^3, h' / h = -(3r - 4m) / (r (r - 2m))
+        x = np.asarray(x, dtype=float)
+        m = self.mass
+        r2 = _dot3(x, x)
+        r = np.sqrt(r2)
+        xv = _dot3(x, v)
+        bracket = _dot3(v, v) - (3.0 * r - 4.0 * m) * xv * xv / (2.0 * r2 * (r - 2.0 * m))
+        return -(2.0 * m / (r2 * r) * bracket)[..., np.newaxis] * x
+
+    def metric_deriv_along(self, x, n):
+        # (n.d)g = h' (x.n / r) x x^T + h (n x^T + x n^T)
+        x = np.asarray(x, dtype=float)
+        m = self.mass
+        r2 = _dot3(x, x)
+        r = np.sqrt(r2)
+        h = 2.0 * m / (r2 * (r - 2.0 * m))
+        half_radial = -0.5 * h * (3.0 * r - 4.0 * m) / (r2 * (r - 2.0 * m)) * _dot3(x, n)
+        # u x^T + x u^T with u = h' (x.n) x / (2 r) + h n
+        outer = (half_radial[..., np.newaxis] * x + h[..., np.newaxis] * n)[
+            ..., :, np.newaxis
+        ] * x[..., np.newaxis, :]
+        return outer + np.swapaxes(outer, -1, -2)
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)

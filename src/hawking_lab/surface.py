@@ -24,9 +24,11 @@ Per-node algebra
 Metric products, dot products, the 2x2 forms and their inverses are written
 out component by component over node arrays: numpy's stacked ``matmul`` and
 ``inv`` run a per-matrix inner loop on 3x3 and 2x2 blocks, which costs
-several times the arithmetic at a few thousand nodes.  The contraction
-(N.d)g of the metric derivative stays one ``einsum``, which measured faster
-than its components.
+several times the arithmetic at a few thousand nodes.  The directional
+derivative (N.d)g is the metric's closed-form ``metric_deriv_along(x, N)``
+where its kind has one (every kind but the polynomial perturbation), so dg
+is never assembled; otherwise it is one ``einsum`` of N with
+``metric.metric_deriv``.
 
 Second fundamental form
 -----------------------
@@ -340,7 +342,11 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward):
     # Christoffel part of -g(D_i N, Z_j) (module docstring); positions are
     # guarded above
     dn1, dn2 = grid.dtheta(normal), grid.dphi(normal)
-    dg_n = np.einsum("nc,ncab->nab", normal, metric.metric_deriv(positions))
+    along = getattr(metric, "metric_deriv_along", None)
+    if along is not None:
+        dg_n = along(positions, normal)
+    else:
+        dg_n = np.einsum("nc,ncab->nab", normal, metric.metric_deriv(positions))
     dg_z = _on_tangents(dg_n, tangents)
     h11 = -_dot3(dn1, g_z[:, 0]) - 0.5 * _dot3(z1, dg_z[:, 0])
     h22 = -_dot3(dn2, g_z[:, 1]) - 0.5 * _dot3(z2, dg_z[:, 1])

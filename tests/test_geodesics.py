@@ -19,6 +19,7 @@ from hawking_lab.manifold import (
     ConformalMetric,
     EuclideanMetric,
     HyperbolicMetric,
+    PolynomialMetric,
     RoundSphereMetric,
     SchwarzschildMetric,
     curvature_packet,
@@ -433,6 +434,82 @@ class TestDop853:
         assert np.array_equal(_dop853._E3, ref.E3)
         assert np.array_equal(_dop853._E5, ref.E5)
         assert np.array_equal(_dop853._D, ref.D)
+
+
+class _ThroughMetricReads:
+    """A metric seen through its g and dg alone, counting both reads.  With
+    ``hide_closed_forms`` its closed-form ``acceleration`` and
+    ``metric_deriv_along`` are hidden, so callers contract dg."""
+
+    def __init__(self, inner, hide_closed_forms=False):
+        self._inner = inner
+        self._hidden = ("acceleration", "metric_deriv_along") if hide_closed_forms else ()
+        self.g_reads = 0
+        self.dg_reads = 0
+
+    def __getattr__(self, name):
+        if name in self._hidden:
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    def metric(self, x):
+        self.g_reads += 1
+        return self._inner.metric(x)
+
+    def metric_deriv(self, x):
+        self.dg_reads += 1
+        return self._inner.metric_deriv(x)
+
+
+class TestClosedFormRightHandSide:
+    @pytest.mark.parametrize("s_max", [0.21, 0.84])
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0])),
+            (CONFORMAL, np.array([0.05, 0.02, 0.0])),
+        ],
+    )
+    def test_fan_matches_contraction(self, cfg, metric, p, s_max):
+        grid = build_grid(48, 96)
+        packet = curvature_packet(metric, p)
+        fan = GeodesicFan(metric, p, grid, s_max, cfg, packet=packet)
+        contracted = _ThroughMetricReads(metric, hide_closed_forms=True)
+        ref = GeodesicFan(contracted, p, grid, s_max, cfg, packet=packet)
+        assert contracted.dg_reads == ref.rhs_evals
+        assert fan.rhs_evals == ref.rhs_evals
+        assert fan.shooting_grid == ref.shooting_grid
+        assert np.max(np.abs(fan._samples - ref._samples)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "metric",
+        [EuclideanMetric(), PolynomialMetric([(0, 0, 0.02, (2, 0, 0)), (0, 1, 0.015, (1, 1, 0))])],
+        ids=["euclidean", "polynomial"],
+    )
+    def test_kind_without_closed_form_reads_through_its_object(self, cfg, metric):
+        # one g and one dg read of the proxy per right-hand side
+        counted = _ThroughMetricReads(metric)
+        packet = curvature_packet(metric, np.zeros(3))
+        fan = GeodesicFan(counted, np.zeros(3), build_grid(8, 16), 0.1, cfg, packet=packet)
+        assert fan.rhs_evals > 0
+        assert counted.g_reads == counted.dg_reads == fan.rhs_evals
+
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0])),
+            (CONFORMAL, np.array([0.05, 0.02, 0.0])),
+        ],
+    )
+    def test_surface_matches_contraction(self, grid, cfg, metric, p):
+        # (N.d)g in closed form against its contraction of dg
+        fan = GeodesicFan(metric, p, grid, 0.84, cfg)
+        surf = fan.surface(fan.s_max, np.zeros(grid.n_nodes))
+        contracted = _ThroughMetricReads(metric, hide_closed_forms=True)
+        ref = extrinsic_geometry(contracted, grid, surf.positions, surf.tangents, surf.outward)
+        assert contracted.dg_reads == 1
+        scale = np.max(np.abs(ref.second_form))
+        assert np.max(np.abs(surf.second_form - ref.second_form)) <= 1e-13 * scale
 
 
 def test_surface_equals_separate_reads(grid, cfg):

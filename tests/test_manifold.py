@@ -213,6 +213,81 @@ class TestRicciAlong:
         with pytest.raises(DomainError):
             ricci_along(metric, np.array([point]), np.ones((1, 3)))
 
+    def test_conformally_flat_on_a_grid_shaped_batch(self):
+        # the per-node closed form keeps any leading batch shape
+        rng = np.random.default_rng(43)
+        conformal = ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.02, (0, 0, 3))])
+        for metric in (RoundSphereMetric(), HyperbolicMetric(), conformal):
+            x = rng.uniform(-0.3, 0.3, size=(6, 8, 3))
+            n = rng.normal(size=x.shape)
+            ric = ricci_at(metric, x)
+            want = np.einsum("...ab,...a,...b->...", ric, n, n)
+            got = metric.ricci_along(x, n)
+            assert got.shape == (6, 8), metric.kind
+            scale = np.linalg.norm(ric, axis=(-2, -1)) * np.sum(n * n, axis=-1)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), metric.kind
+
+
+def closed_form_cases(rng):
+    """:func:`kernel_cases` plus Schwarzschild points just above its guard
+    radius 2m (1 + margin)."""
+    metric = SchwarzschildMetric(mass=1.0)
+    direction = rng.normal(size=(20, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    r_guard = 2.0 * metric.mass * (1.0 + metric.horizon_margin)
+    r = r_guard * (1.0 + np.geomspace(1e-9, 1e-2, 20))
+    return kernel_cases(rng) + [(metric, direction * r[:, np.newaxis])]
+
+
+class TestClosedFormsPerKind:
+    """``acceleration`` and ``metric_deriv_along`` against the contractions
+    of the assembled g and dg they replace."""
+
+    def test_kinds_with_closed_forms(self):
+        # the others keep the contraction, which reads g and dg through the
+        # metric object a caller holds
+        kinds = [metric for metric, _ in kernel_cases(np.random.default_rng(0))]
+        assert {m.kind for m in kinds if hasattr(m, "acceleration")} == {
+            "round_sphere", "hyperbolic", "schwarzschild", "conformal"
+        }
+        assert {m.kind for m in kinds if not hasattr(m, "metric_deriv_along")} == {
+            "polynomial_perturbation"
+        }
+
+    def test_acceleration_matches_contractions(self):
+        rng = np.random.default_rng(59)
+        for metric, x in closed_form_cases(rng):
+            if not hasattr(metric, "acceleration"):
+                continue
+            v = rng.normal(size=x.shape)
+            gamma = christoffel_at(metric, x)
+            got = metric.acceleration(x, v)
+            assert got.shape == x.shape, metric.kind
+            scale = np.linalg.norm(gamma.reshape(len(x), -1), axis=1) * np.sum(v * v, axis=1)
+            for want in (
+                geodesic_acceleration(metric.metric(x), metric.metric_deriv(x), v),
+                -np.einsum("ncab,na,nb->nc", gamma, v, v),
+            ):
+                err = np.linalg.norm(got - want, axis=1)
+                assert np.all(err <= 1e-13 * scale), metric.kind
+
+    def test_metric_deriv_along_matches_contraction(self):
+        rng = np.random.default_rng(61)
+        for metric, x in closed_form_cases(rng):
+            if not hasattr(metric, "metric_deriv_along"):
+                continue
+            n = rng.normal(size=x.shape)
+            dg = metric.metric_deriv(x)
+            got = metric.metric_deriv_along(x, n)
+            want = np.einsum("nc,ncab->nab", n, dg)
+            assert got.shape == (len(x), 3, 3), metric.kind
+            if metric.kind == "euclidean":
+                assert np.all(got == 0.0)
+                continue
+            scale = np.linalg.norm(dg.reshape(len(x), -1), axis=1) * np.linalg.norm(n, axis=1)
+            err = np.linalg.norm((got - want).reshape(len(x), -1), axis=1)
+            assert np.all(err <= 1e-13 * scale), metric.kind
+
 
 class TestExactPolynomialDerivatives:
     def _check(self, metric, oracle, points):
