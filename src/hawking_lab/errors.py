@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "DomainExit",
     "StepLimit",
-    "ConditioningError",
     "PerturbationTooLarge",
     "GridTooCoarse",
     "DegenerateSurface",
@@ -30,10 +29,6 @@ class DomainExit(HawkingLabError):
 
 class StepLimit(HawkingLabError):
     """The geodesic integrator exceeded its step budget."""
-
-
-class ConditioningError(HawkingLabError):
-    """A finite-difference stencil left the chart or is ill-conditioned."""
 
 
 class PerturbationTooLarge(HawkingLabError):

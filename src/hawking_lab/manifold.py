@@ -10,11 +10,12 @@ The gradient and Laplacian of scalar curvature at a point
 the kinds of constant Sc (Euclidean, round sphere, hyperbolic,
 Schwarzschild), and the conformal formulas in the derivatives of phi up to
 order four on the polynomial conformal kind.  The polynomial perturbation
-alone takes them by Richardson-extrapolated central differences of the
-assembled Sc (:mod:`._fd`).  The full curvature tensors are
-assembled from ``(g, dg, ddg)`` by the standard Levi-Civita formulas;
-:func:`geodesic_acceleration` contracts ``dg`` with a velocity directly,
-without inverting g or forming Gamma.  :func:`ricci_along` gives Ric(n, n)
+takes them exactly as well, from degree-2 Taylor series (jets) of g, dg and
+ddg along six directions, pushed through the same curvature assembly (its
+third and fourth derivatives of g are exponent shifts too).  The full
+curvature tensors are assembled from ``(g, dg, ddg)`` by the standard
+Levi-Civita formulas; :func:`geodesic_acceleration` contracts ``dg`` with a
+velocity directly, without inverting g or forming Gamma.  :func:`ricci_along` gives Ric(n, n)
 alone, from a closed form per kind where one exists (conformally flat kinds,
 Schwarzschild, Euclidean) and from the assembled tensor otherwise.
 
@@ -45,12 +46,12 @@ Index conventions for the arrays returned here:
   round sphere (so Rm_abab / (g_aa g_bb - g_ab^2) is the sectional curvature).
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _fd
-from .errors import ConditioningError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "MetricField",
@@ -75,9 +76,6 @@ __all__ = [
     "metric_to_config",
 ]
 
-_EPS = np.finfo(float).eps
-
-
 # ---------------------------------------------------------------------------
 # tensor assembly
 # ---------------------------------------------------------------------------
@@ -91,40 +89,67 @@ def _braces(dg):
     )
 
 
-def _christoffel_from(g_inv, braces):
+def _christoffel_from(g_inv, braces, mul=np.einsum):
     """Gamma^c_ab = 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab) from the
     braces of :func:`_braces`."""
-    return 0.5 * np.einsum("...cd,...abd->...cab", g_inv, braces)
+    return 0.5 * mul("...cd,...abd->...cab", g_inv, braces)
 
 
-def _curvature_from(g, dg, ddg):
-    """Return (gamma, riemann04, ricci, scalar) from metric derivative data."""
-    g_inv = np.linalg.inv(g)
+def _curvature_from(g, dg, ddg, mul=np.einsum, inv=np.linalg.inv):
+    """Return (gamma, riemann04, ricci, scalar) from metric derivative data.
+
+    Products go through ``mul`` and the inverse through ``inv``; every other
+    step is linear.  :func:`_series_einsum` and :func:`_series_inv` run the
+    same assembly on truncated Taylor series (the polynomial kind's Sc jets).
+    """
+    g_inv = inv(g)
     braces = _braces(dg)
-    gamma = _christoffel_from(g_inv, braces)
+    gamma = _christoffel_from(g_inv, braces, mul)
     # d_e g^{cd} = -g^{ca} (d_e g_ab) g^{bd}
-    dg_inv = -np.einsum("...ca,...eab,...bd->...ecd", g_inv, dg, g_inv)
+    dg_inv = -mul("...ca,...eab,...bd->...ecd", g_inv, dg, g_inv)
     dbraces = (
         np.einsum("...eadb->...eabd", ddg)
         + np.einsum("...ebda->...eabd", ddg)
         - np.einsum("...edab->...eabd", ddg)
     )
     dgamma = 0.5 * (
-        np.einsum("...ecd,...abd->...ecab", dg_inv, braces)
-        + np.einsum("...cd,...eabd->...ecab", g_inv, dbraces)
+        mul("...ecd,...abd->...ecab", dg_inv, braces)
+        + mul("...cd,...eabd->...ecab", g_inv, dbraces)
     )
     # R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db
     #           - Gamma^a_de Gamma^e_cb
     riem_up = (
         np.einsum("...cadb->...abcd", dgamma)
         - np.einsum("...dacb->...abcd", dgamma)
-        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+        + mul("...ace,...edb->...abcd", gamma, gamma)
+        - mul("...ade,...ecb->...abcd", gamma, gamma)
     )
-    riemann = np.einsum("...ae,...ebcd->...abcd", g, riem_up)
+    riemann = mul("...ae,...ebcd->...abcd", g, riem_up)
     ricci = np.einsum("...abad->...bd", riem_up)
-    scalar = np.einsum("...bd,...bd->...", g_inv, ricci)
+    scalar = mul("...bd,...bd->...", g_inv, ricci)
     return gamma, riemann, ricci, scalar
+
+
+def _series_einsum(spec, *ops):
+    """``np.einsum`` of truncated Taylor series, each stacked on a leading
+    order axis: the order-k term sums the products whose orders add to k."""
+    return np.stack(
+        [
+            sum(
+                np.einsum(spec, *(op[i] for op, i in zip(ops, orders)))
+                for orders in itertools.product(range(k + 1), repeat=len(ops))
+                if sum(orders) == k
+            )
+            for k in range(len(ops[0]))
+        ]
+    )
+
+
+def _series_inv(g):
+    """Inverse of a degree-2 matrix series (g0, g1, g2) on the leading axis."""
+    g0_inv = np.linalg.inv(g[0])
+    g1_inv = -g0_inv @ g[1] @ g0_inv
+    return np.stack([g0_inv, g1_inv, -g0_inv @ (g[1] @ g1_inv + g[2] @ g0_inv)])
 
 
 def geodesic_acceleration(g, dg, v):
@@ -258,9 +283,9 @@ class MetricField:
     Subclasses provide :meth:`metric`, :meth:`metric_deriv` and
     :meth:`metric_deriv2`, all exact, so assembled curvature tensors carry
     rounding only, and override :meth:`ricci_along` where Ric(n, n) has a
-    closed form and :meth:`scalar_derivatives` where d Sc and Delta Sc do:
-    every built-in kind but the polynomial perturbation, which keeps the
-    finite-difference default.
+    closed form, and provide :meth:`scalar_derivatives`: closed forms for d Sc
+    and Delta Sc on every built-in kind but the polynomial perturbation,
+    which propagates Taylor jets of g through the curvature assembly.
 
     Kinds with closed forms also define ``acceleration(x, v)``, -Gamma(v, v)
     for velocities ``v`` (..., 3), and ``metric_deriv_along(x, n)``, (n.d)g
@@ -289,24 +314,8 @@ class MetricField:
 
     def scalar_derivatives(self, p):
         """Chart gradient d_a Sc (3,) and covariant Laplacian Delta_g Sc at
-        the one point ``p`` (3,), unguarded.
-
-        The default differentiates the assembled Sc by Richardson-extrapolated
-        central differences (50 stencil points) and raises
-        :class:`ConditioningError` when a stencil leaves the chart; kinds
-        with a closed form override it.
-        """
-        h1, h2 = _sc_steps(p)
-        scale = max(1.0, float(np.linalg.norm(p)))
-        fn = lambda q: scalar_curvature_at(self, q)
-        _check_stencil(self, p, h1)
-        grad = _fd.diff1_richardson(fn, p, step=h1 / scale)
-        _check_stencil(self, p, 2.0 * h2)
-        hess = _fd.diff2_richardson(fn, p, step=h2 / scale)
-        g_inv = np.linalg.inv(self.metric(p))
-        gamma = _christoffel_from(g_inv, _braces(self.metric_deriv(p)))
-        cov_hess = hess - np.einsum("cab,c->ab", gamma, grad)
-        return grad, float(np.einsum("ab,ab->", g_inv, cov_hess))
+        the one point ``p`` (3,), unguarded."""
+        raise NotImplementedError
 
     def domain_guard(self, x):
         """Boolean chart-validity mask for points ``x`` of shape (..., 3)."""
@@ -724,6 +733,12 @@ class ConformalMetric(_ConformallyFlat):
         return {"phi_poly": [[c, list(e)] for c, e in self.poly_terms]}
 
 
+# the axes, then the pair sums e_0 + e_1, e_0 + e_2 and e_1 + e_2
+_JET_DIRECTIONS = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float
+)
+
+
 class PolynomialMetric(MetricField):
     """g = delta + h with polynomial entries h_ab of total degree <= 4.
 
@@ -752,6 +767,8 @@ class PolynomialMetric(MetricField):
         self._h = _Polynomial(exps, np.reshape(coefs, (-1, 3, 3)))
         self._dh = self._h.gradient()
         self._ddh = self._dh.gradient()
+        self._d3h = self._ddh.gradient()
+        self._d4h = self._d3h.gradient()
 
     def metric(self, x):
         return np.eye(3) + self._h(x)
@@ -761,6 +778,40 @@ class PolynomialMetric(MetricField):
 
     def metric_deriv2(self, x):
         return self._ddh(x)
+
+    def scalar_derivatives(self, p):
+        # degree-2 Taylor series in t of g, dg and ddg at p + t e, pushed
+        # through the curvature assembly along the three axes e_a and the
+        # three pair sums e_a + e_b: order 1 of Sc is e . d Sc and order 2
+        # is e^T (Hess Sc) e / 2, so the pairs polarise to H_ab
+        e = _JET_DIRECTIONS
+        h, dh, ddh, d3h, d4h = (
+            poly(p) for poly in (self._h, self._dh, self._ddh, self._d3h, self._d4h)
+        )
+        g = np.eye(3) + h
+
+        def jet(value, first, second):
+            return np.stack(
+                [
+                    np.broadcast_to(value, (len(e),) + value.shape),
+                    np.einsum("nc,c...->n...", e, first),
+                    0.5 * np.einsum("nc,nd,cd...->n...", e, e, second),
+                ]
+            )
+
+        gamma, _, _, sc = _curvature_from(
+            jet(g, dh, ddh),
+            jet(dh, ddh, d3h),
+            jet(ddh, d3h, d4h),
+            mul=_series_einsum,
+            inv=_series_inv,
+        )
+        grad, half_curv = sc[1, :3], sc[2]
+        hess = np.diag(2.0 * half_curv[:3])
+        for n, (a, b) in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
+            hess[a, b] = hess[b, a] = half_curv[n] - half_curv[a] - half_curv[b]
+        cov_hess = hess - np.einsum("cab,c->ab", gamma[0, 0], grad)
+        return grad, float(np.einsum("ab,ab->", np.linalg.inv(g), cov_hess))
 
     @staticmethod
     def domain_guard_values(g):
@@ -793,8 +844,8 @@ class CurvaturePacket:
     plain matrix algebra).  The curvature tensors come from the exact
     ``(g, dg, ddg)`` at the point; ``scalar_gradient`` and
     ``scalar_laplacian`` from :meth:`MetricField.scalar_derivatives`, closed
-    forms on every kind but the polynomial perturbation, which differences
-    the assembled Sc over a stencil.
+    forms on every kind but the polynomial perturbation, which reads them
+    from Taylor jets of the assembled Sc at the point.
     """
 
     point: np.ndarray
@@ -888,22 +939,6 @@ def _orthonormal_frame(g):
         norm = np.sqrt(v @ g @ v)
         frame[mu] = v / norm
     return frame
-
-
-def _sc_steps(p):
-    scale = max(1.0, float(np.linalg.norm(p)))
-    return _EPS ** 0.2 * scale, _EPS ** (1.0 / 6.0) * scale
-
-
-def _check_stencil(metric, p, h):
-    corners = p + h * np.array(
-        [[s1, s2, s3] for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)]
-    )
-    axes = np.concatenate([p + h * np.eye(3), p - h * np.eye(3)])
-    if not np.all(metric.domain_guard(np.concatenate([corners, axes]))):
-        raise ConditioningError(
-            "curvature stencil leaves the metric domain; move the point inward"
-        )
 
 
 def scalar_gradient(metric, p):

@@ -9,6 +9,7 @@ closed-form space-form geometry.
 
 from math import fsum
 
+import mpmath
 import numpy as np
 import sympy as sp
 from scipy.integrate import quad
@@ -17,8 +18,64 @@ from scipy.optimize import brentq
 _X = sp.symbols("x1 x2 x3", real=True)
 
 
+def _loop_assembly(g_inv, dg, ddg, total, dtype=float):
+    """Christoffel symbols and R^a_bcd by explicit index loops.
+
+    ``total`` sums an iterable: ``math.fsum`` on float arrays, ``mpmath.fsum``
+    on ``dtype=object`` arrays of mpf entries.
+    """
+    ra = range(3)
+    gamma = np.zeros((3, 3, 3), dtype=dtype)
+    for c in ra:
+        for a in ra:
+            for b in ra:
+                gamma[c, a, b] = 0.5 * total(
+                    g_inv[c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
+                    for d in ra
+                )
+    dg_inv = np.zeros((3, 3, 3), dtype=dtype)
+    for e in ra:
+        for c in ra:
+            for d in ra:
+                dg_inv[e, c, d] = -total(
+                    g_inv[c, a] * dg[e, a, b] * g_inv[b, d] for a in ra for b in ra
+                )
+    dgamma = np.zeros((3, 3, 3, 3), dtype=dtype)
+    for e in ra:
+        for c in ra:
+            for a in ra:
+                for b in ra:
+                    dgamma[e, c, a, b] = 0.5 * total(
+                        dg_inv[e, c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
+                        + g_inv[c, d]
+                        * (ddg[e, a, d, b] + ddg[e, b, d, a] - ddg[e, d, a, b])
+                        for d in ra
+                    )
+    riem_up = np.zeros((3, 3, 3, 3), dtype=dtype)
+    for a in ra:
+        for b in ra:
+            for c in ra:
+                for d in ra:
+                    riem_up[a, b, c, d] = (
+                        dgamma[c, a, d, b]
+                        - dgamma[d, a, c, b]
+                        + total(gamma[a, c, e] * gamma[e, d, b] for e in ra)
+                        - total(gamma[a, d, e] * gamma[e, c, b] for e in ra)
+                    )
+    return gamma, riem_up
+
+
 class SymbolicMetricOracle:
-    """Curvature oracle: exact symbolic metric derivatives + loop assembly."""
+    """Curvature oracle: exact symbolic metric derivatives + loop assembly.
+
+    The float methods run the loop assembly in double precision.
+    :meth:`scalar_derivatives` runs it in 60-digit mpmath arithmetic and
+    differences the assembled Sc at h = 1e-15, so its truncation (h^2 ~
+    1e-30) and rounding (1e-60 / h^2 = 1e-30) both sit far below double
+    precision.
+    """
+
+    DIGITS = 60
 
     def __init__(self, g_matrix):
         g = sp.Matrix(g_matrix)
@@ -30,6 +87,7 @@ class SymbolicMetricOracle:
             for d in range(3)
         ]
         self._ddg_fn = sp.lambdify(_X, ddg, "numpy")
+        self._mp_fns = [sp.lambdify(_X, expr, "mpmath") for expr in (g.tolist(), dg, ddg)]
         self._g_sym = g
 
     def _data(self, point):
@@ -40,54 +98,12 @@ class SymbolicMetricOracle:
         return g, dg, ddg
 
     def christoffel(self, point):
-        g, dg, _ = self._data(point)
-        g_inv = np.linalg.inv(g)
-        ra = range(3)
-        gamma = np.zeros((3, 3, 3))
-        for c in ra:
-            for a in ra:
-                for b in ra:
-                    gamma[c, a, b] = 0.5 * fsum(
-                        g_inv[c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                        for d in ra
-                    )
-        return gamma
+        g, dg, ddg = self._data(point)
+        return _loop_assembly(np.linalg.inv(g), dg, ddg, fsum)[0]
 
     def _riemann_up(self, point):
         g, dg, ddg = self._data(point)
-        g_inv = np.linalg.inv(g)
-        ra = range(3)
-        gamma = self.christoffel(point)
-        dg_inv = np.zeros((3, 3, 3))
-        for e in ra:
-            for c in ra:
-                for d in ra:
-                    dg_inv[e, c, d] = -fsum(
-                        g_inv[c, a] * dg[e, a, b] * g_inv[b, d] for a in ra for b in ra
-                    )
-        dgamma = np.zeros((3, 3, 3, 3))
-        for e in ra:
-            for c in ra:
-                for a in ra:
-                    for b in ra:
-                        dgamma[e, c, a, b] = 0.5 * fsum(
-                            dg_inv[e, c, d] * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                            + g_inv[c, d]
-                            * (ddg[e, a, d, b] + ddg[e, b, d, a] - ddg[e, d, a, b])
-                            for d in ra
-                        )
-        riem_up = np.zeros((3, 3, 3, 3))
-        for a in ra:
-            for b in ra:
-                for c in ra:
-                    for d in ra:
-                        riem_up[a, b, c, d] = (
-                            dgamma[c, a, d, b]
-                            - dgamma[d, a, c, b]
-                            + fsum(gamma[a, c, e] * gamma[e, d, b] for e in ra)
-                            - fsum(gamma[a, d, e] * gamma[e, c, b] for e in ra)
-                        )
-        return g, riem_up
+        return g, _loop_assembly(np.linalg.inv(g), dg, ddg, fsum)[1]
 
     def riemann(self, point):
         g, riem_up = self._riemann_up(point)
@@ -102,41 +118,49 @@ class SymbolicMetricOracle:
         ric = np.einsum("abad->bd", riem_up)
         return float(np.einsum("bd,bd->", np.linalg.inv(g), ric))
 
-    def scalar_gradient(self, point, h=1e-4):
-        # exact-symbolic Sc is too slow; differentiate the assembled field
-        point = np.asarray(point, dtype=float)
-        out = np.zeros(3)
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = h
-            out[a] = (
-                8 * (self.scalar(point + e / 2) - self.scalar(point - e / 2))
-                - (self.scalar(point + e) - self.scalar(point - e))
-            ) / (6 * h)
-        return out
+    def _mp_assembly(self, point):
+        """(g^{-1}, Gamma, Sc) at mpf ``point`` in the working precision."""
+        g, dg, ddg = (np.array(fn(*point), dtype=object) for fn in self._mp_fns)
+        g_inv = np.array(mpmath.inverse(mpmath.matrix(g.tolist())).tolist(), dtype=object)
+        gamma, riem_up = _loop_assembly(g_inv, dg, ddg, mpmath.fsum, dtype=object)
+        ra = range(3)
+        sc = mpmath.fsum(
+            g_inv[b, d] * riem_up[a, b, a, d] for a in ra for b in ra for d in ra
+        )
+        return g_inv, gamma, sc
 
-    def scalar_laplacian(self, point, h=2e-3):
-        """Covariant Laplacian of Sc via divergence form and nested stencils."""
-        point = np.asarray(point, dtype=float)
+    def scalar_derivatives(self, point):
+        """d_a Sc and g^{ab} (d_a d_b Sc - Gamma^c_ab d_c Sc) at ``point``, by
+        central differences of the 60-digit Sc."""
+        ra = range(3)
+        with mpmath.workdps(self.DIGITS):
+            p = [mpmath.mpf(float(v)) for v in point]
+            h = mpmath.mpf("1e-15")
 
-        def flux(q):
-            # sqrt(det g) g^{ab} d_b Sc evaluated at q
-            g, _, _ = self._data(q)
-            g_inv = np.linalg.inv(g)
-            sq = np.sqrt(np.linalg.det(g))
-            grad = self.scalar_gradient(q, h=h)
-            return sq * g_inv @ grad
+            def sc(*steps):
+                q = list(p)
+                for a, s in steps:
+                    q[a] += s * h
+                return self._mp_assembly(q)[2]
 
-        div = np.zeros(3)
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = h
-            div[a] = (
-                8 * (flux(point + e / 2)[a] - flux(point - e / 2)[a])
-                - (flux(point + e)[a] - flux(point - e)[a])
-            ) / (6 * h)
-        g, _, _ = self._data(point)
-        return float(np.sum(div) / np.sqrt(np.linalg.det(g)))
+            g_inv, gamma, s0 = self._mp_assembly(p)
+            plus = [sc((a, 1)) for a in ra]
+            minus = [sc((a, -1)) for a in ra]
+            grad = [(plus[a] - minus[a]) / (2 * h) for a in ra]
+            hess = [[None] * 3 for _ in ra]
+            for a in ra:
+                hess[a][a] = (plus[a] - 2 * s0 + minus[a]) / h**2
+                for b in range(a + 1, 3):
+                    hess[a][b] = hess[b][a] = (
+                        sc((a, 1), (b, 1)) - sc((a, 1), (b, -1))
+                        - sc((a, -1), (b, 1)) + sc((a, -1), (b, -1))
+                    ) / (4 * h**2)
+            lap = mpmath.fsum(
+                g_inv[a, b] * (hess[a][b] - mpmath.fsum(gamma[c, a, b] * grad[c] for c in ra))
+                for a in ra
+                for b in ra
+            )
+            return np.array([float(v) for v in grad]), float(lap)
 
 
 class ConformalScalarOracle:
