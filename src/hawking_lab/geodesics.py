@@ -40,10 +40,14 @@ surface grid, exactly for band-limited fields (the double Fourier sphere of
 Townsend, Wilber and Wright, SIAM J. Sci. Comput. 2016).  Refining costs a
 shot per grid tried; ``rhs_evals`` sums them all.
 
-:meth:`GeodesicFan.surface` is the one path from a fan to an
-:class:`~hawking_lab.surface.EmbeddedSurface`, and :func:`sphere_reach` the
-one place that checks a sphere family against the injectivity bound and
-gives the arclength its fan must reach (:func:`sphere_fan` shoots that fan).
+A fan builds an :class:`~hawking_lab.surface.EmbeddedSurface` along one
+path: :meth:`GeodesicFan.read` interpolates positions and velocities and
+differentiates the tangents, and :meth:`GeodesicFan.surface_from` completes
+the read; :meth:`GeodesicFan.surface` does both, and a caller that measures
+a read first (the optimizer's area solve) completes that same read.
+:func:`sphere_reach` is the one place that checks a sphere family against
+the injectivity bound and gives the arclength its fan must reach
+(:func:`sphere_fan` shoots that fan).
 """
 
 import itertools
@@ -54,7 +58,7 @@ import numpy as np
 
 from . import _dop853
 from .errors import DomainError, DomainExit, PerturbationTooLarge, RadiusOutOfRange
-from .manifold import _apply_sym3, _dot3, curvature_packet, geodesic_acceleration
+from .manifold import _dot3, curvature_packet, geodesic_acceleration, metric_action
 from .surface import build_grid, extrinsic_geometry
 
 __all__ = [
@@ -233,10 +237,12 @@ class GeodesicFan:
 
     @cached_property
     def speed_drift(self):
-        # evaluated on first use, so a fan build reads the metric only in
-        # the integrator's right-hand side
+        """Largest ``|g(v, v) - 1|`` over the last sample, from the metric's
+        action on the velocities (:func:`manifold.metric_action`); evaluated
+        on first use, so a fan build reads the metric only in the
+        integrator's right-hand side."""
         x, v = self._positions[-1], self._velocities[-1]
-        speed_sq = _dot3(v, _apply_sym3(self.metric.metric(x), v))
+        speed_sq = _dot3(v, metric_action(self.metric, x).apply(v))
         return float(np.max(np.abs(speed_sq - 1.0)))
 
     def diagnostics(self):
@@ -276,15 +282,23 @@ class GeodesicFan:
         """Outward unit-speed geodesic velocities at per-node arclengths."""
         return self._interpolate(s, slice(3, 6))
 
-    def surface(self, rho, w):
-        """The surface Exp_p[rho (1 - w) Theta] for node values ``w``, with
-        its extrinsic geometry; the normal is oriented against the outward
-        geodesic velocities.  Positions and velocities share one set of
-        barycentric weights."""
+    def read(self, rho, w):
+        """Positions, coordinate tangents and outward geodesic velocities of
+        the sphere Exp_p[rho (1 - w) Theta] for node values ``w``.
+        Positions and velocities share one set of barycentric weights."""
         states = self._interpolate(rho * (1.0 - w))
-        positions, velocities = states[:, :3], states[:, 3:]
-        tangents = surface_tangents(positions, self.grid)
-        return extrinsic_geometry(self.metric, self.grid, positions, tangents, velocities)
+        positions = states[:, :3]
+        return positions, surface_tangents(positions, self.grid), states[:, 3:]
+
+    def surface_from(self, read):
+        """The surface of a :meth:`read`, with its extrinsic geometry; the
+        normal is oriented against the outward geodesic velocities."""
+        return extrinsic_geometry(self.metric, self.grid, *read)
+
+    def surface(self, rho, w):
+        """The surface Exp_p[rho (1 - w) Theta] for node values ``w``: its
+        :meth:`read`, completed by :meth:`surface_from`."""
+        return self.surface_from(self.read(rho, w))
 
 
 def _as_w_values(w, grid):
@@ -344,8 +358,7 @@ def embed_sphere(metric, p, rho, w, grid, cfg=None):
 def surface_tangents(positions, grid):
     """Coordinate tangents Z_i = d(embedding)/d theta^i on the grid, by the
     grid's spectral angular derivatives."""
-    positions = np.asarray(positions, dtype=float)
-    return np.stack([grid.dtheta(positions), grid.dphi(positions)], axis=1)
+    return np.stack(grid.gradient(np.asarray(positions, dtype=float)), axis=1)
 
 
 def geodesic_sphere_surface(metric, p, rho, w, grid, cfg=None, packet=None):

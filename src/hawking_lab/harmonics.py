@@ -12,8 +12,11 @@ degree-1 modes.
 Mode (l, m) is a Legendre function of order |m| in colatitude times 1,
 sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi), so :func:`project` and
 :func:`expand` run as one longitude sum per order and one colatitude sum per
-mode (Schaeffer, G^3 2013).  They build these factors on every call; no
-basis matrix is formed and nothing is cached.
+mode (Schaeffer, G^3 2013).  They build these factors on every call; a
+caller that transforms several fields on one grid within one call (the
+Galerkin residual, the optimizer's search) builds them once and passes them
+to ``_project`` and ``_expand``.  No basis matrix is formed and nothing is
+cached.
 
 The Euler-Lagrange left-hand side ``E = 2 Lap H + H (H^2 - 4 D + 2 Ric(N, N))``
 is assembled once, weakly, as node densities (:func:`willmore_densities`;
@@ -101,14 +104,28 @@ def _longitude_rows(phi, max_degree):
     return rows
 
 
+def _tables(grid, max_degree):
+    """The colatitude and longitude factors of the real basis on ``grid``
+    (:func:`_legendre_table`, :func:`_longitude_rows`)."""
+    return (
+        _legendre_table(grid.theta_axis, max_degree),
+        _longitude_rows(grid.phi_axis, max_degree),
+    )
+
+
 def project(values, grid, max_degree):
     """``Y @ values`` for the real orthonormal harmonics Y of degree at most
     ``max_degree`` at the nodes, unweighted, for values (N,) or (N, C): one
     longitude sum per order, then one colatitude sum per mode."""
+    return _project(values, grid, max_degree, _tables(grid, max_degree))
+
+
+def _project(values, grid, max_degree, tables):
+    """:func:`project` with the basis factors ``tables`` of :func:`_tables`."""
     values = np.asarray(values, dtype=float)
-    legendre = _legendre_table(grid.theta_axis, max_degree)
+    legendre, rows = tables
     f = values.reshape(grid.n_theta, grid.n_phi, -1)
-    sums = _longitude_rows(grid.phi_axis, max_degree) @ f  # (n_theta, orders, C)
+    sums = rows @ f  # (n_theta, orders, C)
     coeffs = np.empty(((max_degree + 1) ** 2, f.shape[2]))
     for m in range(-max_degree, max_degree + 1):
         l = np.arange(abs(m), max_degree + 1)
@@ -119,14 +136,19 @@ def project(values, grid, max_degree):
 def expand(coeffs, grid, max_degree):
     """``Y.T @ coeffs``, the transpose of :func:`project`: node values of the
     expansion with coefficients (modes,) or (modes, C)."""
+    return _expand(coeffs, grid, max_degree, _tables(grid, max_degree))
+
+
+def _expand(coeffs, grid, max_degree, tables):
+    """:func:`expand` with the basis factors ``tables`` of :func:`_tables`."""
     coeffs = np.asarray(coeffs, dtype=float)
-    legendre = _legendre_table(grid.theta_axis, max_degree)
+    legendre, rows = tables
     c = coeffs.reshape(coeffs.shape[0], -1)
     sums = np.empty((grid.n_theta, 2 * max_degree + 1, c.shape[1]))
     for m in range(-max_degree, max_degree + 1):
         l = np.arange(abs(m), max_degree + 1)
         sums[:, m + max_degree] = legendre[abs(m):, abs(m)].T @ c[mode_index(l, m)]
-    values = _longitude_rows(grid.phi_axis, max_degree).T @ sums
+    values = rows.T @ sums
     return values.reshape((grid.n_nodes,) + coeffs.shape[1:])
 
 
@@ -294,7 +316,7 @@ def willmore_densities(surface, metric):
     grid = surface.grid
     H = surface.mean_curvature
     dmu = grid.weights * surface.area_element / grid.sin_theta
-    dh1, dh2 = grid.dtheta(H), grid.dphi(H)
+    dh1, dh2 = grid.gradient(H)
     # the flux dmu g^{ij} d_j H, by the 2x2 inverse written out
     first = surface.first_form
     e, f, gg = first[:, 0, 0], first[:, 0, 1], first[:, 1, 1]
@@ -314,28 +336,36 @@ def galerkin_degree(grid):
     return min(grid.n_theta // 2, grid.n_phi // 2 - 1)
 
 
-def _galerkin_fields(surface, metric):
+def _galerkin_fields(surface, densities):
     """Galerkin representatives ``r_E``, ``r_H`` of E and H, and the
-    multiplier ``lam`` with ``int (r_E - lam r_H) H dmu = 0``.
+    multiplier ``lam`` with ``int (r_E - lam r_H) H dmu = 0``, from the
+    surface's weak densities ``(g_E, g_H)`` (:func:`willmore_densities`).
 
     The test functions Y are orthonormal under the round quadrature, so the
     moments ``c = Y g`` of the weak densities synthesize to ``Y^T c`` on the
     round sphere; divided by the Jacobian ``dmu / dOmega`` they become node
     fields r with ``int r Y dmu = c``, and no Gram matrix of the surface
-    measure is solved.
+    measure is solved.  One set of basis factors serves both transforms.
     """
     grid = surface.grid
     L = galerkin_degree(grid)
-    fields = expand(project(np.column_stack(willmore_densities(surface, metric)), grid, L), grid, L)
+    tables = _tables(grid, L)
+    fields = _expand(_project(np.column_stack(densities), grid, L, tables), grid, L, tables)
     fields /= (surface.area_element / grid.sin_theta)[:, np.newaxis]
     r_e, r_h = fields.T
     H = surface.mean_curvature
     return r_e, r_h, surface.integrate(r_e * H) / surface.integrate(r_h * H)
 
 
+def _galerkin_residual(surface, densities, lam=None):
+    """:func:`willmore_el_residual` from the surface's weak densities."""
+    r_e, r_h, lam_h = _galerkin_fields(surface, densities)
+    return r_e - (lam_h if lam is None else lam) * r_h
+
+
 def lagrange_multiplier_from_surface(surface, metric):
     """The multiplier that leaves the Galerkin residual L2-orthogonal to H."""
-    return _galerkin_fields(surface, metric)[2]
+    return _galerkin_fields(surface, willmore_densities(surface, metric))[2]
 
 
 def willmore_el_residual(surface, metric, lam=None):
@@ -344,8 +374,7 @@ def willmore_el_residual(surface, metric, lam=None):
     harmonics of degree at most :func:`galerkin_degree`.  Without ``lam``
     the multiplier of :func:`lagrange_multiplier_from_surface` is used.
     """
-    r_e, r_h, lam_h = _galerkin_fields(surface, metric)
-    return r_e - (lam_h if lam is None else lam) * r_h
+    return _galerkin_residual(surface, willmore_densities(surface, metric), lam)
 
 
 def coefficients_to_csv(field, path):

@@ -19,19 +19,24 @@ velocity directly, without inverting g or forming Gamma.  :func:`ricci_along` gi
 alone, from a closed form per kind where one exists (conformally flat kinds,
 Schwarzschild, Euclidean) and from the assembled tensor otherwise.
 
-The geodesic fan and the surface geometry need dg only through -Gamma(v, v)
-and the directional derivative (n.d)g, and kinds with closed forms of these
-define ``acceleration(x, v)`` and ``metric_deriv_along(x, n)``:
+The geodesic fan needs dg only through -Gamma(v, v), and surfaces need g
+only through its *action* on vectors at a set of points x: g v, g^{-1} c and
+((n.d)g) v (:func:`metric_action`).  Kinds with closed forms of these define
+``acceleration(x, v)`` and ``action(x)``, which evaluates phi (or r and h)
+once per point set; (n.d)g reads d phi (or h') only when asked:
 
 * conformally flat kinds (round sphere, hyperbolic, conformal), g =
-  exp(2 phi) delta: -Gamma(v, v) = |v|^2 d phi - 2 (d phi . v) v and
-  (n.d)g = 2 exp(2 phi) (n . d phi) delta;
-* Schwarzschild, g = delta + h x x^T with h = psi / r^2:
-  -Gamma(v, v) = -x (h |v|^2 + h' (x.v)^2 / (2 r)) / (1 + psi) and
-  (n.d)g = h' (x.n / r) x x^T + h (n x^T + x n^T);
-* Euclidean: (n.d)g = 0, and no ``acceleration``.
+  exp(2 phi) delta: -Gamma(v, v) = |v|^2 d phi - 2 (d phi . v) v,
+  g v = exp(2 phi) v, g^{-1} c = exp(-2 phi) c and
+  ((n.d)g) v = 2 exp(2 phi) (n . d phi) v;
+* Schwarzschild, g = delta + h x x^T with h = psi / r^2 = 2m / (r^2 (r - 2m)):
+  -Gamma(v, v) = -x (h |v|^2 + h' (x.v)^2 / (2 r)) / (1 + psi),
+  g v = v + h (x.v) x, g^{-1} c = c - (2m / r^3) (x.c) x (Sherman-Morrison)
+  and ((n.d)g) v = (h' / r) (x.n) (x.v) x + h ((x.v) n + (n.v) x);
+* Euclidean: the identity and a zero derivative, and no ``acceleration``.
 
-Callers look these up with ``getattr`` and otherwise contract
+Callers reach these through ``getattr`` in one place each
+(:func:`metric_action` and the fan's right-hand side) and otherwise contract
 ``metric.metric`` and ``metric.metric_deriv`` of the object they hold (the
 polynomial perturbation, and Euclidean in the fan), so a proxy around a
 metric sees those reads.
@@ -63,6 +68,7 @@ __all__ = [
     "PolynomialMetric",
     "CurvaturePacket",
     "metric_at",
+    "metric_action",
     "christoffel_at",
     "geodesic_acceleration",
     "riemann_at",
@@ -258,19 +264,90 @@ class _Polynomial:
         return (mono @ self._flat).reshape(x.shape[:-1] + self.shape)
 
     def gradient(self):
-        """The polynomial of partial derivatives, new axis first: (3, *shape)."""
+        """The polynomial of partial derivatives, new axis first: (3, *shape).
+        The shifted terms are listed in plain Python, derivative k before
+        k + 1 and each in term order."""
+        size = self._flat.shape[1]
         exps, coefs = [], []
         for k in range(3):
-            has = self.exps[:, k] > 0
-            shifted = self.exps[has].copy()
-            shifted[:, k] -= 1
-            slot = np.zeros((int(has.sum()), 3) + self.shape)
-            slot[:, k] = (self._flat[has] * self.exps[has, k, np.newaxis]).reshape(
-                (-1,) + self.shape
-            )
-            exps.append(shifted)
-            coefs.append(slot)
-        return _Polynomial(np.concatenate(exps), np.concatenate(coefs))
+            for e, c in zip(self.exps.tolist(), self._flat.tolist()):
+                if e[k] > 0:
+                    slot = [0.0] * (3 * size)
+                    slot[k * size:(k + 1) * size] = [v * e[k] for v in c]
+                    exps.append(e[:k] + [e[k] - 1] + e[k + 1:])
+                    coefs.append(slot)
+        return _Polynomial(exps, np.reshape(coefs, (-1, 3) + self.shape))
+
+
+class _ConformalAction:
+    """The action of g = exp(2 phi) delta at a set of points: ``conf`` is
+    exp(2 phi) (...,), and ``phi_grad()`` returns d phi (..., 3) there."""
+
+    def __init__(self, conf, phi_grad):
+        self._conf = conf[..., np.newaxis]
+        self._phi_grad = phi_grad
+
+    def apply(self, v):
+        return self._conf * v
+
+    def solve(self, c):
+        return c / self._conf
+
+    def along(self, n):
+        scale = 2.0 * self._conf * _dot3(n, self._phi_grad())[..., np.newaxis]
+        return lambda v: scale * v
+
+
+class _SchwarzschildAction:
+    """The action of g = delta + h x x^T at the points ``x`` (module
+    docstring)."""
+
+    def __init__(self, mass, x):
+        r2 = _dot3(x, x)
+        r = np.sqrt(r2)
+        den = r2 * (r - 2.0 * mass)
+        self._x = x
+        self._h = 2.0 * mass / den
+        self._inv = 2.0 * mass / (r2 * r)  # h / (1 + h r^2)
+        self._radial = -self._h * (3.0 * r - 4.0 * mass) / den  # h' / r
+
+    def apply(self, v):
+        return v + (self._h * _dot3(self._x, v))[..., np.newaxis] * self._x
+
+    def solve(self, c):
+        return c - (self._inv * _dot3(self._x, c))[..., np.newaxis] * self._x
+
+    def along(self, n):
+        x, h = self._x, self._h
+        radial_n = self._radial * _dot3(x, n)
+
+        def deriv(v):
+            xv = _dot3(x, v)
+            return (radial_n * xv + h * _dot3(n, v))[..., np.newaxis] * x + (
+                h * xv
+            )[..., np.newaxis] * n
+
+        return deriv
+
+
+class _AssembledAction:
+    """The action of g assembled by ``metric.metric(x)``; (n.d)g contracts
+    ``metric.metric_deriv(x)`` with n, read only when asked for."""
+
+    def __init__(self, metric, x):
+        self._metric = metric
+        self._x = x
+        self._g = metric.metric(x)
+
+    def apply(self, v):
+        return _apply_sym3(self._g, v)
+
+    def solve(self, c):
+        return _solve_sym3(self._g, c)
+
+    def along(self, n):
+        dg_n = np.einsum("...c,...cab->...ab", n, self._metric.metric_deriv(self._x))
+        return lambda v: _apply_sym3(dg_n, v)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +365,11 @@ class MetricField:
     which propagates Taylor jets of g through the curvature assembly.
 
     Kinds with closed forms also define ``acceleration(x, v)``, -Gamma(v, v)
-    for velocities ``v`` (..., 3), and ``metric_deriv_along(x, n)``, (n.d)g
-    (..., 3, 3), both unguarded (module docstring).  The base class defines
-    neither: a caller that does not find them contracts ``metric`` and
-    ``metric_deriv`` itself, through the object it holds.
+    for velocities ``v`` (..., 3), and ``action(x)``, whose ``apply(v)``,
+    ``solve(c)`` and ``along(n)(v)`` give g v, g^{-1} c and ((n.d)g) v at
+    the points ``x``, all unguarded (module docstring).  The base class
+    defines neither: a caller that does not find them contracts ``metric``
+    and ``metric_deriv`` itself, through the object it holds.
     """
 
     kind = "abstract"
@@ -360,8 +438,9 @@ class EuclideanMetric(MetricField):
     # no acceleration: a fan reads its zero -Gamma(v, v) through the
     # contraction, so a proxy around the metric sees each right-hand side
 
-    def metric_deriv_along(self, x, n):
-        return np.zeros(np.shape(x)[:-1] + (3, 3))
+    def action(self, x):
+        shape = np.shape(x)[:-1]
+        return _ConformalAction(np.ones(shape), lambda: np.zeros(shape + (3,)))
 
     def ricci_along(self, x, n):
         return np.zeros(np.shape(x)[:-1])
@@ -408,10 +487,9 @@ class _ConformallyFlat(MetricField):
         grad = self._phi_grad(np.asarray(x, dtype=float))
         return _dot3(v, v)[..., np.newaxis] * grad - (2.0 * _dot3(grad, v))[..., np.newaxis] * v
 
-    def metric_deriv_along(self, x, n):
+    def action(self, x):
         x = np.asarray(x, dtype=float)
-        scale = 2.0 * np.exp(2.0 * self._phi(x)) * _dot3(n, self._phi_grad(x))
-        return scale[..., np.newaxis, np.newaxis] * np.eye(3)
+        return _ConformalAction(np.exp(2.0 * self._phi(x)), lambda: self._phi_grad(x))
 
     def ricci_along(self, x, n):
         # Ric = -(Hess phi - dphi dphi) - (Lap phi + |dphi|^2) delta in three
@@ -425,7 +503,49 @@ class _ConformallyFlat(MetricField):
 
 
 
-class RoundSphereMetric(_ConformallyFlat):
+class _SpaceForm(_ConformallyFlat):
+    """Sectional curvature K = sign / radius^2 in the chart with
+    exp(phi) = 2 R^2 / (R^2 + sign r^2): stereographic for sign +1, the
+    Poincare ball for sign -1."""
+
+    _sign = 1.0
+
+    def __init__(self, radius=1.0):
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        self.radius = float(radius)
+
+    def _phi(self, x):
+        r2 = np.sum(x * x, axis=-1)
+        R2 = self.radius**2
+        return np.log(2.0 * R2) - np.log(R2 + self._sign * r2)
+
+    def _phi_grad(self, x):
+        r2 = np.sum(x * x, axis=-1)
+        return (-2.0 * self._sign) * x / (self.radius**2 + self._sign * r2)[..., np.newaxis]
+
+    def _phi_hess(self, x):
+        r2 = np.sum(x * x, axis=-1)
+        den = self.radius**2 + self._sign * r2
+        outer = np.einsum("...a,...b->...ab", x, x)
+        return (
+            (-2.0 * self._sign) * np.eye(3) / den[..., np.newaxis, np.newaxis]
+            + 4.0 * outer / (den**2)[..., np.newaxis, np.newaxis]
+        )
+
+    def ricci_along(self, x, n):
+        # Ric = 2 K g in three dimensions
+        x = np.asarray(x, dtype=float)
+        return (2.0 * self._sign / self.radius**2) * np.exp(2.0 * self._phi(x)) * _dot3(n, n)
+
+    def scalar_derivatives(self, p):
+        return np.zeros(3), 0.0  # Sc = 6 K
+
+    def params(self):
+        return {"radius": self.radius}
+
+
+class RoundSphereMetric(_SpaceForm):
     """Stereographic chart of the round 3-sphere of the given radius.
 
     Sectional curvature is +1/radius^2 everywhere; the chart covers the
@@ -434,71 +554,17 @@ class RoundSphereMetric(_ConformallyFlat):
 
     kind = "round_sphere"
 
-    def __init__(self, radius=1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-
-    def _phi(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        R2 = self.radius**2
-        return np.log(2.0 * R2) - np.log(R2 + r2)
-
-    def _phi_grad(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        return -2.0 * x / (self.radius**2 + r2)[..., np.newaxis]
-
-    def _phi_hess(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        den = self.radius**2 + r2
-        outer = np.einsum("...a,...b->...ab", x, x)
-        return (
-            -2.0 * np.eye(3) / den[..., np.newaxis, np.newaxis]
-            + 4.0 * outer / (den**2)[..., np.newaxis, np.newaxis]
-        )
-
-    def scalar_derivatives(self, p):
-        return np.zeros(3), 0.0  # Sc = 6 / radius^2
-
     def injectivity_bound(self, p):
         # stay inside the hemisphere around the base point
         return 0.5 * np.pi * self.radius
 
-    def params(self):
-        return {"radius": self.radius}
 
-
-class HyperbolicMetric(_ConformallyFlat):
+class HyperbolicMetric(_SpaceForm):
     """Poincare-ball chart of hyperbolic space, curvature -1/radius^2."""
 
     kind = "hyperbolic"
+    _sign = -1.0
     _GUARD = 0.999
-
-    def __init__(self, radius=1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-
-    def _phi(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        R2 = self.radius**2
-        return np.log(2.0 * R2) - np.log(R2 - r2)
-
-    def _phi_grad(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        return 2.0 * x / (self.radius**2 - r2)[..., np.newaxis]
-
-    def _phi_hess(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        den = self.radius**2 - r2
-        outer = np.einsum("...a,...b->...ab", x, x)
-        return (
-            2.0 * np.eye(3) / den[..., np.newaxis, np.newaxis]
-            + 4.0 * outer / (den**2)[..., np.newaxis, np.newaxis]
-        )
-
-    def scalar_derivatives(self, p):
-        return np.zeros(3), 0.0  # Sc = -6 / radius^2
 
     def domain_guard(self, x):
         x = np.asarray(x, dtype=float)
@@ -515,9 +581,6 @@ class HyperbolicMetric(_ConformallyFlat):
             np.arctanh(0.995) - np.arctanh(min(r / self.radius, 0.99))
         )
         return max(to_edge, 0.0)
-
-    def params(self):
-        return {"radius": self.radius}
 
 
 class SchwarzschildMetric(MetricField):
@@ -554,19 +617,8 @@ class SchwarzschildMetric(MetricField):
         bracket = _dot3(v, v) - (3.0 * r - 4.0 * m) * xv * xv / (2.0 * r2 * (r - 2.0 * m))
         return -(2.0 * m / (r2 * r) * bracket)[..., np.newaxis] * x
 
-    def metric_deriv_along(self, x, n):
-        # (n.d)g = h' (x.n / r) x x^T + h (n x^T + x n^T)
-        x = np.asarray(x, dtype=float)
-        m = self.mass
-        r2 = _dot3(x, x)
-        r = np.sqrt(r2)
-        h = 2.0 * m / (r2 * (r - 2.0 * m))
-        half_radial = -0.5 * h * (3.0 * r - 4.0 * m) / (r2 * (r - 2.0 * m)) * _dot3(x, n)
-        # u x^T + x u^T with u = h' (x.n) x / (2 r) + h n
-        outer = (half_radial[..., np.newaxis] * x + h[..., np.newaxis] * n)[
-            ..., :, np.newaxis
-        ] * x[..., np.newaxis, :]
-        return outer + np.swapaxes(outer, -1, -2)
+    def action(self, x):
+        return _SchwarzschildAction(self.mass, np.asarray(x, dtype=float))
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -888,6 +940,19 @@ def metric_at(metric, x):
     x = _as_points(x)
     _guard(metric, x)
     return metric.metric(x)
+
+
+def metric_action(metric, x):
+    """The action of g at chart points ``x`` (..., 3): an object whose
+    ``apply(v)``, ``solve(c)`` and ``along(n)(v)`` give g v, g^{-1} c and
+    ((n.d)g) v for vectors shaped like ``x``.  It is the kind's closed-form
+    ``action`` where it has one, and otherwise applies ``metric.metric(x)``
+    of the object handed in, contracting ``metric.metric_deriv(x)`` only
+    when ``along`` is called.  Raises DomainError off-chart."""
+    x = _as_points(x)
+    _guard(metric, x)
+    action = getattr(metric, "action", None)
+    return action(x) if action is not None else _AssembledAction(metric, x)
 
 
 def christoffel_at(metric, x):

@@ -6,7 +6,12 @@ The search space is the span of real spherical harmonics of degree 2..L
 every coefficient vector the radius is solved for so the surface area
 matches the target, making the search an unconstrained problem in the shape
 coefficients.  Every surface evaluation reuses one geodesic fan, so the
-inner loop is pure interpolation and quadrature.  :func:`optimizer_fan` owns
+inner loop is pure interpolation and quadrature.  Each iterate builds one
+surface: the area solve reads positions, tangents and velocities from the
+fan (:meth:`geodesics.GeodesicFan.read`) and measures the first form only,
+and the read that meets the area tolerance is completed into the iterate's
+surface; that surface's Willmore densities serve its gradient and, for the
+returned iterate, its Euler-Lagrange residual.  :func:`optimizer_fan` owns
 that fan's reach; the closed-form reference sphere is read from the same fan
 (:func:`closed_form_reference`), so a run with a reference shoots one fan and
 computes one curvature packet.
@@ -46,18 +51,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geodesics import GeodesicFan, sphere_reach, surface_tangents
+from .geodesics import GeodesicFan, sphere_reach
 from .harmonics import (
     HarmonicField,
+    _expand,
+    _galerkin_residual,
+    _project,
     _shifted_bilaplacian_eigenvalues,
-    expand,
+    _tables,
     optimal_perturbation,
-    project,
     willmore_densities,
-    willmore_el_residual,
 )
-from .manifold import _apply_sym3, _dot3, curvature_packet, metric_at
-from .surface import _on_tangents, first_form, hawking_mass
+from .manifold import _dot3, curvature_packet, metric_action
+from .surface import first_form, hawking_mass
 
 __all__ = [
     "OptimizeConfig",
@@ -156,17 +162,22 @@ class _SurfaceEvaluator:
             fan = optimizer_fan(metric, p, rho, grid, geo_cfg)
         self.fan = fan
         self.n_coeff = (cfg.max_degree + 1) ** 2 - 4  # degrees >= 2
+        # the shape basis factors, for every expansion and projection here
+        self._tables = _tables(grid, cfg.max_degree)
 
     def w_values(self, coeffs):
-        return expand(np.concatenate([np.zeros(4), coeffs]), self.grid, self.cfg.max_degree)
+        coeffs = np.concatenate([np.zeros(4), coeffs])
+        return _expand(coeffs, self.grid, self.cfg.max_degree, self._tables)
 
     def area_of(self, rho, w):
         """Area of the surface at radius ``rho`` and shape ``w``, from its
-        first fundamental form alone."""
-        positions = self.fan.positions_at(rho * (1.0 - w))
-        tangents = surface_tangents(positions, self.grid)
-        g = metric_at(self.metric, positions)
-        _, det = first_form(tangents, _on_tangents(g, tangents))
+        first fundamental form alone.  The fan's :meth:`GeodesicFan.read` it
+        was measured on is kept in ``_read``, for :meth:`constrained_mass`."""
+        self._read = self.fan.read(rho, w)
+        positions, tangents, _ = self._read
+        g = metric_action(self.metric, positions)
+        g_z = np.stack([g.apply(tangents[:, 0]), g.apply(tangents[:, 1])], axis=1)
+        _, det = first_form(tangents, g_z)
         return float(
             np.sum(self.grid.weights * np.sqrt(det) / self.grid.sin_theta)
         )
@@ -190,29 +201,34 @@ class _SurfaceEvaluator:
     def constrained_mass(self, coeffs, rho_guess, target_area, w=None):
         """Hawking mass at the area-matched radius for the given shape.
 
-        Returns ``(mass, rho, surface)``.  ``w`` is
+        Returns ``(mass, rho, surface)``.  The surface is completed
+        (:meth:`GeodesicFan.surface_from`) from the read the area solve
+        measured last, at the radius it returns.  ``w`` is
         ``w_values(coeffs)`` when the caller has expanded it already.
         """
         if w is None:
             w = self.w_values(coeffs)
         rho, _ = self.solve_radius(rho_guess, w, target_area)
-        surf = self.fan.surface(rho, w)
+        surf = self.fan.surface_from(self._read)
         return hawking_mass(surf, self.K).generalized, rho, surf
 
     def mass_gradient(self, coeffs, rho, surf, w=None):
         """Gradient of :meth:`constrained_mass` in the shape coefficients,
         from the first variation at ``surf`` (module docstring); ``w`` as
-        there."""
+        there.  The Willmore densities of ``surf`` it sums
+        (:func:`harmonics.willmore_densities`) are kept in ``_densities``."""
         if w is None:
             w = self.w_values(coeffs)
-        g = metric_at(self.metric, surf.positions)
         # g(gamma', N): the surface's outward field is the fan's velocity
-        v_n = _dot3(surf.outward, _apply_sym3(g, surf.normal))
-        g_e, g_h = willmore_densities(surf, self.metric)
+        v_n = _dot3(surf.outward, metric_action(self.metric, surf.positions).apply(surf.normal))
+        self._densities = willmore_densities(surf, self.metric)
+        g_e, g_h = self._densities
         radial = (1.0 - w) * v_n  # psi_rho
         lam = (radial @ g_e) / (radial @ g_h)  # int E psi_rho / int H psi_rho
         # psi_k = -rho phi_k v_n, so int (E - lam H) psi_k dmu = -rho moments[k]
-        moments = project(v_n * (g_e - lam * g_h), self.grid, self.cfg.max_degree)[4:]
+        moments = _project(
+            v_n * (g_e - lam * g_h), self.grid, self.cfg.max_degree, self._tables
+        )[4:]
         return np.sqrt(surf.area / (16.0 * np.pi) ** 3) * rho * moments
 
 
@@ -300,7 +316,9 @@ def maximize_hawking(
         np.concatenate([np.zeros(4), coeffs]),
         grid,
     )
-    res_field = willmore_el_residual(surf, metric)
+    # the last gradient was taken at the returned surface, so its Willmore
+    # densities serve the Euler-Lagrange residual too
+    res_field = _galerkin_residual(surf, ev._densities)
     el_norm = float(np.sqrt(surf.integrate(res_field**2)))
     return OptimizeResult(
         w_star=w_star,

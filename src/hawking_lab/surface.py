@@ -21,14 +21,15 @@ applying the weights.
 
 Per-node algebra
 ----------------
-Metric products, dot products, the 2x2 forms and their inverses are written
-out component by component over node arrays: numpy's stacked ``matmul`` and
-``inv`` run a per-matrix inner loop on 3x3 and 2x2 blocks, which costs
-several times the arithmetic at a few thousand nodes.  The directional
-derivative (N.d)g is the metric's closed-form ``metric_deriv_along(x, N)``
-where its kind has one (every kind but the polynomial perturbation), so dg
-is never assembled; otherwise it is one ``einsum`` of N with
-``metric.metric_deriv``.
+The metric enters only through its action at the nodes
+(:func:`manifold.metric_action`): g Z_i, the normal g^{-1} (Z_1 x Z_2) and
+((N.d)g) Z_i.  Every kind but the polynomial perturbation has it in closed
+form, so no 3x3 tensor is assembled per node; the polynomial kind applies
+its assembled g, and contracts N with dg, component by component.  Dot
+products, the 2x2 forms and their inverses are written out component by
+component over node arrays too: numpy's stacked ``matmul`` and ``inv`` run a
+per-matrix inner loop on 3x3 and 2x2 blocks, which costs several times the
+arithmetic at a few thousand nodes.
 
 Second fundamental form
 -----------------------
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSurface, FitUnstable, GridTooCoarse
-from .manifold import _apply_sym3, _dot3, _solve_sym3, metric_at
+from .manifold import _apply_sym3, _dot3, metric_action
 
 __all__ = [
     "SphereGrid",
@@ -179,8 +180,25 @@ class SphereGrid:
         derivative is imaginary, and ``irfft`` drops it; what is left is an
         antisymmetric circulant, so its transpose is ``-dphi``."""
         spectrum, trail = self._spectrum(values)
-        m = np.arange(spectrum.shape[1])
-        return self._synthesis(spectrum * (1j * m)[:, np.newaxis], trail)
+        return self._synthesis(_phi_derivative(spectrum), trail)
+
+    def gradient(self, values):
+        """``(dtheta(values), dphi(values))`` from one forward and one
+        inverse Fourier transform: both derivatives' spectra are stacked
+        for the inverse."""
+        spectrum, trail = self._spectrum(values)
+        both = np.concatenate(
+            [_by_parity(spectrum, *self._theta_matrices()), _phi_derivative(spectrum)],
+            axis=-1,
+        )
+        values = np.fft.irfft(both, n=self.n_phi, axis=1).reshape((self.n_nodes, 2) + trail)
+        return values[:, 0], values[:, 1]
+
+
+def _phi_derivative(spectrum):
+    """d/d theta2 of a Fourier spectrum (n_theta, n_phi // 2 + 1, C)."""
+    m = np.arange(spectrum.shape[1])
+    return spectrum * (1j * m)[:, np.newaxis]
 
 
 def _by_parity(spectrum, even, odd):
@@ -326,31 +344,26 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward):
     positions = np.asarray(positions, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
     z1, z2 = tangents[:, 0], tangents[:, 1]
-    g = metric_at(metric, positions)
-    g_z = _on_tangents(g, tangents)
+    g = metric_action(metric, positions)
+    g_z = np.stack([g.apply(z1), g.apply(z2)], axis=1)
     first, det_first = first_form(tangents, g_z)
 
     # normal: g N is euclidean-orthogonal to Z_1, Z_2, so g N = cross / |.|,
     # g(N, N) = N . cross and g(N, outward) has the sign of cross . outward
     outward = np.asarray(outward, dtype=float)
     cross = np.cross(z1, z2)
-    n_raw = _solve_sym3(g, cross)
+    n_raw = g.solve(cross)
     normal = n_raw / np.sqrt(_dot3(n_raw, cross))[:, None]
     normal[_dot3(cross, outward) > 0.0] *= -1.0
 
     # h_ij = -g(d_i N, Z_j) - 1/2 Z_i . (N.d)g Z_j, symmetrised: the
-    # Christoffel part of -g(D_i N, Z_j) (module docstring); positions are
-    # guarded above
-    dn1, dn2 = grid.dtheta(normal), grid.dphi(normal)
-    along = getattr(metric, "metric_deriv_along", None)
-    if along is not None:
-        dg_n = along(positions, normal)
-    else:
-        dg_n = np.einsum("nc,ncab->nab", normal, metric.metric_deriv(positions))
-    dg_z = _on_tangents(dg_n, tangents)
-    h11 = -_dot3(dn1, g_z[:, 0]) - 0.5 * _dot3(z1, dg_z[:, 0])
-    h22 = -_dot3(dn2, g_z[:, 1]) - 0.5 * _dot3(z2, dg_z[:, 1])
-    h12 = -0.5 * (_dot3(dn1, g_z[:, 1]) + _dot3(dn2, g_z[:, 0]) + _dot3(z1, dg_z[:, 1]))
+    # Christoffel part of -g(D_i N, Z_j) (module docstring)
+    dn1, dn2 = grid.gradient(normal)
+    dg_n = g.along(normal)
+    dg_z2 = dg_n(z2)
+    h11 = -_dot3(dn1, g_z[:, 0]) - 0.5 * _dot3(z1, dg_n(z1))
+    h22 = -_dot3(dn2, g_z[:, 1]) - 0.5 * _dot3(z2, dg_z2)
+    h12 = -0.5 * (_dot3(dn1, g_z[:, 1]) + _dot3(dn2, g_z[:, 0]) + _dot3(z1, dg_z2))
 
     # trace and determinant of the shape operator first^{-1} second
     e, f, gg = first[:, 0, 0], first[:, 0, 1], first[:, 1, 1]

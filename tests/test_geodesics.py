@@ -438,12 +438,12 @@ class TestDop853:
 
 class _ThroughMetricReads:
     """A metric seen through its g and dg alone, counting both reads.  With
-    ``hide_closed_forms`` its closed-form ``acceleration`` and
-    ``metric_deriv_along`` are hidden, so callers contract dg."""
+    ``hide_closed_forms`` its closed-form ``acceleration`` and ``action``
+    are hidden, so callers contract dg."""
 
     def __init__(self, inner, hide_closed_forms=False):
         self._inner = inner
-        self._hidden = ("acceleration", "metric_deriv_along") if hide_closed_forms else ()
+        self._hidden = ("acceleration", "action") if hide_closed_forms else ()
         self.g_reads = 0
         self.dg_reads = 0
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from hawking_lab import harmonics
+from hawking_lab import geodesics, harmonics, manifold, optimizer, surface
 from hawking_lab.errors import BandLimitExceeded
 from hawking_lab.geodesics import GeodesicConfig, geodesic_sphere_surface
 from hawking_lab.harmonics import (
@@ -35,6 +35,7 @@ from hawking_lab.manifold import (
     curvature_packet,
 )
 from hawking_lab.harmonics import lagrange_multiplier_from_surface
+from hawking_lab.optimizer import OptimizeConfig, maximize_hawking
 from hawking_lab.surface import build_grid
 
 POLY_TERMS = [
@@ -159,11 +160,23 @@ class TestSeparableTransforms:
             analyze(np.ones(grid.n_nodes), grid, degree + 1)
 
     def test_transforms_cache_nothing(self):
+        # every reuse lives within one call: no module (or class defined in
+        # one) gains, loses or grows an attribute
+        modules = (harmonics, surface, geodesics, optimizer, manifold)
+
         def snapshot():
+            out = {}
+            for module in modules:
+                for name, value in vars(module).items():
+                    if name.startswith("__"):
+                        continue
+                    out[module.__name__, name] = value
+                    if isinstance(value, type) and value.__module__ == module.__name__:
+                        for attr, member in vars(value).items():
+                            out[module.__name__, name, attr] = member
             return {
-                name: (value, len(value) if isinstance(value, (dict, list, set)) else None)
-                for name, value in vars(harmonics).items()
-                if not name.startswith("__")
+                key: (value, len(value) if isinstance(value, (dict, list, set)) else None)
+                for key, value in out.items()
             }
 
         before = snapshot()
@@ -179,6 +192,8 @@ class TestSeparableTransforms:
                 metric, p, 0.2, w, grid, GeodesicConfig(), packet=packet
             )
             willmore_el_residual(surf, metric)
+            target = 4.0 * np.pi * 0.2**2
+            maximize_hawking(metric, p, target, OptimizeConfig(max_iters=2), grid)
         after = snapshot()
         assert after.keys() == before.keys()
         for name, (value, size) in before.items():

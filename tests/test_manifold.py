@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from hawking_lab.errors import DomainError
 from hawking_lab.manifold import (
     ConformalMetric,
+    _AssembledAction,
     _Polynomial,
     EuclideanMetric,
     HyperbolicMetric,
@@ -14,6 +15,7 @@ from hawking_lab.manifold import (
     christoffel_at,
     curvature_packet,
     geodesic_acceleration,
+    metric_action,
     metric_at,
     metric_from_config,
     metric_to_config,
@@ -246,8 +248,8 @@ def closed_form_cases(rng):
 
 
 class TestClosedFormsPerKind:
-    """``acceleration`` and ``metric_deriv_along`` against the contractions
-    of the assembled g and dg they replace."""
+    """``acceleration`` and ``action`` against the contractions of the
+    assembled g and dg they replace."""
 
     def test_kinds_with_closed_forms(self):
         # the others keep the contraction, which reads g and dg through the
@@ -256,7 +258,7 @@ class TestClosedFormsPerKind:
         assert {m.kind for m in kinds if hasattr(m, "acceleration")} == {
             "round_sphere", "hyperbolic", "schwarzschild", "conformal"
         }
-        assert {m.kind for m in kinds if not hasattr(m, "metric_deriv_along")} == {
+        assert {m.kind for m in kinds if not hasattr(m, "action")} == {
             "polynomial_perturbation"
         }
 
@@ -277,22 +279,57 @@ class TestClosedFormsPerKind:
                 err = np.linalg.norm(got - want, axis=1)
                 assert np.all(err <= 1e-13 * scale), metric.kind
 
-    def test_metric_deriv_along_matches_contraction(self):
+    def test_action_matches_contractions(self):
+        # g v, g^{-1} c and ((n.d)g) v against the assembled g and dg, for
+        # the closed forms and for the fallback that assembles them
         rng = np.random.default_rng(61)
         for metric, x in closed_form_cases(rng):
-            if not hasattr(metric, "metric_deriv_along"):
-                continue
-            n = rng.normal(size=x.shape)
-            dg = metric.metric_deriv(x)
-            got = metric.metric_deriv_along(x, n)
-            want = np.einsum("nc,ncab->nab", n, dg)
-            assert got.shape == (len(x), 3, 3), metric.kind
+            n, v = rng.normal(size=x.shape), rng.normal(size=x.shape)
+            g, dg = metric.metric(x), metric.metric_deriv(x)
+            act = metric_action(metric, x)
+            assert isinstance(act, _AssembledAction) == (metric.kind == "polynomial_perturbation")
+            got_g, got_inv, got_dg = act.apply(v), act.solve(v), act.along(n)(v)
+            assert got_g.shape == got_inv.shape == got_dg.shape == x.shape, metric.kind
+            dg_n = np.einsum("nc,ncab->nab", n, dg)
             if metric.kind == "euclidean":
-                assert np.all(got == 0.0)
+                assert np.all(got_g == v) and np.all(got_inv == v) and np.all(got_dg == 0.0)
                 continue
-            scale = np.linalg.norm(dg.reshape(len(x), -1), axis=1) * np.linalg.norm(n, axis=1)
-            err = np.linalg.norm((got - want).reshape(len(x), -1), axis=1)
-            assert np.all(err <= 1e-13 * scale), metric.kind
+            v_norm = np.linalg.norm(v, axis=1)
+            g_scale = np.linalg.norm(g.reshape(len(x), -1), axis=1) * v_norm
+            inv = np.linalg.inv(g)
+            inv_scale = np.linalg.norm(inv.reshape(len(x), -1), axis=1) * v_norm
+            dg_scale = (
+                np.linalg.norm(dg.reshape(len(x), -1), axis=1) * np.linalg.norm(n, axis=1) * v_norm
+            )
+            for got, want, scale in (
+                (got_g, np.einsum("nab,nb->na", g, v), g_scale),
+                (got_inv, np.einsum("nab,nb->na", inv, v), inv_scale),
+                (got_dg, np.einsum("nab,nb->na", dg_n, v), dg_scale),
+            ):
+                err = np.linalg.norm(got - want, axis=1)
+                assert np.all(err <= 1e-13 * scale), metric.kind
+
+    def test_action_keeps_batch_shape(self):
+        rng = np.random.default_rng(67)
+        for metric, x in kernel_cases(rng):
+            x = x.reshape(5, 8, 3)
+            n, v = rng.normal(size=x.shape), rng.normal(size=x.shape)
+            act = metric_action(metric, x)
+            want = np.einsum("...ab,...b->...a", metric.metric(x), v)
+            assert act.apply(v).shape == act.solve(v).shape == act.along(n)(v).shape == x.shape
+            assert np.max(np.abs(act.apply(v) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "metric, point",
+        [
+            (SchwarzschildMetric(mass=1.0), [2.0, 0.0, 0.0]),
+            (HyperbolicMetric(), [0.0, 0.9995, 0.0]),
+        ],
+        ids=["schwarzschild", "hyperbolic"],
+    )
+    def test_action_domain_error_off_chart(self, metric, point):
+        with pytest.raises(DomainError):
+            metric_action(metric, np.array([point]))
 
 
 class TestExactPolynomialDerivatives:
@@ -336,6 +373,21 @@ def unique_merge(exps, coefs):
     return merged[keep], flat[keep]
 
 
+def stacked_gradient(poly):
+    """``_Polynomial.gradient`` by per-component slot arrays, boolean masks
+    and a concatenate, merged as ``_Polynomial`` merges."""
+    exps, coefs = [], []
+    for k in range(3):
+        has = poly.exps[:, k] > 0
+        shifted = poly.exps[has].copy()
+        shifted[:, k] -= 1
+        slot = np.zeros((int(has.sum()), 3) + poly.shape)
+        slot[:, k] = (poly._flat[has] * poly.exps[has, k, np.newaxis]).reshape((-1,) + poly.shape)
+        exps.append(shifted)
+        coefs.append(slot)
+    return _Polynomial(np.concatenate(exps), np.concatenate(coefs))
+
+
 class TestPolynomialMerge:
     @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
     def test_matches_unique_reference_bit_for_bit(self, shape):
@@ -357,6 +409,24 @@ class TestPolynomialMerge:
         assert poly._flat.tobytes() == ref_flat.tobytes()
         assert [4, 0, 1] not in poly.exps.tolist() and [1, 1, 4] not in poly.exps.tolist()
         assert [0, 4, 1] in poly.exps.tolist() or shape == ()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)])
+    def test_gradient_matches_stacked_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(43)
+        exps = rng.integers(0, 5, size=(30, 3))
+        coefs = rng.normal(size=(30,) + shape)
+        poly = _Polynomial(exps, coefs)
+        # five orders deep, as ConformalMetric goes to the fourth
+        for _ in range(5):
+            got, want = poly.gradient(), stacked_gradient(poly)
+            assert got.shape == want.shape == (3,) + poly.shape
+            assert got.exps.dtype == want.exps.dtype and got.exps.shape == want.exps.shape
+            assert got.exps.tobytes() == want.exps.tobytes()
+            assert got._flat.shape == want._flat.shape
+            assert got._flat.tobytes() == want._flat.tobytes()
+            poly = got
+        constant = _Polynomial([[0, 0, 0]], [np.ones(shape)])
+        assert len(constant.gradient().exps) == len(stacked_gradient(constant).exps) == 0
 
 
 class TestCurvature:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hawking_lab.expansion import predicted_coefficients
-from hawking_lab.geodesics import GeodesicConfig
+from hawking_lab.geodesics import GeodesicConfig, GeodesicFan, surface_tangents
+from hawking_lab.harmonics import willmore_el_residual
 from hawking_lab.manifold import (
     ConformalMetric,
     EuclideanMetric,
@@ -18,7 +21,7 @@ from hawking_lab.optimizer import (
     maximize_hawking,
     optimizer_fan,
 )
-from hawking_lab.surface import build_grid
+from hawking_lab.surface import build_grid, extrinsic_geometry
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +147,88 @@ class TestOptimalGraph:
         # measured 2.4e-4 and 6.1e-5
         assert errors[1] <= 1e-4
         assert errors[0] >= 3.5 * errors[1]
+
+
+class TestOneSurfacePerIterate:
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0]),
+            (ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
+        ],
+        ids=["schwarzschild", "conformal"],
+    )
+    def test_handed_over_surface_is_the_fans(self, grid, metric, p):
+        # the area solve's accepted read, completed, is the fan's surface
+        ev = evaluator_at(metric, p, 0.2, grid)
+        w = ev.w_values(1e-2 * np.random.default_rng(2).standard_normal(ev.n_coeff))
+        _, rho, surf = ev.constrained_mass(None, 0.19, 4.0 * np.pi * 0.2**2, w)
+        ref = ev.fan.surface(rho, w)
+        for field in dataclasses.fields(surf):
+            if field.name != "grid":
+                got, want = getattr(surf, field.name), getattr(ref, field.name)
+                assert got.tobytes() == want.tobytes(), field.name
+
+    @pytest.mark.parametrize("max_iters", [1, 500], ids=["budget", "converged"])
+    def test_el_residual_norm_is_the_returned_surfaces(self, grid, max_iters):
+        # the residual reuses the densities of the returned surface's gradient
+        metric, p, rho = SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2
+        fan = optimizer_fan(metric, p, rho, grid)
+        area, _, _ = closed_form_reference(metric, p, rho, grid, fan=fan)
+        cfg = OptimizeConfig(max_iters=max_iters)
+        result = maximize_hawking(metric, p, area, cfg, grid, fan=fan)
+        assert result.converged == (max_iters > 1)
+        res = willmore_el_residual(result.surface, metric)
+        assert result.el_residual_norm == float(np.sqrt(result.surface.integrate(res**2)))
+
+
+class _NoAssembly:
+    """A metric whose assembled g and dg raise, so only its closed forms
+    (``acceleration``, ``action``, ``ricci_along``) get through."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def metric(self, x):
+        raise AssertionError("g assembled")
+
+    def metric_deriv(self, x):
+        raise AssertionError("dg assembled")
+
+
+class TestNoAssembly:
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
+            (RoundSphereMetric(), [0.1, 0.05, -0.03]),
+            (HyperbolicMetric(), [0.1, 0.05, -0.03]),
+            (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0]),
+        ],
+        ids=["conformal", "round_sphere", "hyperbolic", "schwarzschild"],
+    )
+    def test_closed_form_kinds(self, metric, p):
+        # fan, surface, area solve, mass gradient and speed drift
+        grid = build_grid(16, 32)
+        p = np.asarray(p, dtype=float)
+        proxy = _NoAssembly(metric)
+        packet = curvature_packet(metric, p)
+        fan = GeodesicFan(proxy, p, grid, 0.3, GeodesicConfig(), packet=packet)
+        cfg = OptimizeConfig(max_degree=3)
+        ev = _SurfaceEvaluator(proxy, p, grid, 0.2, cfg, None, fan=fan)
+        coeffs = 1e-2 * np.random.default_rng(3).standard_normal(ev.n_coeff)
+        w = ev.w_values(coeffs)
+        fan.surface(0.2, w)
+        _, rho, surf = ev.constrained_mass(coeffs, 0.2, 4.0 * np.pi * 0.2**2, w)
+        assert np.all(np.isfinite(ev.mass_gradient(coeffs, rho, surf, w)))
+        assert fan.speed_drift < 1e-8
+
+    def test_euclidean_surface(self):
+        grid = build_grid(16, 32)
+        positions = 0.3 * grid.unit
+        tangents = surface_tangents(positions, grid)
+        surf = extrinsic_geometry(_NoAssembly(EuclideanMetric()), grid, positions, tangents, grid.unit)
+        assert np.max(np.abs(surf.mean_curvature - 2.0 / 0.3)) <= 1e-10

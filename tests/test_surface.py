@@ -53,6 +53,15 @@ class TestGrid:
     def test_weight_sum(self, grid):
         assert abs(np.sum(grid.weights) - 4.0 * np.pi) < 1e-12 * 4.0 * np.pi
 
+    @pytest.mark.parametrize("trail", [(), (3,), (2, 3)])
+    def test_gradient_is_dtheta_and_dphi_bit_for_bit(self, trail):
+        g = build_grid(24, 48)
+        f = np.random.default_rng(5).normal(size=(g.n_nodes,) + trail)
+        d_theta, d_phi = g.gradient(f)
+        assert d_theta.shape == d_phi.shape == f.shape
+        assert d_theta.tobytes() == g.dtheta(f).tobytes()
+        assert d_phi.tobytes() == g.dphi(f).tobytes()
+
     @pytest.mark.parametrize("n_theta", [16, 32])
     def test_coordinate_moment_identities(self, n_theta):
         g = build_grid(n_theta, 2 * n_theta)
