@@ -36,14 +36,12 @@ from .surface import (
     HawkingReport,
     SphereGrid,
     build_grid,
-    expansion_order_check,
     extrinsic_geometry,
     hawking_mass,
 )
 from .geodesics import (
     GeodesicConfig,
     GeodesicFan,
-    embed_sphere,
     exp_map,
     geodesic_sphere_surface,
     sphere_fan,
@@ -55,7 +53,6 @@ from .harmonics import (
     apply_bilaplacian_shifted,
     optimal_perturbation,
     pde_residual,
-    solve_constrained,
     synthesize,
     willmore_el_residual,
 )
@@ -68,7 +65,6 @@ from .expansion import (
     fit_coefficients,
     predicted_coefficients,
     radius_ladder,
-    willmore_expansion_check,
 )
 from .optimizer import (
     OptimizeConfig,

@@ -45,8 +45,6 @@ __all__ = [
     "predicted_coefficients",
     "ComparisonReport",
     "compare_report",
-    "WillmoreExpansionReport",
-    "willmore_expansion_check",
     "BartnikBound",
     "bartnik_lower_bound",
     "ladder_to_csv",
@@ -127,8 +125,8 @@ class ExpansionFit:
 
 def _check_geometric(radii):
     radii = np.asarray(radii, dtype=float)
-    if radii.size < 5:
-        raise ValueError("need at least five samples")
+    if radii.size < MIN_RUNGS:
+        raise ValueError(f"need at least {MIN_RUNGS} samples")
     if np.any(np.diff(radii) >= 0.0):
         raise ValueError("radii must be strictly decreasing")
     ratios = radii[1:] / radii[:-1]
@@ -174,21 +172,12 @@ def fit_coefficients(radii, values, condition_limit=1e8):
 
 @dataclass
 class PredictedCoefficients:
-    """Mass-expansion coefficients predicted from curvature at the centre.
-
-    ``willmore_quadratic``/``willmore_quartic`` are the coefficients of the
-    integrand-side expansion: for K = 0 they describe W - 16 pi, including
-    the 4 K |Sigma| shift otherwise.  ``area_quadratic`` is the rho^2
-    coefficient of |Sigma| / (4 pi rho^2) - 1.
-    """
+    """Mass-expansion coefficients predicted from curvature at the centre."""
 
     mode: str
     K: int
     c3: float
     c5: float
-    willmore_quadratic: float
-    willmore_quartic: float
-    area_quadratic: float
 
 
 def predicted_coefficients(packet, mode, K=0):
@@ -203,18 +192,7 @@ def predicted_coefficients(packet, mode, K=0):
     shape = s2 if mode == "optimal" else 0.0
     c3 = sc / 12.0 - K / 2.0
     c5 = dsc / 120.0 + shape / 90.0 - sc**2 / 144.0 + K * sc / 24.0
-    w2 = 16.0 * np.pi * K - (8.0 * np.pi / 3.0) * sc
-    w4 = (4.0 * np.pi / 27.0) * sc**2 - (16.0 * np.pi / 45.0) * shape - (4.0 * np.pi / 15.0) * dsc
-    w4 -= (8.0 * np.pi * K / 9.0) * sc
-    return PredictedCoefficients(
-        mode=mode,
-        K=int(K),
-        c3=float(c3),
-        c5=float(c5),
-        willmore_quadratic=float(w2),
-        willmore_quartic=float(w4),
-        area_quadratic=float(-sc / 18.0),
-    )
+    return PredictedCoefficients(mode=mode, K=int(K), c3=float(c3), c5=float(c5))
 
 
 @dataclass
@@ -235,14 +213,7 @@ class ComparisonReport:
         return self.c3_pass and self.c5_pass
 
 
-def compare_report(
-    fit,
-    pred,
-    c3_rel=0.01,
-    c3_abs=0.0,
-    c5_rel=0.05,
-    c5_abs=0.0,
-):
+def compare_report(fit, pred, *, c3_rel, c3_abs, c5_rel, c5_abs):
     """Absolute/relative deltas between a fit and a prediction.
 
     A coefficient passes when ``|delta| <= abs_tol + rel_tol * |predicted|``.
@@ -258,61 +229,6 @@ def compare_report(
         c5_pred=pred.c5,
         c5_delta=float(d5),
         c5_pass=bool(abs(d5) <= c5_abs + c5_rel * abs(pred.c5)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Willmore / area expansion verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WillmoreExpansionReport:
-    radii: np.ndarray
-    willmore_quadratic: float
-    willmore_quartic: float
-    area_quadratic: float
-    predicted: PredictedCoefficients
-
-    def deltas(self):
-        return {
-            "willmore_quadratic": self.willmore_quadratic - self.predicted.willmore_quadratic,
-            "willmore_quartic": self.willmore_quartic - self.predicted.willmore_quartic,
-            "area_quadratic": self.area_quadratic - self.predicted.area_quadratic,
-        }
-
-
-def willmore_expansion_check(ladder, condition_limit=1e8):
-    """Fit the Willmore-energy and area expansions of an optimal-mode ladder.
-
-    W - 16 pi is fitted against {rho^2, rho^4, rho^5} and
-    |Sigma|/(4 pi rho^2) - 1 against {rho^2, rho^4}; the fitted quadratic and
-    quartic coefficients are compared with the curvature predictions.  The
-    grid's error in W and area on the flat unit sphere is at rounding level,
-    so no constant term is fitted.
-    """
-    if ladder.mode != "optimal":
-        raise ValueError("the Willmore expansion check runs in optimal mode")
-    radii = _check_geometric(ladder.radii)
-    w_excess = ladder.willmores - 16.0 * np.pi
-    design = np.column_stack([radii**2, radii**4, radii**5])
-    scale = radii**2
-    cond = float(np.linalg.cond(design / scale[:, None]))
-    if cond > condition_limit:
-        raise FitUnstable(f"Willmore design condition {cond:.3e} too large")
-    wcoef, _, _, _ = np.linalg.lstsq(design / scale[:, None], w_excess / scale, rcond=None)
-
-    area_ratio = ladder.areas / (4.0 * np.pi * radii**2) - 1.0
-    adesign = np.column_stack([radii**2, radii**4])
-    acoef, _, _, _ = np.linalg.lstsq(
-        adesign / scale[:, None], area_ratio / scale, rcond=None
-    )
-    pred = predicted_coefficients(ladder.packet, "optimal")
-    return WillmoreExpansionReport(
-        radii=radii,
-        willmore_quadratic=float(wcoef[0]),
-        willmore_quartic=float(wcoef[1]),
-        area_quadratic=float(acoef[0]),
-        predicted=pred,
     )
 
 

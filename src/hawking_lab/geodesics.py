@@ -67,7 +67,6 @@ __all__ = [
     "GeodesicFan",
     "sphere_reach",
     "sphere_fan",
-    "embed_sphere",
     "surface_tangents",
     "geodesic_sphere_surface",
 ]
@@ -342,17 +341,6 @@ def sphere_fan(metric, p, rho, w, grid, cfg=None, packet=None):
     (:func:`sphere_reach`)."""
     s_max = sphere_reach(metric, p, rho, w, grid)
     return GeodesicFan(metric, p, grid, s_max, cfg, packet=packet)
-
-
-def embed_sphere(metric, p, rho, w, grid, cfg=None):
-    """Positions of the perturbed geodesic sphere Exp_p[rho (1 - w) Theta].
-
-    ``w`` may be None, a scalar, a node array or a callable of the grid.
-    Directions are taken in the orthonormal frame at ``p``.
-    """
-    w_values = _radial_w(w, grid)
-    fan = sphere_fan(metric, p, rho, w_values, grid, cfg)
-    return fan.positions_at(rho * (1.0 - w_values))
 
 
 def surface_tangents(positions, grid):

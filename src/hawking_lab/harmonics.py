@@ -1,6 +1,6 @@
 """Real spherical-harmonic transforms, the shifted bilaplacian on the sphere,
-its constrained inverse, the optimal graph perturbation and the weak
-Euler-Lagrange assembly of the area-constrained Willmore problem.
+the optimal graph perturbation and its PDE, and the weak Euler-Lagrange
+assembly of the area-constrained Willmore problem.
 
 The real orthonormal basis is ordered by ``(l, m)`` with ``l`` ascending and
 ``m`` from ``-l`` to ``l``; the flat mode index is ``l*l + l + m``.  The
@@ -43,9 +43,7 @@ __all__ = [
     "expand",
     "analyze",
     "synthesize",
-    "kernel_projection",
     "apply_bilaplacian_shifted",
-    "solve_constrained",
     "OptimalPerturbation",
     "optimal_perturbation",
     "pde_residual",
@@ -53,7 +51,6 @@ __all__ = [
     "galerkin_degree",
     "lagrange_multiplier_from_surface",
     "willmore_el_residual",
-    "coefficients_to_csv",
 ]
 
 def mode_index(l, m):
@@ -166,13 +163,6 @@ class HarmonicField:
     def coefficient(self, l, m):
         return float(self.coeffs[mode_index(l, m)])
 
-    def degree_energy(self):
-        """l -> sum of squared coefficients at that degree."""
-        degs = self.degree_of_mode()
-        return np.array(
-            [np.sum(self.coeffs[degs == l] ** 2) for l in range(self.max_degree + 1)]
-        )
-
     def copy_with(self, coeffs):
         return HarmonicField(self.max_degree, np.asarray(coeffs, dtype=float), self.grid)
 
@@ -195,13 +185,6 @@ def synthesize(field, grid=None):
     return expand(field.coeffs, grid, field.max_degree)
 
 
-def kernel_projection(field):
-    """Remove the degree-0 and degree-1 content (kernel of the operator)."""
-    coeffs = field.coeffs.copy()
-    coeffs[:4] = 0.0
-    return field.copy_with(coeffs)
-
-
 def _shifted_bilaplacian_eigenvalues(max_degree):
     l = mode_degrees(max_degree).astype(float)
     lap = -l * (l + 1.0)
@@ -211,19 +194,6 @@ def _shifted_bilaplacian_eigenvalues(max_degree):
 def apply_bilaplacian_shifted(field):
     """Apply Lap (Lap + 2) in coefficient space."""
     return field.copy_with(field.coeffs * _shifted_bilaplacian_eigenvalues(field.max_degree))
-
-
-def solve_constrained(rhs):
-    """Solve Lap (Lap + 2) w = P rhs with w orthogonal to the kernel.
-
-    The kernel content of ``rhs`` is projected away first; degree-0/1
-    coefficients of the solution are exactly zero.
-    """
-    eig = _shifted_bilaplacian_eigenvalues(rhs.max_degree)
-    coeffs = rhs.coeffs.copy()
-    coeffs[:4] = 0.0
-    coeffs[4:] = coeffs[4:] / eig[4:]
-    return rhs.copy_with(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +346,3 @@ def willmore_el_residual(surface, metric, lam=None):
     """
     return _galerkin_residual(surface, willmore_densities(surface, metric), lam)
 
-
-def coefficients_to_csv(field, path):
-    """Write the (l, m, value) table of a harmonic field."""
-    degs = field.degree_of_mode()
-    with open(path, "w") as fh:
-        fh.write("l,m,value\n")
-        idx = 0
-        for l in range(field.max_degree + 1):
-            for m in range(-l, l + 1):
-                fh.write(f"{l},{m},{field.coeffs[idx]:.17g}\n")
-                idx += 1

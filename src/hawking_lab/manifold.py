@@ -71,7 +71,6 @@ __all__ = [
     "metric_action",
     "christoffel_at",
     "geodesic_acceleration",
-    "riemann_at",
     "ricci_at",
     "ricci_along",
     "scalar_curvature_at",
@@ -79,7 +78,6 @@ __all__ = [
     "scalar_laplacian",
     "scalar_gradient",
     "metric_from_config",
-    "metric_to_config",
 ]
 
 # ---------------------------------------------------------------------------
@@ -750,11 +748,6 @@ class ConformalMetric(_ConformallyFlat):
         self._d3 = self._hess.gradient()
         self._d4 = self._d3.gradient()
 
-    @classmethod
-    def from_polynomial(cls, terms):
-        """Build from ``[(coef, (e1, e2, e3)), ...]``, the config's ``phi_poly``."""
-        return cls(terms)
-
     def _phi(self, x):
         return self.phi(x)
 
@@ -971,11 +964,6 @@ def _curvature_at(metric, x):
     )
 
 
-def riemann_at(metric, x):
-    """Covariant Riemann tensor Rm_abcd in chart components."""
-    return _curvature_at(metric, x)[1]
-
-
 def ricci_at(metric, x):
     """Ricci tensor Ric_ab in chart components (batched)."""
     return _curvature_at(metric, x)[2]
@@ -1086,15 +1074,10 @@ def metric_from_config(spec):
     if kind == "conformal":
         _reject_unknown(spec, {"phi_poly"})
         terms = [(c, tuple(e)) for c, e in spec["phi_poly"]]
-        return ConformalMetric.from_polynomial(terms)
+        return ConformalMetric(terms)
     _reject_unknown(spec, {"terms"})
     terms = [(a, b, c, tuple(e)) for a, b, c, e in spec["terms"]]
     return PolynomialMetric(terms)
-
-
-def metric_to_config(metric):
-    """Inverse of :func:`metric_from_config` for serializable kinds."""
-    return {"kind": metric.kind, **metric.params()}
 
 
 def _reject_unknown(spec, allowed):

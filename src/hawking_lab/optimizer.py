@@ -34,8 +34,8 @@ so the same formula holds for every K.
 
 The iteration takes Newton steps preconditioned by the Hessian at the round
 sphere, ``-2 sqrt(A / (16 pi)^3) Lap (Lap + 2)`` in the shape coefficients:
-the operator whose inverse gives the paper's optimal graph
-(:func:`harmonics.solve_constrained`).  It is diagonal in the real
+the operator of the paper's PDE for the optimal graph
+(:func:`harmonics.pde_residual`).  It is diagonal in the real
 harmonics, with ``l(l+1)(l(l+1) - 2)`` for the degree-l modes, because the
 problem at the round sphere is rotation-invariant: a Hessian that commutes
 with rotations acts on each degree as a multiple of the identity.  Curvature
@@ -147,6 +147,15 @@ def optimizer_fan(metric, p, rho, grid, geo_cfg=None):
     return GeodesicFan(metric, p, grid, s_max, geo_cfg, packet=packet)
 
 
+def _normal_speed(surface):
+    """g(gamma', N) at the nodes, for the outward fan velocities gamma'
+    stored as ``surface.outward``.  g N is parallel to c = Z_1 x Z_2
+    (:func:`surface.extrinsic_geometry`), so g(gamma', N) =
+    (gamma' . c) / (N . c), with no read of the metric."""
+    cross = np.cross(surface.tangents[:, 0], surface.tangents[:, 1])
+    return _dot3(surface.outward, cross) / _dot3(surface.normal, cross)
+
+
 class _SurfaceEvaluator:
     """Shared machinery: fan, shape synthesis, area solve and mass evaluation.
 
@@ -219,8 +228,7 @@ class _SurfaceEvaluator:
         (:func:`harmonics.willmore_densities`) are kept in ``_densities``."""
         if w is None:
             w = self.w_values(coeffs)
-        # g(gamma', N): the surface's outward field is the fan's velocity
-        v_n = _dot3(surf.outward, metric_action(self.metric, surf.positions).apply(surf.normal))
+        v_n = _normal_speed(surf)
         self._densities = willmore_densities(surf, self.metric)
         g_e, g_h = self._densities
         radial = (1.0 - w) * v_n  # psi_rho

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSurface, FitUnstable, GridTooCoarse
-from .manifold import _apply_sym3, _dot3, metric_action
+from .errors import DegenerateSurface, GridTooCoarse
+from .manifold import _dot3, metric_action
 
 __all__ = [
     "SphereGrid",
@@ -57,8 +57,6 @@ __all__ = [
     "extrinsic_geometry",
     "HawkingReport",
     "hawking_mass",
-    "expansion_order_check",
-    "ExpansionOrderReport",
     "surface_to_csv",
 ]
 
@@ -320,12 +318,6 @@ def first_form(tangents, g_z):
     return _sym2(e, f, gg), det
 
 
-def _on_tangents(form, tangents):
-    """A symmetric 3x3 form applied to each tangent, ``out[n, i] = form Z_i``
-    (N, 2, 3)."""
-    return np.stack([_apply_sym3(form, tangents[:, 0]), _apply_sym3(form, tangents[:, 1])], axis=1)
-
-
 def extrinsic_geometry(metric, grid, positions, tangents, outward):
     """Build an :class:`EmbeddedSurface` from node positions and tangents.
 
@@ -441,249 +433,3 @@ def surface_to_csv(surface, path):
         for row in cols:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# expansion-order verification for the second fundamental form
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ExpansionOrderReport:
-    radii: np.ndarray
-    h_residuals: np.ndarray
-    mean_curvature_residuals: np.ndarray
-    order: float
-    mean_curvature_order: float
-    r_squared: float
-
-
-def _sphere_metric_fields(grid):
-    """Round metric of S^2, its inverse and derivative at the grid nodes."""
-    st = grid.sin_theta
-    ct = np.cos(grid.theta1)
-    n = grid.n_nodes
-    g = np.zeros((n, 2, 2))
-    g[:, 0, 0] = 1.0
-    g[:, 1, 1] = st**2
-    g_inv = np.zeros_like(g)
-    g_inv[:, 0, 0] = 1.0
-    g_inv[:, 1, 1] = 1.0 / st**2
-    dg = np.zeros((n, 2, 2, 2))  # dg[n, l, i, j] = d_l g_ij
-    dg[:, 0, 1, 1] = 2.0 * st * ct
-    return g, g_inv, dg
-
-
-def _sphere_hessian(grid, w):
-    """Covariant Hessian of a scalar on the round S^2 (per-node 2x2).
-
-    w_theta theta is read off the flux, (d_theta(sin theta w_theta) -
-    cos theta w_theta) / sin theta: the flux continues evenly across the
-    poles, as ``dtheta`` assumes.
-    """
-    w1 = grid.dtheta(w)
-    w2 = grid.dphi(w)
-    w22 = grid.dphi(w2)
-    st = grid.sin_theta
-    ct = np.cos(grid.theta1)
-    cot = ct / st
-    h = np.empty((grid.n_nodes, 2, 2))
-    h[:, 0, 0] = (grid.dtheta(st * w1) - ct * w1) / st
-    h[:, 0, 1] = h[:, 1, 0] = grid.dphi(w1) - cot * w2
-    h[:, 1, 1] = w22 + st * ct * w1
-    return h
-
-
-def _theta_second_derivatives(grid):
-    """Second derivatives of the embedding Theta (coordinate expressions)."""
-    st = grid.sin_theta
-    ct = np.cos(grid.theta1)
-    cot = ct / st
-    t11 = -grid.unit
-    t12 = cot[:, None] * grid.phi_tangent
-    t22 = -(st * ct)[:, None] * grid.theta_tangent - (st**2)[:, None] * grid.unit
-    return t11, t12, t22
-
-
-def _curvature_sphere_fields(packet, grid):
-    """Radial curvature couplings on the parameter sphere.
-
-    Returns ``q[n, i, j] = g(R(Theta, Theta_i) Theta, Theta_j)`` and its
-    angular derivatives ``dq[n, k, i, j]``, built from the frame Riemann
-    tensor at the centre point.
-    """
-    n = grid.n_nodes
-    rm = packet.riemann
-    theta = grid.unit
-    tang = np.stack([grid.theta_tangent, grid.phi_tangent], axis=1)  # (N, 2, 3)
-
-    def q_form(A, B):
-        # g(R(Theta, A) Theta, B) = -Rm(Theta, A, Theta, B) in this convention
-        return -np.einsum("abcd,na,nb,nc,nd->n", rm, theta, A, theta, B)
-
-    q = np.empty((n, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            q[:, i, j] = q_form(tang[:, i], tang[:, j])
-
-    t11, t12, t22 = _theta_second_derivatives(grid)
-    second_tang = {(0, 0): t11, (0, 1): t12, (1, 0): t12, (1, 1): t22}
-
-    dq = np.empty((n, 2, 2, 2))  # (node, k, i, j) = d_k q_ij
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                dq[:, k, i, j] = -(
-                    np.einsum(
-                        "abcd,na,nb,nc,nd->n", rm, tang[:, k], tang[:, i], theta, tang[:, j]
-                    )
-                    + np.einsum(
-                        "abcd,na,nb,nc,nd->n",
-                        rm, theta, second_tang[(i, k)], theta, tang[:, j],
-                    )
-                    + np.einsum(
-                        "abcd,na,nb,nc,nd->n", rm, theta, tang[:, i], tang[:, k], tang[:, j]
-                    )
-                    + np.einsum(
-                        "abcd,na,nb,nc,nd->n",
-                        rm, theta, tang[:, i], theta, second_tang[(j, k)],
-                    )
-                )
-    return q, dq
-
-
-def truncated_second_form(packet, grid, w, rho):
-    """Second fundamental form of a perturbed geodesic sphere, truncated at
-    cubic order in the radius, assembled from curvature at the centre.
-
-    ``w`` holds the graph-function values on the grid; the curvature data is
-    read from the packet's orthonormal frame, matching the frame used to
-    shoot the sphere's geodesics.
-    """
-    n = grid.n_nodes
-    w = np.asarray(w, dtype=float)
-    g, g_inv, dg = _sphere_metric_fields(grid)
-    w_i = np.stack([grid.dtheta(w), grid.dphi(w)], axis=-1)  # (N, 2)
-    hess_w = _sphere_hessian(grid, w)
-    q, dq = _curvature_sphere_fields(packet, grid)
-
-    wk_up = np.einsum("nkl,nk->nl", g_inv, w_i)
-    grad_sq = np.einsum("nl,nl->n", wk_up, w_i)
-    one_minus = 1.0 - w
-
-    h = g * (one_minus * rho)[:, None, None]
-    h = h + hess_w * rho
-    # quadratic gradient terms collapse to 2 w_i w_j - g_ij |grad w|^2 / 2
-    h = h + (
-        2.0 * np.einsum("ni,nj->nij", w_i, w_i)
-        - 0.5 * g * grad_sq[:, None, None]
-    ) * rho
-    h = h + (2.0 / 3.0) * q * (one_minus**3 * rho**3)[:, None, None]
-    # (1/6) w_k g^{kn} Q_nm g^{ml} (d_i g_jl + d_j g_il - d_l g_ij) rho^3
-    qmix = np.einsum("nk,nkl->nl", w_i, np.linalg.solve(g, q) @ g_inv)
-    term5 = np.zeros((n, 2, 2))
-    term6 = np.zeros((n, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for l in range(2):
-                term5[:, i, j] += qmix[:, l] * (
-                    dg[:, i, j, l] + dg[:, j, i, l] - dg[:, l, i, j]
-                )
-                term6[:, i, j] += wk_up[:, l] * (
-                    dq[:, i, j, l] + dq[:, j, i, l] - dq[:, l, i, j]
-                )
-    h = h + (term5 / 6.0 - term6 / 6.0) * rho**3
-    return h
-
-
-def truncated_mean_curvature(packet, grid, w, rho):
-    """Mean curvature of a perturbed geodesic sphere through linear order in
-    the radius (the curvature-gradient corrections enter at quadratic order
-    and are not reproduced here)."""
-    n = grid.n_nodes
-    w = np.asarray(w, dtype=float)
-    g, g_inv, dg = _sphere_metric_fields(grid)
-    w_i = np.stack([grid.dtheta(w), grid.dphi(w)], axis=-1)
-    hess_w = _sphere_hessian(grid, w)
-    lap_w = np.einsum("nij,nij->n", g_inv, hess_w)
-    q, dq = _curvature_sphere_fields(packet, grid)
-
-    theta = grid.unit
-    ric_tt = np.einsum("ab,na,nb->n", packet.ricci, theta, theta)
-    wk_up = np.einsum("nkl,nk->nl", g_inv, w_i)
-    qmix = np.einsum("nk,nkl->nl", w_i, np.linalg.solve(g, q) @ g_inv)
-
-    H = (2.0 + 2.0 * w + lap_w + 2.0 * w * (w + lap_w)) / rho
-    term_a = np.zeros(n)
-    term_b = np.zeros(n)
-    for i in range(2):
-        for j in range(2):
-            gij = g_inv[:, i, j]
-            for l in range(2):
-                term_a += gij * qmix[:, l] * (
-                    dg[:, i, j, l] + dg[:, j, i, l] - dg[:, l, i, j]
-                )
-                term_b += gij * wk_up[:, l] * (
-                    dq[:, i, j, l] + dq[:, j, i, l] - dq[:, l, i, j]
-                )
-    H = H + (term_a - term_b) / 6.0 * rho
-    qhess = np.einsum("nij,nij->n", np.linalg.solve(g, q) @ g_inv, hess_w)
-    H = H - (1.0 / 3.0) * qhess * rho
-    H = H - (1.0 / 3.0) * ric_tt * (1.0 - w) * rho
-    return H
-
-
-def expansion_order_check(metric, p, w_values_fn, radii, grid, cfg=None):
-    """Measure the convergence order of the numerical second fundamental form
-    against its cubic-order truncation on a shrinking radius ladder.
-
-    ``w_values_fn(rho)`` must return the graph-function values for the given
-    radius (use ``lambda rho: np.zeros(grid.n_nodes)`` for geodesic spheres).
-    Returns an :class:`ExpansionOrderReport` whose ``order`` is the log-log
-    slope of the max-norm residual; a slope regression with R^2 < 0.99 raises
-    FitUnstable unless the residuals sit at rounding level.
-    """
-    from .geodesics import GeodesicConfig, geodesic_sphere_surface
-    from .manifold import curvature_packet
-
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 5:
-        raise ValueError("need at least five radii")
-    if cfg is None:
-        cfg = GeodesicConfig()
-    packet = curvature_packet(metric, p)
-
-    h_res = np.empty(radii.size)
-    mc_res = np.empty(radii.size)
-    for k, rho in enumerate(radii):
-        w = np.asarray(w_values_fn(rho), dtype=float)
-        surf = geodesic_sphere_surface(metric, p, rho, w, grid, cfg, packet=packet)
-        h_trunc = truncated_second_form(packet, grid, w, rho)
-        mc_trunc = truncated_mean_curvature(packet, grid, w, rho)
-        h_res[k] = np.max(np.abs(surf.second_form - h_trunc))
-        mc_res[k] = np.max(np.abs(surf.mean_curvature - mc_trunc))
-
-    order, r2 = _loglog_slope(radii, h_res)
-    mc_order, _ = _loglog_slope(radii, mc_res)
-    if np.isfinite(order) and r2 < 0.99:
-        raise FitUnstable(f"order regression too noisy (R^2 = {r2:.4f})")
-    return ExpansionOrderReport(
-        radii=radii,
-        h_residuals=h_res,
-        mean_curvature_residuals=mc_res,
-        order=order,
-        mean_curvature_order=mc_order,
-        r_squared=r2,
-    )
-
-
-def _loglog_slope(radii, residuals):
-    mask = residuals > 1e-14
-    if mask.sum() < 3:
-        return np.inf, 1.0
-    x = np.log(radii[mask])
-    y = np.log(residuals[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = slope * x + intercept
-    ss_res = np.sum((y - fit) ** 2)
-    ss_tot = np.sum((y - np.mean(y)) ** 2)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(r2)

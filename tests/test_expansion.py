@@ -10,7 +10,6 @@ from hawking_lab.expansion import (
     ladder_to_csv,
     predicted_coefficients,
     radius_ladder,
-    willmore_expansion_check,
 )
 from hawking_lab.geodesics import GeodesicConfig
 from hawking_lab.manifold import (
@@ -96,8 +95,6 @@ class TestPredicted:
         pred = predicted_coefficients(packet, "optimal")
         assert abs(pred.c3 - 0.5) < 1e-9
         assert abs(pred.c5 + 0.25) < 1e-8
-        assert abs(pred.willmore_quadratic + 16.0 * np.pi) < 1e-7
-        assert abs(pred.area_quadratic + 1.0 / 3.0) < 1e-10
 
     def test_unperturbed_drops_traceless_term(self):
         packet = curvature_packet(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]))
@@ -116,7 +113,7 @@ class TestPredicted:
 
     def test_curvature_normalization_shifts_both_families(self):
         packet = curvature_packet(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]))
-        names = ("c3", "c5", "willmore_quadratic", "willmore_quartic", "area_quadratic")
+        names = ("c3", "c5")
         for K in (-1, 1):
             shifts = []
             for mode in ("optimal", "unperturbed"):
@@ -181,7 +178,7 @@ class TestEndToEnd:
         )
         fit = fit_coefficients(ladder.radii, ladder.masses)
         pred = predicted_coefficients(ladder.packet, "optimal")
-        report = compare_report(fit, pred, c3_rel=0.01, c5_rel=0.05)
+        report = compare_report(fit, pred, c3_rel=0.01, c3_abs=0.0, c5_rel=0.05, c5_abs=0.0)
         assert report.passed
 
     def test_schwarzschild_traceless_isolation(self, schwarzschild_ladders):
@@ -224,34 +221,6 @@ class TestEndToEnd:
             assert abs(fit.c3) <= 1e-3
 
 
-class TestWillmoreExpansion:
-    def test_flat_all_zero(self, cfg):
-        grid = build_grid(32, 64)
-        ladder = radius_ladder(EuclideanMetric(), np.zeros(3), "optimal", 0.2, 6, grid, cfg=cfg)
-        report = willmore_expansion_check(ladder)
-        assert abs(report.willmore_quadratic) < 1e-8
-        assert abs(report.area_quadratic) < 1e-8
-
-    def test_round_sphere_quadratic(self, grid, cfg):
-        ladder = radius_ladder(
-            RoundSphereMetric(), np.array([0.1, 0.0, 0.0]), "optimal", 0.4, 6, grid, cfg=cfg
-        )
-        report = willmore_expansion_check(ladder)
-        assert abs(report.willmore_quadratic + 16.0 * np.pi) < 0.01 * 16.0 * np.pi
-        assert abs(report.area_quadratic + 1.0 / 3.0) < 0.02 / 3.0
-
-    def test_schwarzschild_quartic(self, schwarzschild_ladders):
-        opt, _ = schwarzschild_ladders
-        report = willmore_expansion_check(opt)
-        expected = -(16.0 * np.pi / 45.0) * S2_NORM
-        assert abs(report.willmore_quartic - expected) < 0.1 * abs(expected)
-
-    def test_requires_optimal_mode(self, schwarzschild_ladders):
-        _, unp = schwarzschild_ladders
-        with pytest.raises(ValueError):
-            willmore_expansion_check(unp)
-
-
 class TestBartnik:
     def test_flat_zero(self):
         packet = curvature_packet(EuclideanMetric(), np.zeros(3))
@@ -260,7 +229,7 @@ class TestBartnik:
 
     def test_positive_scalar_fixture(self):
         # conformal factor with Sc = 2 at the origin
-        metric = ConformalMetric.from_polynomial([(-0.25, (2, 0, 0))])
+        metric = ConformalMetric([(-0.25, (2, 0, 0))])
         packet = curvature_packet(metric, np.zeros(3))
         assert abs(packet.scalar - 2.0) < 1e-9
         bound = bartnik_lower_bound(packet, 0.1, 1.0)

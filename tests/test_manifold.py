@@ -18,10 +18,8 @@ from hawking_lab.manifold import (
     metric_action,
     metric_at,
     metric_from_config,
-    metric_to_config,
     ricci_along,
     ricci_at,
-    riemann_at,
     scalar_curvature_at,
     scalar_gradient,
     scalar_laplacian,
@@ -85,7 +83,7 @@ class TestMetricAt:
         assert_allclose(u @ g @ u, 2.0, rtol=1e-13)
 
     def test_conformal_scaling(self):
-        metric = ConformalMetric.from_polynomial(
+        metric = ConformalMetric(
             [(0.1, (2, 0, 0)), (0.1, (0, 2, 0)), (0.1, (0, 0, 2))]
         )
         g = metric_at(metric, np.array([1.0, 0.0, 0.0]))
@@ -144,7 +142,7 @@ class TestBatchedDerivatives:
         # [..., c, a, b] and [..., d, c, a, b]: batch axes first, on every kind
         rng = np.random.default_rng(19)
         metrics = all_builtin_metrics() + [
-            ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))]),
+            ConformalMetric([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))]),
             PolynomialMetric(POLY_TERMS),
         ]
         for metric in metrics:
@@ -167,7 +165,7 @@ def kernel_cases(rng):
     for metric in all_builtin_metrics():
         cases.append((metric, np.array([sample_point(metric, rng) for _ in range(40)])))
     for metric in (
-        ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))]),
+        ConformalMetric([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))]),
         PolynomialMetric(POLY_TERMS),
     ):
         cases.append((metric, rng.uniform(-0.4, 0.4, size=(40, 3))))
@@ -224,7 +222,7 @@ class TestRicciAlong:
     def test_conformally_flat_on_a_grid_shaped_batch(self):
         # the per-node closed form keeps any leading batch shape
         rng = np.random.default_rng(43)
-        conformal = ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.02, (0, 0, 3))])
+        conformal = ConformalMetric([(0.1, (2, 0, 0)), (-0.02, (0, 0, 3))])
         for metric in (RoundSphereMetric(), HyperbolicMetric(), conformal):
             x = rng.uniform(-0.3, 0.3, size=(6, 8, 3))
             n = rng.normal(size=x.shape)
@@ -348,7 +346,7 @@ class TestExactPolynomialDerivatives:
     def test_polynomial_conformal(self):
         import sympy as sp
 
-        metric = ConformalMetric.from_polynomial(
+        metric = ConformalMetric(
             [(0.05, (2, 0, 0)), (-0.03, (0, 1, 1)), (0.02, (1, 1, 2))]
         )
         oracle = oracles.conformal_symbolic(
@@ -483,7 +481,7 @@ class TestCurvature:
     def test_conformal_against_symbolic(self):
         import sympy as sp
 
-        metric = ConformalMetric.from_polynomial([(0.05, (2, 0, 0))])
+        metric = ConformalMetric([(0.05, (2, 0, 0))])
         oracle = oracles.conformal_symbolic(
             lambda x1, x2, x3: sp.Rational(1, 20) * x1**2
         )
@@ -539,7 +537,7 @@ class TestScalarLaplacian:
     def test_conformal_against_symbolic(self):
         import sympy as sp
 
-        metric = ConformalMetric.from_polynomial([(0.05, (2, 0, 0))])
+        metric = ConformalMetric([(0.05, (2, 0, 0))])
         oracle = oracles.ConformalScalarOracle(
             lambda x1, x2, x3: sp.Rational(1, 20) * x1**2
         )
@@ -555,7 +553,7 @@ class TestScalarLaplacian:
 
     def test_packet_carries_the_same_laplacian(self):
         # the packet reuses its gradient of Sc; the figure stays bit-identical
-        metric = ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))])
+        metric = ConformalMetric([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))])
         point = np.array([0.3, 0.2, -0.1])
         packet = curvature_packet(metric, point)
         assert packet.scalar_laplacian == scalar_laplacian(metric, point)
@@ -592,7 +590,7 @@ class TestScalarDerivatives:
         # of phi enter grad Sc and Delta Sc
         import sympy as sp
 
-        metric = ConformalMetric.from_polynomial(
+        metric = ConformalMetric(
             [
                 (0.1, (2, 0, 0)), (0.05, (0, 1, 1)), (0.03, (1, 0, 0)),
                 (-0.02, (0, 0, 3)), (0.04, (1, 1, 2)), (-0.03, (0, 4, 0)),
@@ -626,7 +624,7 @@ class TestScalarDerivatives:
         assert packet.scalar_laplacian == 0.0
 
     def test_closed_form_packet_reads_ddg_at_the_point_alone(self):
-        metric = ConformalMetric.from_polynomial([(0.05, (2, 0, 0)), (-0.02, (0, 0, 3))])
+        metric = ConformalMetric([(0.05, (2, 0, 0)), (-0.02, (0, 0, 3))])
         points = _count_ddg_points(metric)
         curvature_packet(metric, np.array([0.3, 0.2, -0.1]))
         assert sum(points) == 1
@@ -659,25 +657,26 @@ class TestTensorSymmetries:
         rng = np.random.default_rng(13)
         for metric in all_builtin_metrics():
             x = sample_point(metric, rng)
-            rm = riemann_at(metric, x)
+            rm = curvature_packet(metric, x).riemann
             assert_allclose(rm, -np.swapaxes(rm, 0, 1), atol=1e-8)
             assert_allclose(rm, -np.swapaxes(rm, 2, 3), atol=1e-8)
             assert_allclose(rm, np.transpose(rm, (2, 3, 0, 1)), atol=1e-8)
 
     def test_constant_curvature_model(self):
-        # Rm = K (g_ac g_bd - g_ad g_bc) for the space forms
+        # Rm = K (delta_ac delta_bd - delta_ad delta_bc) for the space forms,
+        # in the packet's orthonormal frame
         rng = np.random.default_rng(17)
         cases = [
             (EuclideanMetric(), 0.0),
             (RoundSphereMetric(), 1.0),
             (HyperbolicMetric(), -1.0),
         ]
+        eye = np.eye(3)
         for metric, K in cases:
             x = sample_point(metric, rng)
-            g = metric_at(metric, x)
-            rm = riemann_at(metric, x)
+            rm = curvature_packet(metric, x).riemann
             model = K * (
-                np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
+                np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye)
             )
             assert_allclose(rm, model, atol=1e-7)
 
@@ -722,7 +721,7 @@ class TestConfig:
         ]
         for spec in specs:
             metric = metric_from_config(spec)
-            back = metric_to_config(metric)
+            back = {"kind": metric.kind, **metric.params()}
             metric2 = metric_from_config(back)
             x = np.array([0.1, 0.2, 0.1]) if metric.kind != "schwarzschild" else np.array([4.0, 0.0, 0.0])
             assert_allclose(metric.metric(x), metric2.metric(x), rtol=1e-15)

@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 from hawking_lab.expansion import predicted_coefficients
-from hawking_lab.geodesics import GeodesicConfig, GeodesicFan, surface_tangents
+from hawking_lab.geodesics import (
+    GeodesicConfig,
+    GeodesicFan,
+    sphere_fan,
+    surface_tangents,
+)
 from hawking_lab.harmonics import willmore_el_residual
 from hawking_lab.manifold import (
     ConformalMetric,
     EuclideanMetric,
     HyperbolicMetric,
+    PolynomialMetric,
     RoundSphereMetric,
     SchwarzschildMetric,
+    _dot3,
     curvature_packet,
+    metric_action,
 )
 from hawking_lab.optimizer import (
     OptimizeConfig,
     _SurfaceEvaluator,
+    _normal_speed,
     closed_form_reference,
     maximize_hawking,
     optimizer_fan,
@@ -76,7 +85,7 @@ class TestMassGradient:
         [
             (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0], 0),
             (
-                ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]),
+                ConformalMetric([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]),
                 [0.1, 0.0, 0.0],
                 0,
             ),
@@ -109,12 +118,41 @@ class TestMassGradient:
         assert np.linalg.norm(ev.mass_gradient(coeffs, rho, surf)) <= 1e-11
 
 
+class TestNormalSpeed:
+    @pytest.mark.parametrize(
+        "metric, p",
+        [
+            (EuclideanMetric(), [0.0, 0.0, 0.0]),
+            (RoundSphereMetric(), [0.1, 0.05, -0.03]),
+            (HyperbolicMetric(), [0.1, 0.05, -0.03]),
+            (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0]),
+            (ConformalMetric([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
+            (
+                PolynomialMetric([(0, 0, 0.02, (2, 0, 0)), (0, 1, 0.015, (1, 1, 0))]),
+                [0.1, 0.0, 0.0],
+            ),
+        ],
+        ids=[
+            "euclidean", "round_sphere", "hyperbolic", "schwarzschild", "conformal", "polynomial"
+        ],
+    )
+    @pytest.mark.parametrize("rho", [0.05, 0.4])
+    def test_matches_the_metric_action(self, metric, p, rho):
+        # g(gamma', N) from Z_1 x Z_2 alone against g N read from the
+        # metric: measured at most 7.8e-16 relative here
+        grid = build_grid(16, 32)
+        w = 0.05 * (grid.unit[:, 0] ** 2 - grid.unit[:, 2]) + 0.02 * grid.unit[:, 1]
+        surf = sphere_fan(metric, p, rho, w, grid).surface(rho, w)
+        ref = _dot3(surf.outward, metric_action(metric, surf.positions).apply(surf.normal))
+        assert np.max(np.abs(_normal_speed(surf) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestAreaSolve:
     @pytest.mark.parametrize(
         "metric, p",
         [
             (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0]),
-            (ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
+            (ConformalMetric([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
         ],
         ids=["schwarzschild", "conformal"],
     )
@@ -154,7 +192,7 @@ class TestOneSurfacePerIterate:
         "metric, p",
         [
             (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0]),
-            (ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
+            (ConformalMetric([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
         ],
         ids=["schwarzschild", "conformal"],
     )
@@ -203,7 +241,7 @@ class TestNoAssembly:
     @pytest.mark.parametrize(
         "metric, p",
         [
-            (ConformalMetric.from_polynomial([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
+            (ConformalMetric([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))]), [0.1, 0.0, 0.0]),
             (RoundSphereMetric(), [0.1, 0.05, -0.03]),
             (HyperbolicMetric(), [0.1, 0.05, -0.03]),
             (SchwarzschildMetric(1.0), [4.0, 0.0, 0.0]),
