@@ -22,10 +22,10 @@ from . import __version__
 from .errors import ConfigError, HawkingLabError
 from .expansion import (
     MIN_RUNGS,
+    MODES,
     compare_report,
     fit_coefficients,
     bartnik_lower_bound,
-    ladder_to_csv,
     predicted_coefficients,
     radius_ladder,
 )
@@ -37,9 +37,8 @@ from .optimizer import (
     closed_form_reference,
     maximize_hawking,
     optimizer_fan,
-    trace_to_csv,
 )
-from .surface import build_grid, hawking_mass, surface_to_csv
+from .surface import build_grid, hawking_mass
 
 __all__ = ["RunConfig", "main"]
 
@@ -105,6 +104,10 @@ def _check_values(data):
     if not (isinstance(point, (list, tuple)) and len(point) == 3
             and all(map(_real, point))):
         raise ConfigError(f"point must be a list of three numbers, got {point!r}")
+    if data["mode"] not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {data['mode']!r}")
+    if not (_integer(data["K"]) and data["K"] in (-1, 0, 1)):
+        raise ConfigError(f"K must be -1, 0 or 1, got {data['K']!r}")
     for section, key, test, what in _VALUE_CHECKS:
         value = data[section][key]
         if not test(value):
@@ -136,10 +139,6 @@ class RunConfig:
                     raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
                 value = {**default, **value}
             merged[key] = value
-        if merged["mode"] not in ("optimal", "unperturbed"):
-            raise ConfigError("mode must be 'optimal' or 'unperturbed'")
-        if merged["K"] not in (-1, 0, 1):
-            raise ConfigError("K must be -1, 0 or +1")
         _check_values(merged)
         # reference_rho and target_area configure the command, not the search
         search = {f.name: merged["optimizer"][f.name] for f in fields(OptimizeConfig)}
@@ -208,6 +207,37 @@ def _emit(report, out_dir, name):
         path.write_text(text)
 
 
+def _write_csv(path, header, rows):
+    """Write a CSV table: the header's names, then one line per row with
+    every number printed at 17 significant digits."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _surface_table(surface):
+    """Header and rows of the plot-ready node table of a surface."""
+    g = surface.grid
+    da = g.weights * surface.area_element / g.sin_theta
+    rows = np.column_stack(
+        [g.theta1, g.theta2, surface.positions, surface.mean_curvature, da]
+    )
+    return ("theta1", "theta2", "x", "y", "z", "H", "dA"), rows
+
+
+def _ladder_table(ladder, predicted):
+    """Header and rows of the per-rung table of a ladder, with the predicted
+    leading terms c3 rho^3 + c5 rho^5."""
+    rows = [
+        (rho, area, willmore, mass, predicted.c3 * rho**3 + predicted.c5 * rho**5)
+        for rho, area, willmore, mass in zip(
+            ladder.radii, ladder.areas, ladder.willmores, ladder.masses
+        )
+    ]
+    return ("rho", "area", "willmore", "hawking", "predicted_leading"), rows
+
+
 def _report_skeleton(command, config):
     return {
         "command": command,
@@ -261,12 +291,13 @@ def cmd_curvature(config, out_dir):
     report = _report_skeleton("curvature", config)
     report["packet"] = packet.as_dict()
     trace_err = abs(np.trace(packet.ricci) - packet.scalar)
+    tolerance = 1e-9 * max(1.0, abs(packet.scalar))
     _add_check(
         report,
         "ricci_trace_matches_scalar",
-        trace_err <= 1e-9 * max(1.0, abs(packet.scalar)),
+        trace_err <= tolerance,
         value=trace_err,
-        tolerance=1e-9,
+        tolerance=tolerance,
     )
     _emit(report, out_dir, "curvature")
     return 0 if report["passed"] else 1
@@ -307,39 +338,28 @@ def cmd_expansion(config, out_dir):
     _add_check(report, "c3_match", comparison.c3_pass, value=comparison.c3_delta)
     _add_check(report, "c5_match", comparison.c5_pass, value=comparison.c5_delta)
     if out_dir is not None:
-        ladder_to_csv(ladder, Path(out_dir) / "expansion_ladder.csv", pred)
+        _write_csv(Path(out_dir) / "expansion_ladder.csv", *_ladder_table(ladder, pred))
     _emit(report, out_dir, "expansion")
     return 0 if report["passed"] else 1
 
 
 def cmd_optimize(config, out_dir):
-    metric = config.metric
-    grid = config.grid
     opt = config.data["optimizer"]
-    geo = config.geodesic_config
     K = config.data["K"]
     target_area = opt["target_area"]
     if target_area is None:
         rho = float(opt["reference_rho"])
     else:
         rho = math.sqrt(target_area / (4.0 * math.pi))
-    # the search, and the reference sphere when there is one, read one fan
-    fan = optimizer_fan(metric, config.point, rho, grid, geo)
+    # the one fan carries the metric, centre, grid and integrator settings;
+    # the search, and the reference sphere when there is one, read it
+    fan = optimizer_fan(
+        config.metric, config.point, rho, config.grid, config.geodesic_config
+    )
     reference = None
     if target_area is None:
-        target_area, reference, _ = closed_form_reference(
-            metric, config.point, rho, grid, geo, K=K, fan=fan
-        )
-    result = maximize_hawking(
-        metric,
-        config.point,
-        float(target_area),
-        config.optimizer_config,
-        grid,
-        geo,
-        K=K,
-        fan=fan,
-    )
+        target_area, reference, _ = closed_form_reference(fan, rho, K)
+    result = maximize_hawking(fan, float(target_area), config.optimizer_config, K)
     report = _report_skeleton("optimize", config)
     report["result"] = result.as_dict()
     report["fan"] = fan.diagnostics()
@@ -356,8 +376,10 @@ def cmd_optimize(config, out_dir):
     area_drift = abs(result.area - result.target_area) / result.target_area
     _add_check(report, "area_constraint", area_drift <= 1e-8, value=area_drift, tolerance=1e-8)
     if out_dir is not None:
-        trace_to_csv(result.trace, Path(out_dir) / "optimize_trace.csv")
-        surface_to_csv(result.surface, Path(out_dir) / "optimize_surface.csv")
+        header = ("iteration", "mass", "gradient_norm", "step", "rho")
+        rows = ([row[name] for name in header] for row in result.trace)
+        _write_csv(Path(out_dir) / "optimize_trace.csv", header, rows)
+        _write_csv(Path(out_dir) / "optimize_surface.csv", *_surface_table(result.surface))
     _emit(report, out_dir, "optimize")
     return 0 if report["passed"] else 1
 
@@ -405,7 +427,7 @@ def cmd_el_residual(config, out_dir):
     report["surface"] = asdict(hawking_mass(surf, config.data["K"]))
     report["fan"] = fan.diagnostics()
     if out_dir is not None:
-        surface_to_csv(surf, Path(out_dir) / "el_residual_surface.csv")
+        _write_csv(Path(out_dir) / "el_residual_surface.csv", *_surface_table(surf))
     _emit(report, out_dir, "el_residual")
     return 0
 

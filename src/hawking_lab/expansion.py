@@ -47,7 +47,6 @@ __all__ = [
     "compare_report",
     "BartnikBound",
     "bartnik_lower_bound",
-    "ladder_to_csv",
 ]
 
 MODES = ("optimal", "unperturbed")
@@ -187,8 +186,8 @@ def predicted_coefficients(packet, mode, K=0):
     sc = packet.scalar
     s2 = packet.traceless_norm_sq
     dsc = packet.scalar_laplacian
-    if mode not in ("optimal", "unperturbed"):
-        raise ValueError("mode must be optimal or unperturbed")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     shape = s2 if mode == "optimal" else 0.0
     c3 = sc / 12.0 - K / 2.0
     c5 = dsc / 120.0 + shape / 90.0 - sc**2 / 144.0 + K * sc / 24.0
@@ -277,20 +276,3 @@ def bartnik_lower_bound(packet, rho, validity_radius):
         quintic_term=float(quintic),
     )
 
-
-def ladder_to_csv(ladder, path, predicted=None):
-    """Write the per-rung table (rho, area, willmore, hawking, predicted_leading)."""
-    if predicted is None:
-        predicted = predicted_coefficients(ladder.packet, ladder.mode, ladder.K)
-    with open(path, "w") as fh:
-        fh.write("rho,area,willmore,hawking,predicted_leading\n")
-        for rho, area, willmore, mass in zip(
-            ladder.radii, ladder.areas, ladder.willmores, ladder.masses
-        ):
-            leading = predicted.c3 * rho**3 + predicted.c5 * rho**5
-            fh.write(
-                ",".join(
-                    f"{v:.17g}" for v in (rho, area, willmore, mass, leading)
-                )
-                + "\n"
-            )

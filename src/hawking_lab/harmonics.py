@@ -167,13 +167,19 @@ class HarmonicField:
         return HarmonicField(self.max_degree, np.asarray(coeffs, dtype=float), self.grid)
 
 
-def analyze(values, grid, max_degree):
-    """Project grid values onto the real orthonormal basis by quadrature."""
+def _check_band_limit(max_degree, grid, name="degree"):
+    """Raise :class:`BandLimitExceeded`, naming ``name``, when ``max_degree``
+    is above the band limit ``min(n_theta - 2, n_phi // 2 - 1)`` of ``grid``."""
     limit = min(grid.n_theta - 2, grid.n_phi // 2 - 1)
     if max_degree > limit:
         raise BandLimitExceeded(
-            f"degree {max_degree} exceeds the grid band limit {limit}"
+            f"{name} {max_degree} exceeds the grid band limit {limit}"
         )
+
+
+def analyze(values, grid, max_degree):
+    """Project grid values onto the real orthonormal basis by quadrature."""
+    _check_band_limit(max_degree, grid)
     coeffs = project(grid.weights * np.asarray(values, dtype=float), grid, max_degree)
     return HarmonicField(max_degree, coeffs, grid)
 

@@ -6,15 +6,20 @@ The search space is the span of real spherical harmonics of degree 2..L
 every coefficient vector the radius is solved for so the surface area
 matches the target, making the search an unconstrained problem in the shape
 coefficients.  Every surface evaluation reuses one geodesic fan, so the
-inner loop is pure interpolation and quadrature.  Each iterate builds one
-surface: the area solve reads positions, tangents and velocities from the
-fan (:meth:`geodesics.GeodesicFan.read`) and measures the first form only,
-and the read that meets the area tolerance is completed into the iterate's
-surface; that surface's Willmore densities serve its gradient and, for the
-returned iterate, its Euler-Lagrange residual.  :func:`optimizer_fan` owns
-that fan's reach; the closed-form reference sphere is read from the same fan
-(:func:`closed_form_reference`), so a run with a reference shoots one fan and
-computes one curvature packet.
+inner loop is pure interpolation and quadrature.  The fan is the only input
+that carries geometry: its metric, centre, grid and integrator settings
+(``fan.metric``, ``fan.p``, ``fan.grid``, ``fan.cfg``) are the search's, and
+a radius beyond its reach ``fan.s_max`` raises :class:`DomainError`.
+:func:`optimizer_fan` shoots the fan that reaches the closed-form reference
+sphere (:func:`closed_form_reference`) and the search around it, so a run
+with a reference shoots one fan and computes one curvature packet.
+
+Each iterate builds one surface: the area solve reads positions, tangents
+and velocities from the fan (:meth:`geodesics.GeodesicFan.read`), measures
+the first form only and returns the read that met the area tolerance, which
+is completed into the iterate's surface.  The gradient returns that
+surface's Willmore densities with it, and for the returned iterate they
+serve its Euler-Lagrange residual too.
 
 The gradient is analytic and comes from the surface the iteration already
 holds.  Mode k of the shape moves the nodes along the fan by
@@ -54,6 +59,7 @@ from .errors import DomainError
 from .geodesics import GeodesicFan, sphere_reach
 from .harmonics import (
     HarmonicField,
+    _check_band_limit,
     _expand,
     _galerkin_residual,
     _project,
@@ -157,100 +163,81 @@ def _normal_speed(surface):
 
 
 class _SurfaceEvaluator:
-    """Shared machinery: fan, shape synthesis, area solve and mass evaluation.
+    """Shape synthesis, area solve and mass evaluation on one fan."""
 
-    Without ``fan`` it shoots the :func:`optimizer_fan` around ``rho``.
-    """
-
-    def __init__(self, metric, p, grid, rho, cfg, geo_cfg, K=0, fan=None):
-        self.metric = metric
-        self.grid = grid
+    def __init__(self, fan, cfg, K=0):
+        _check_band_limit(cfg.max_degree, fan.grid, "optimizer.max_degree")
+        self.fan = fan
         self.cfg = cfg
         self.K = K
-        if fan is None:
-            fan = optimizer_fan(metric, p, rho, grid, geo_cfg)
-        self.fan = fan
         self.n_coeff = (cfg.max_degree + 1) ** 2 - 4  # degrees >= 2
         # the shape basis factors, for every expansion and projection here
-        self._tables = _tables(grid, cfg.max_degree)
+        self._tables = _tables(fan.grid, cfg.max_degree)
 
     def w_values(self, coeffs):
         coeffs = np.concatenate([np.zeros(4), coeffs])
-        return _expand(coeffs, self.grid, self.cfg.max_degree, self._tables)
+        return _expand(coeffs, self.fan.grid, self.cfg.max_degree, self._tables)
 
     def area_of(self, rho, w):
-        """Area of the surface at radius ``rho`` and shape ``w``, from its
-        first fundamental form alone.  The fan's :meth:`GeodesicFan.read` it
-        was measured on is kept in ``_read``, for :meth:`constrained_mass`."""
-        self._read = self.fan.read(rho, w)
-        positions, tangents, _ = self._read
-        g = metric_action(self.metric, positions)
+        """``(area, read)``: the area of the surface at radius ``rho`` and
+        shape ``w``, from its first fundamental form alone, and the fan's
+        :meth:`GeodesicFan.read` it was measured on."""
+        read = self.fan.read(rho, w)
+        positions, tangents, _ = read
+        g = metric_action(self.fan.metric, positions)
         g_z = np.stack([g.apply(tangents[:, 0]), g.apply(tangents[:, 1])], axis=1)
         _, det = first_form(tangents, g_z)
-        return float(
-            np.sum(self.grid.weights * np.sqrt(det) / self.grid.sin_theta)
-        )
+        grid = self.fan.grid
+        return float(np.sum(grid.weights * np.sqrt(det) / grid.sin_theta)), read
 
     def solve_radius(self, rho_guess, w, target_area):
-        """Newton iteration on rho with dA/drho ~ 2A/rho."""
+        """Newton iteration on rho with dA/drho ~ 2A/rho.  Returns
+        ``(rho, read)``, the read whose area met the tolerance."""
         rho = rho_guess
         w_sup = float(np.max(np.abs(w))) if w.size else 0.0
         rho_cap = self.fan.s_max / (1.0 + w_sup) * (1.0 - 1e-12)
         for _ in range(40):
             rho = min(rho, rho_cap)
-            area = self.area_of(rho, w)
+            area, read = self.area_of(rho, w)
             err = area - target_area
             if abs(err) <= self.cfg.area_rtol * target_area:
-                return rho, area
+                return rho, read
             rho = rho * (1.0 - 0.5 * err / area)
             if rho <= 0.0:
                 raise DomainError("area solve collapsed the radius")
         raise DomainError("area constraint did not converge")
 
-    def constrained_mass(self, coeffs, rho_guess, target_area, w=None):
-        """Hawking mass at the area-matched radius for the given shape.
+    def constrained_mass(self, w, rho_guess, target_area):
+        """Hawking mass at the area-matched radius for the shape values ``w``
+        (:meth:`w_values`).
 
         Returns ``(mass, rho, surface)``.  The surface is completed
         (:meth:`GeodesicFan.surface_from`) from the read the area solve
-        measured last, at the radius it returns.  ``w`` is
-        ``w_values(coeffs)`` when the caller has expanded it already.
+        accepted, at the radius it returns.
         """
-        if w is None:
-            w = self.w_values(coeffs)
-        rho, _ = self.solve_radius(rho_guess, w, target_area)
-        surf = self.fan.surface_from(self._read)
+        rho, read = self.solve_radius(rho_guess, w, target_area)
+        surf = self.fan.surface_from(read)
         return hawking_mass(surf, self.K).generalized, rho, surf
 
-    def mass_gradient(self, coeffs, rho, surf, w=None):
+    def mass_gradient(self, w, rho, surf):
         """Gradient of :meth:`constrained_mass` in the shape coefficients,
-        from the first variation at ``surf`` (module docstring); ``w`` as
-        there.  The Willmore densities of ``surf`` it sums
-        (:func:`harmonics.willmore_densities`) are kept in ``_densities``."""
-        if w is None:
-            w = self.w_values(coeffs)
+        from the first variation at ``surf`` of shape ``w`` (module
+        docstring).  Returns ``(grad, densities)``, the second the Willmore
+        densities of ``surf`` it sums (:func:`harmonics.willmore_densities`)."""
         v_n = _normal_speed(surf)
-        self._densities = willmore_densities(surf, self.metric)
-        g_e, g_h = self._densities
+        densities = willmore_densities(surf, self.fan.metric)
+        g_e, g_h = densities
         radial = (1.0 - w) * v_n  # psi_rho
         lam = (radial @ g_e) / (radial @ g_h)  # int E psi_rho / int H psi_rho
         # psi_k = -rho phi_k v_n, so int (E - lam H) psi_k dmu = -rho moments[k]
         moments = _project(
-            v_n * (g_e - lam * g_h), self.grid, self.cfg.max_degree, self._tables
+            v_n * (g_e - lam * g_h), self.fan.grid, self.cfg.max_degree, self._tables
         )[4:]
-        return np.sqrt(surf.area / (16.0 * np.pi) ** 3) * rho * moments
+        return np.sqrt(surf.area / (16.0 * np.pi) ** 3) * rho * moments, densities
 
 
-def maximize_hawking(
-    metric,
-    p,
-    target_area,
-    cfg=None,
-    grid=None,
-    geo_cfg=None,
-    K=0,
-    fan=None,
-):
-    """Newton iteration for the Hawking mass at fixed area.
+def maximize_hawking(fan, target_area, cfg=None, K=0):
+    """Newton iteration for the Hawking mass at fixed area on ``fan``.
 
     Starts from the round sphere (``coeffs = 0``) and takes the analytic
     gradient in the shape coefficients from the first variation of the
@@ -267,20 +254,12 @@ def maximize_hawking(
     of a run that used its budget, one more gradient is taken, with no trace
     row).  ``stop_reason`` is ``"gradient_tol"`` whenever that norm is
     within the tolerance, else ``"max_iters"``.
-    Surfaces are read from ``fan``, an :func:`optimizer_fan` at ``p`` on
-    ``grid``, or from the one shot around the flat radius of
-    ``target_area`` when it is None.
+    A ``cfg.max_degree`` above the band limit of ``fan.grid`` raises
+    :class:`BandLimitExceeded`.
     """
     if cfg is None:
         cfg = OptimizeConfig()
-    if grid is None:
-        from .surface import build_grid
-
-        grid = build_grid(32, 64)
-    p = np.asarray(p, dtype=float)
-
-    rho_flat = np.sqrt(target_area / (4.0 * np.pi))
-    ev = _SurfaceEvaluator(metric, p, grid, rho_flat, cfg, geo_cfg, K, fan=fan)
+    ev = _SurfaceEvaluator(fan, cfg, K)
     # at the round sphere of the target area (module docstring)
     minus_hessian = 2.0 * np.sqrt(target_area / (16.0 * np.pi) ** 3) * (
         _shifted_bilaplacian_eigenvalues(cfg.max_degree)[4:]
@@ -289,12 +268,13 @@ def maximize_hawking(
     # each iterate's shape is expanded once, for its surface and its gradient
     coeffs = np.zeros(ev.n_coeff)
     w = ev.w_values(coeffs)
-    value, rho, surf = ev.constrained_mass(coeffs, rho_flat, target_area, w)
+    rho_flat = np.sqrt(target_area / (4.0 * np.pi))
+    value, rho, surf = ev.constrained_mass(w, rho_flat, target_area)
     trace = []
     stop_reason = "max_iters"
 
     for iterations in range(1, cfg.max_iters + 1):
-        grad = ev.mass_gradient(coeffs, rho, surf, w)
+        grad, densities = ev.mass_gradient(w, rho, surf)
         grad_norm = float(np.linalg.norm(grad))
         row = {
             "iteration": iterations,
@@ -311,22 +291,23 @@ def maximize_hawking(
         row["step"] = float(np.linalg.norm(step))
         coeffs = coeffs + step
         w = ev.w_values(coeffs)
-        value, rho, surf = ev.constrained_mass(coeffs, rho, target_area, w)
+        value, rho, surf = ev.constrained_mass(w, rho, target_area)
     else:
         # the budget ran out after a step: report the returned surface's own
         # gradient, not the one the step was taken from
-        grad_norm = float(np.linalg.norm(ev.mass_gradient(coeffs, rho, surf, w)))
+        grad, densities = ev.mass_gradient(w, rho, surf)
+        grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= cfg.gradient_tol:
             stop_reason = "gradient_tol"
 
     w_star = HarmonicField(
         cfg.max_degree,
         np.concatenate([np.zeros(4), coeffs]),
-        grid,
+        fan.grid,
     )
     # the last gradient was taken at the returned surface, so its Willmore
     # densities serve the Euler-Lagrange residual too
-    res_field = _galerkin_residual(surf, ev._densities)
+    res_field = _galerkin_residual(surf, densities)
     el_norm = float(np.sqrt(surf.integrate(res_field**2)))
     return OptimizeResult(
         w_star=w_star,
@@ -344,28 +325,14 @@ def maximize_hawking(
     )
 
 
-def closed_form_reference(metric, p, rho, grid, geo_cfg=None, K=0, fan=None):
+def closed_form_reference(fan, rho, K=0):
     """Area and mass of the closed-form optimally perturbed sphere at ``rho``.
 
     Returns ``(target_area, mass, w_field)`` for optimizer comparisons: the
     optimizer searching at this target area can only do at least as well as
     this surface.  The sphere is read from ``fan``, the
-    :func:`optimizer_fan` around ``rho`` that the search then shares, or
-    from one shot here when it is None.
+    :func:`optimizer_fan` around ``rho`` that the search then shares.
     """
-    if fan is None:
-        fan = optimizer_fan(metric, p, rho, grid, geo_cfg)
-    pert = optimal_perturbation(fan.packet, grid)
-    surf = fan.surface(rho, pert.w_values(rho, grid))
+    pert = optimal_perturbation(fan.packet, fan.grid)
+    surf = fan.surface(rho, pert.w_values(rho, fan.grid))
     return surf.area, hawking_mass(surf, K).generalized, pert.w_field(rho)
-
-
-def trace_to_csv(trace, path):
-    """Write the per-iteration optimizer trace."""
-    with open(path, "w") as fh:
-        fh.write("iteration,mass,gradient_norm,step,rho\n")
-        for row in trace:
-            fh.write(
-                f"{row['iteration']},{row['mass']:.17g},"
-                f"{row['gradient_norm']:.17g},{row['step']:.17g},{row['rho']:.17g}\n"
-            )

@@ -57,7 +57,6 @@ __all__ = [
     "extrinsic_geometry",
     "HawkingReport",
     "hawking_mass",
-    "surface_to_csv",
 ]
 
 
@@ -411,25 +410,4 @@ def hawking_mass(surface, K=0):
         cosmological_sign=int(K),
         generalized=float(generalized),
     )
-
-
-def surface_to_csv(surface, path):
-    """Write the plot-ready node table (theta1, theta2, x, y, z, H, dA)."""
-    g = surface.grid
-    da = g.weights * surface.area_element / g.sin_theta
-    cols = np.column_stack(
-        [
-            g.theta1,
-            g.theta2,
-            surface.positions[:, 0],
-            surface.positions[:, 1],
-            surface.positions[:, 2],
-            surface.mean_curvature,
-            da,
-        ]
-    )
-    with open(path, "w") as fh:
-        fh.write("theta1,theta2,x,y,z,H,dA\n")
-        for row in cols:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 

@@ -209,6 +209,36 @@ def test_optimize_out_of_iterations_reports_returned_surface_gradient(
     assert report["result"]["final_gradient_norm"] <= 1e-10
 
 
+def test_optimize_rejects_max_degree_above_band_limit(capsys, tmp_path):
+    # 16x32 resolves degrees up to min(16 - 2, 32 // 2 - 1) = 14; above it
+    # the search would converge on aliased modes
+    config = {
+        "metric": {"kind": "schwarzschild", "mass": 1.0},
+        "point": [4.0, 0.0, 0.0],
+        "grid": {"n_theta": 16, "n_phi": 32},
+        "optimizer": {"max_degree": 20, "max_iters": 1},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["optimize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "BandLimitExceeded: optimizer.max_degree 20 exceeds the grid band limit 14" in err
+
+
+def test_curvature_reports_the_tolerance_it_applies(capsys, tmp_path):
+    # Sc = 6 / 0.5^2 = 24 on the round sphere of radius 0.5, so the trace
+    # check's bound is 1e-9 |Sc|, not 1e-9
+    config = {"metric": {"kind": "round_sphere", "radius": 0.5}, "point": [0.1, 0.0, 0.0]}
+    code, report = run(capsys, tmp_path, "curvature", config)
+    assert code == 0
+    scalar = report["packet"]["scalar"]
+    assert scalar == pytest.approx(24.0, rel=1e-12)
+    (check,) = report["checks"]
+    assert check["name"] == "ricci_trace_matches_scalar"
+    assert check["tolerance"] == 1e-9 * scalar
+    assert check["value"] <= check["tolerance"]
+
+
 def test_defaults_come_from_the_config_dataclasses():
     data = RunConfig({}).data
     assert data["geodesic"] == asdict(GeodesicConfig())
@@ -244,6 +274,10 @@ def test_defaults_come_from_the_config_dataclasses():
         ({"tolerances": {"c3_rel": "x"}}, "tolerances.c3_rel"),
         ({"bartnik": {"rho": "x"}}, "bartnik.rho"),
         ({"bartnik": {"validity_radius": None}}, "bartnik.validity_radius"),
+        # a boolean is not an integer, though True == 1
+        ({"K": True}, "K must be -1, 0 or 1, got True"),
+        ({"K": 2}, "K must be -1, 0 or 1, got 2"),
+        ({"mode": "optimum"}, "mode must be one of ('optimal', 'unperturbed')"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):

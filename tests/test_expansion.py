@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawking_lab.cli import _ladder_table, _write_csv
 from hawking_lab.errors import FitUnstable, RadiusOutOfRange
 from hawking_lab.expansion import (
     bartnik_lower_bound,
     compare_report,
     fit_coefficients,
-    ladder_to_csv,
     predicted_coefficients,
     radius_ladder,
 )
@@ -257,7 +257,8 @@ class TestLadderCsv:
             RoundSphereMetric(), np.array([0.1, 0.0, 0.0]), "optimal", 0.2, 5, grid, cfg=cfg
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        ladder_to_csv(ladder, p1)
-        ladder_to_csv(ladder, p2)
+        pred = predicted_coefficients(ladder.packet, ladder.mode, ladder.K)
+        _write_csv(p1, *_ladder_table(ladder, pred))
+        _write_csv(p2, *_ladder_table(ladder, pred))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "rho,area,willmore,hawking,predicted_leading"

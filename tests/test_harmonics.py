@@ -32,7 +32,7 @@ from hawking_lab.manifold import (
     curvature_packet,
 )
 from hawking_lab.harmonics import lagrange_multiplier_from_surface
-from hawking_lab.optimizer import OptimizeConfig, maximize_hawking
+from hawking_lab.optimizer import OptimizeConfig, maximize_hawking, optimizer_fan
 from hawking_lab.surface import build_grid
 
 POLY_TERMS = [
@@ -183,7 +183,8 @@ class TestSeparableTransforms:
             )
             willmore_el_residual(surf, metric)
             target = 4.0 * np.pi * 0.2**2
-            maximize_hawking(metric, p, target, OptimizeConfig(max_iters=2), grid)
+            fan = optimizer_fan(metric, p, 0.2, grid)
+            maximize_hawking(fan, target, OptimizeConfig(max_iters=2))
         after = snapshot()
         assert after.keys() == before.keys()
         for name, (value, size) in before.items():

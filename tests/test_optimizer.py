@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hawking_lab.errors import BandLimitExceeded, DomainError
 from hawking_lab.expansion import predicted_coefficients
 from hawking_lab.geodesics import (
     GeodesicConfig,
@@ -40,13 +41,14 @@ def grid():
 
 class TestGridFloor:
     def test_flat_reference_mass_is_floor_free(self, grid):
-        area, mass, _ = closed_form_reference(EuclideanMetric(), np.zeros(3), 0.05, grid)
+        fan = optimizer_fan(EuclideanMetric(), np.zeros(3), 0.05, grid)
+        area, mass, _ = closed_form_reference(fan, 0.05)
         assert area == pytest.approx(4.0 * np.pi * 0.05**2, rel=1e-13)
         assert abs(mass) < 1e-15
 
     def test_schwarzschild_reference_matches_expansion(self, grid):
         metric, p, rho = SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.05
-        _, mass, _ = closed_form_reference(metric, p, rho, grid)
+        _, mass, _ = closed_form_reference(optimizer_fan(metric, p, rho, grid), rho)
         pred = predicted_coefficients(curvature_packet(metric, p), "optimal")
         expected = pred.c3 * rho**3 + pred.c5 * rho**5
         assert abs(mass - expected) <= 0.02 * abs(expected)
@@ -54,7 +56,8 @@ class TestGridFloor:
     def test_flat_optimizer_masses_are_floor_free(self, grid):
         cfg = OptimizeConfig(max_degree=2, max_iters=1)
         target = 4.0 * np.pi * 0.05**2
-        result = maximize_hawking(EuclideanMetric(), np.zeros(3), target, cfg, grid)
+        fan = optimizer_fan(EuclideanMetric(), np.zeros(3), 0.05, grid)
+        result = maximize_hawking(fan, target, cfg)
         assert abs(result.m_H_star) < 1e-14
         assert abs(result.area - target) <= 1e-9 * target
 
@@ -66,17 +69,16 @@ def central_difference_gradient(ev, coeffs, rho, target_area, h=1e-6):
     for k in range(ev.n_coeff):
         probe = coeffs.copy()
         probe[k] = coeffs[k] + h
-        up = ev.constrained_mass(probe, rho, target_area)[0]
+        up = ev.constrained_mass(ev.w_values(probe), rho, target_area)[0]
         probe[k] = coeffs[k] - h
-        dn = ev.constrained_mass(probe, rho, target_area)[0]
+        dn = ev.constrained_mass(ev.w_values(probe), rho, target_area)[0]
         grad[k] = (up - dn) / (2.0 * h)
     return grad
 
 
 def evaluator_at(metric, p, rho, grid, K=0):
-    cfg = OptimizeConfig(max_degree=4)
-    p = np.asarray(p, dtype=float)
-    return _SurfaceEvaluator(metric, p, grid, 1.05 * rho, cfg, GeodesicConfig(), K)
+    fan = optimizer_fan(metric, np.asarray(p, dtype=float), 1.05 * rho, grid, GeodesicConfig())
+    return _SurfaceEvaluator(fan, OptimizeConfig(max_degree=4), K)
 
 
 class TestMassGradient:
@@ -99,8 +101,9 @@ class TestMassGradient:
         ev = evaluator_at(metric, p, rho0, grid, K)
         target = 4.0 * np.pi * rho0**2
         coeffs = 1e-3 * np.random.default_rng(0).standard_normal(ev.n_coeff)
-        _, rho, surf = ev.constrained_mass(coeffs, rho0, target)
-        grad = ev.mass_gradient(coeffs, rho, surf)
+        w = ev.w_values(coeffs)
+        _, rho, surf = ev.constrained_mass(w, rho0, target)
+        grad, _ = ev.mass_gradient(w, rho, surf)
         reference = central_difference_gradient(ev, coeffs, rho, target)
         # measured 8e-8 to 2.1e-5 relative on the metric kinds here
         assert np.linalg.norm(grad - reference) <= 1e-3 * np.linalg.norm(reference)
@@ -113,9 +116,9 @@ class TestMassGradient:
         # read about 7e-12 here, the mass's rounding over the step
         rho0 = 0.05
         ev = evaluator_at(metric, np.zeros(3), rho0, grid)
-        coeffs = np.zeros(ev.n_coeff)
-        _, rho, surf = ev.constrained_mass(coeffs, rho0, 4.0 * np.pi * rho0**2)
-        assert np.linalg.norm(ev.mass_gradient(coeffs, rho, surf)) <= 1e-11
+        w = ev.w_values(np.zeros(ev.n_coeff))
+        _, rho, surf = ev.constrained_mass(w, rho0, 4.0 * np.pi * rho0**2)
+        assert np.linalg.norm(ev.mass_gradient(w, rho, surf)[0]) <= 1e-11
 
 
 class TestNormalSpeed:
@@ -161,7 +164,7 @@ class TestAreaSolve:
         ev = evaluator_at(metric, p, 0.2, grid)
         w = ev.w_values(1e-2 * np.random.default_rng(1).standard_normal(ev.n_coeff))
         assert np.max(np.abs(w)) > 1e-3
-        area = ev.area_of(0.2, w)
+        area, _ = ev.area_of(0.2, w)
         assert area == pytest.approx(ev.fan.surface(0.2, w).area, rel=1e-14, abs=0.0)
 
 
@@ -176,8 +179,8 @@ class TestOptimalGraph:
         errors = []
         for rho in (0.2, 0.1):
             fan = optimizer_fan(metric, p, rho, grid)
-            area, _, graph = closed_form_reference(metric, p, rho, grid, fan=fan)
-            result = maximize_hawking(metric, p, area, OptimizeConfig(), grid, fan=fan)
+            area, _, graph = closed_form_reference(fan, rho)
+            result = maximize_hawking(fan, area, OptimizeConfig())
             assert result.converged
             want = graph.coeffs[degree_2]
             got = result.w_star.coeffs[degree_2]
@@ -200,7 +203,7 @@ class TestOneSurfacePerIterate:
         # the area solve's accepted read, completed, is the fan's surface
         ev = evaluator_at(metric, p, 0.2, grid)
         w = ev.w_values(1e-2 * np.random.default_rng(2).standard_normal(ev.n_coeff))
-        _, rho, surf = ev.constrained_mass(None, 0.19, 4.0 * np.pi * 0.2**2, w)
+        _, rho, surf = ev.constrained_mass(w, 0.19, 4.0 * np.pi * 0.2**2)
         ref = ev.fan.surface(rho, w)
         for field in dataclasses.fields(surf):
             if field.name != "grid":
@@ -212,12 +215,35 @@ class TestOneSurfacePerIterate:
         # the residual reuses the densities of the returned surface's gradient
         metric, p, rho = SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2
         fan = optimizer_fan(metric, p, rho, grid)
-        area, _, _ = closed_form_reference(metric, p, rho, grid, fan=fan)
+        area, _, _ = closed_form_reference(fan, rho)
         cfg = OptimizeConfig(max_iters=max_iters)
-        result = maximize_hawking(metric, p, area, cfg, grid, fan=fan)
+        result = maximize_hawking(fan, area, cfg)
         assert result.converged == (max_iters > 1)
         res = willmore_el_residual(result.surface, metric)
         assert result.el_residual_norm == float(np.sqrt(result.surface.integrate(res**2)))
+
+
+class TestFanInputs:
+    """The fan is the search's only geometry: its grid bounds the shape's
+    band limit and its reach bounds the radius."""
+
+    @pytest.fixture(scope="class")
+    def fan(self):
+        grid = build_grid(16, 32)
+        return optimizer_fan(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2, grid)
+
+    def test_max_degree_above_the_band_limit(self, fan):
+        # 16x32 resolves degrees up to min(16 - 2, 32 // 2 - 1) = 14
+        assert _SurfaceEvaluator(fan, OptimizeConfig(max_degree=14)).n_coeff == 221
+        with pytest.raises(BandLimitExceeded, match="optimizer.max_degree 15"):
+            maximize_hawking(fan, 4.0 * np.pi * 0.2**2, OptimizeConfig(max_degree=15))
+
+    def test_radius_beyond_the_fan(self, fan):
+        rho = 2.0 * fan.s_max
+        with pytest.raises(DomainError):
+            closed_form_reference(fan, rho)
+        with pytest.raises(DomainError):
+            maximize_hawking(fan, 4.0 * np.pi * rho**2, OptimizeConfig(max_iters=1))
 
 
 class _NoAssembly:
@@ -256,12 +282,12 @@ class TestNoAssembly:
         packet = curvature_packet(metric, p)
         fan = GeodesicFan(proxy, p, grid, 0.3, GeodesicConfig(), packet=packet)
         cfg = OptimizeConfig(max_degree=3)
-        ev = _SurfaceEvaluator(proxy, p, grid, 0.2, cfg, None, fan=fan)
+        ev = _SurfaceEvaluator(fan, cfg)
         coeffs = 1e-2 * np.random.default_rng(3).standard_normal(ev.n_coeff)
         w = ev.w_values(coeffs)
         fan.surface(0.2, w)
-        _, rho, surf = ev.constrained_mass(coeffs, 0.2, 4.0 * np.pi * 0.2**2, w)
-        assert np.all(np.isfinite(ev.mass_gradient(coeffs, rho, surf, w)))
+        _, rho, surf = ev.constrained_mass(w, 0.2, 4.0 * np.pi * 0.2**2)
+        assert np.all(np.isfinite(ev.mass_gradient(w, rho, surf)[0]))
         assert fan.speed_drift < 1e-8
 
     def test_euclidean_surface(self):

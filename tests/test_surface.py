@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hawking_lab.cli import _surface_table, _write_csv
 from hawking_lab.errors import DegenerateSurface, GridTooCoarse
 from hawking_lab.geodesics import (
     GeodesicConfig,
@@ -24,7 +25,6 @@ from hawking_lab.surface import (
     extrinsic_geometry,
     first_form,
     hawking_mass,
-    surface_to_csv,
 )
 
 import oracles
@@ -420,8 +420,8 @@ class TestCsv:
         )
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        surface_to_csv(surf, p1)
-        surface_to_csv(surf, p2)
+        _write_csv(p1, *_surface_table(surf))
+        _write_csv(p2, *_surface_table(surf))
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "theta1,theta2,x,y,z,H,dA"
