@@ -29,7 +29,6 @@ from .manifold import (
     geodesic_acceleration,
     metric_at,
     metric_from_config,
-    scalar_laplacian,
 )
 from .surface import (
     EmbeddedSurface,

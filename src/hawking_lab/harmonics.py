@@ -160,9 +160,6 @@ class HarmonicField:
     def degree_of_mode(self):
         return mode_degrees(self.max_degree)
 
-    def coefficient(self, l, m):
-        return float(self.coeffs[mode_index(l, m)])
-
     def copy_with(self, coeffs):
         return HarmonicField(self.max_degree, np.asarray(coeffs, dtype=float), self.grid)
 

@@ -15,15 +15,15 @@ ddg along six directions, pushed through the same curvature assembly (its
 third and fourth derivatives of g are exponent shifts too).  The full
 curvature tensors are assembled from ``(g, dg, ddg)`` by the standard
 Levi-Civita formulas; :func:`geodesic_acceleration` contracts ``dg`` with a
-velocity directly, without inverting g or forming Gamma.  :func:`ricci_along` gives Ric(n, n)
-alone, from a closed form per kind where one exists (conformally flat kinds,
-Schwarzschild, Euclidean) and from the assembled tensor otherwise.
+velocity directly, without inverting g or forming Gamma.
 
 The geodesic fan needs dg only through -Gamma(v, v), and surfaces need g
 only through its *action* on vectors at a set of points x: g v, g^{-1} c and
-((n.d)g) v (:func:`metric_action`).  Kinds with closed forms of these define
-``acceleration(x, v)`` and ``action(x)``, which evaluates phi (or r and h)
-once per point set; (n.d)g reads d phi (or h') only when asked:
+((n.d)g) v (:func:`metric_action`).  Every kind defines ``action(x)``, which
+evaluates phi (or r, or h) once per point set and reads d phi (or h', or
+dh) only when (n.d)g is asked for, and ``ricci_along(x, n)``, Ric(n, n)
+alone; the conformally flat kinds and Schwarzschild also define
+``acceleration(x, v)``:
 
 * conformally flat kinds (round sphere, hyperbolic, conformal), g =
   exp(2 phi) delta: -Gamma(v, v) = |v|^2 d phi - 2 (d phi . v) v,
@@ -33,13 +33,12 @@ once per point set; (n.d)g reads d phi (or h') only when asked:
   -Gamma(v, v) = -x (h |v|^2 + h' (x.v)^2 / (2 r)) / (1 + psi),
   g v = v + h (x.v) x, g^{-1} c = c - (2m / r^3) (x.c) x (Sherman-Morrison)
   and ((n.d)g) v = (h' / r) (x.n) (x.v) x + h ((x.v) n + (n.v) x);
-* Euclidean: the identity and a zero derivative, and no ``acceleration``.
+* Euclidean: the identity and a zero derivative;
+* the polynomial perturbation: its assembled g, dh contracted with n, and
+  the assembled Ricci tensor.
 
-Callers reach these through ``getattr`` in one place each
-(:func:`metric_action` and the fan's right-hand side) and otherwise contract
-``metric.metric`` and ``metric.metric_deriv`` of the object they hold (the
-polynomial perturbation, and Euclidean in the fan), so a proxy around a
-metric sees those reads.
+These methods are unguarded and keep the dtype of their points, so they
+take complex points too.
 
 Index conventions for the arrays returned here:
 
@@ -75,8 +74,6 @@ __all__ = [
     "ricci_along",
     "scalar_curvature_at",
     "curvature_packet",
-    "scalar_laplacian",
-    "scalar_gradient",
     "metric_from_config",
 ]
 
@@ -249,9 +246,10 @@ class _Polynomial:
         self._flat = summed[keep].reshape(-1, size)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
         # powers[..., k, e] = x_k^e by repeated multiplication
-        powers = np.ones(x.shape + (int(self.exps.max(initial=0)) + 1,))
+        powers = np.ones(
+            x.shape + (int(self.exps.max(initial=0)) + 1,), dtype=np.result_type(x, float)
+        )
         for e in range(1, powers.shape[-1]):
             powers[..., e] = powers[..., e - 1] * x
         mono = (
@@ -328,14 +326,13 @@ class _SchwarzschildAction:
         return deriv
 
 
-class _AssembledAction:
-    """The action of g assembled by ``metric.metric(x)``; (n.d)g contracts
-    ``metric.metric_deriv(x)`` with n, read only when asked for."""
+class _PolynomialAction:
+    """The action of g = delta + h at a set of points: ``g`` is g assembled
+    there (..., 3, 3), and ``dh()`` returns dh (..., 3, 3, 3) there."""
 
-    def __init__(self, metric, x):
-        self._metric = metric
-        self._x = x
-        self._g = metric.metric(x)
+    def __init__(self, g, dh):
+        self._g = g
+        self._dh = dh
 
     def apply(self, v):
         return _apply_sym3(self._g, v)
@@ -344,7 +341,7 @@ class _AssembledAction:
         return _solve_sym3(self._g, c)
 
     def along(self, n):
-        dg_n = np.einsum("...c,...cab->...ab", n, self._metric.metric_deriv(self._x))
+        dg_n = np.einsum("...c,...cab->...ab", n, self._dh())
         return lambda v: _apply_sym3(dg_n, v)
 
 
@@ -357,17 +354,12 @@ class MetricField:
 
     Subclasses provide :meth:`metric`, :meth:`metric_deriv` and
     :meth:`metric_deriv2`, all exact, so assembled curvature tensors carry
-    rounding only, and override :meth:`ricci_along` where Ric(n, n) has a
-    closed form, and provide :meth:`scalar_derivatives`: closed forms for d Sc
-    and Delta Sc on every built-in kind but the polynomial perturbation,
-    which propagates Taylor jets of g through the curvature assembly.
-
-    Kinds with closed forms also define ``acceleration(x, v)``, -Gamma(v, v)
-    for velocities ``v`` (..., 3), and ``action(x)``, whose ``apply(v)``,
-    ``solve(c)`` and ``along(n)(v)`` give g v, g^{-1} c and ((n.d)g) v at
-    the points ``x``, all unguarded (module docstring).  The base class
-    defines neither: a caller that does not find them contracts ``metric``
-    and ``metric_deriv`` itself, through the object it holds.
+    rounding only; :meth:`action` and :meth:`ricci_along`; and
+    :meth:`scalar_derivatives`: closed forms for d Sc and Delta Sc on every
+    built-in kind but the polynomial perturbation, which propagates Taylor
+    jets of g through the curvature assembly.  Kinds with a closed-form
+    -Gamma(v, v) for velocities ``v`` (..., 3) also define
+    ``acceleration(x, v)`` (module docstring).
     """
 
     kind = "abstract"
@@ -381,12 +373,16 @@ class MetricField:
     def metric_deriv2(self, x):
         raise NotImplementedError
 
+    def action(self, x):
+        """The action of g at the points ``x`` (..., 3), unguarded: an object
+        whose ``apply(v)``, ``solve(c)`` and ``along(n)(v)`` give g v,
+        g^{-1} c and ((n.d)g) v for vectors shaped like ``x``."""
+        raise NotImplementedError
+
     def ricci_along(self, x, n):
         """Ric(n, n) at points ``x`` for chart vectors ``n``, both (..., 3),
-        unguarded; kinds with a closed form override the contraction of the
-        assembled tensor."""
-        g, dg, ddg = self.metric(x), self.metric_deriv(x), self.metric_deriv2(x)
-        return np.einsum("...ab,...a,...b->...", _curvature_from(g, dg, ddg)[2], n, n)
+        unguarded."""
+        raise NotImplementedError
 
     def scalar_derivatives(self, p):
         """Chart gradient d_a Sc (3,) and covariant Laplacian Delta_g Sc at
@@ -395,13 +391,11 @@ class MetricField:
 
     def domain_guard(self, x):
         """Boolean chart-validity mask for points ``x`` of shape (..., 3)."""
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1], dtype=bool)
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
     def domain_margin(self, x):
         """Continuous margin, positive inside the chart (used as ODE event)."""
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1])
+        return np.ones(np.shape(x)[:-1])
 
     def injectivity_bound(self, p):
         """Conservative radius below which geodesic spheres are embedded."""
@@ -420,18 +414,15 @@ class EuclideanMetric(MetricField):
     kind = "euclidean"
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3, 3))
+        out = np.zeros(np.shape(x)[:-1] + (3, 3))
         out[...] = np.eye(3)
         return out
 
     def metric_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (3, 3, 3))
+        return np.zeros(np.shape(x)[:-1] + (3, 3, 3))
 
     def metric_deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (3, 3, 3, 3))
+        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
 
     # no acceleration: a fan reads its zero -Gamma(v, v) through the
     # contraction, so a proxy around the metric sees each right-hand side
@@ -460,19 +451,16 @@ class _ConformallyFlat(MetricField):
         raise NotImplementedError
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
         conf = np.exp(2.0 * self._phi(x))
         return conf[..., np.newaxis, np.newaxis] * np.eye(3)
 
     def metric_deriv(self, x):
-        x = np.asarray(x, dtype=float)
         conf = np.exp(2.0 * self._phi(x))
         grad = self._phi_grad(x)
         out = np.einsum("...c,...->...c", 2.0 * grad, conf)
         return out[..., :, np.newaxis, np.newaxis] * np.eye(3)
 
     def metric_deriv2(self, x):
-        x = np.asarray(x, dtype=float)
         conf = np.exp(2.0 * self._phi(x))
         grad = self._phi_grad(x)
         hess = self._phi_hess(x)
@@ -482,17 +470,15 @@ class _ConformallyFlat(MetricField):
 
     def acceleration(self, x, v):
         # Gamma^c_ab = delta_ca d_b phi + delta_cb d_a phi - delta_ab d_c phi
-        grad = self._phi_grad(np.asarray(x, dtype=float))
+        grad = self._phi_grad(x)
         return _dot3(v, v)[..., np.newaxis] * grad - (2.0 * _dot3(grad, v))[..., np.newaxis] * v
 
     def action(self, x):
-        x = np.asarray(x, dtype=float)
         return _ConformalAction(np.exp(2.0 * self._phi(x)), lambda: self._phi_grad(x))
 
     def ricci_along(self, x, n):
         # Ric = -(Hess phi - dphi dphi) - (Lap phi + |dphi|^2) delta in three
         # dimensions, with flat derivatives of phi
-        x = np.asarray(x, dtype=float)
         grad, hess = self._phi_grad(x), self._phi_hess(x)
         dphi_n = _dot3(grad, n)
         hess_nn = _dot3(n, _apply_sym3(hess, n))
@@ -533,7 +519,6 @@ class _SpaceForm(_ConformallyFlat):
 
     def ricci_along(self, x, n):
         # Ric = 2 K g in three dimensions
-        x = np.asarray(x, dtype=float)
         return (2.0 * self._sign / self.radius**2) * np.exp(2.0 * self._phi(x)) * _dot3(n, n)
 
     def scalar_derivatives(self, p):
@@ -565,11 +550,9 @@ class HyperbolicMetric(_SpaceForm):
     _GUARD = 0.999
 
     def domain_guard(self, x):
-        x = np.asarray(x, dtype=float)
         return np.linalg.norm(x, axis=-1) < self._GUARD * self.radius
 
     def domain_margin(self, x):
-        x = np.asarray(x, dtype=float)
         return (self._GUARD * self.radius - np.linalg.norm(x, axis=-1)) / self.radius
 
     def injectivity_bound(self, p):
@@ -607,7 +590,6 @@ class SchwarzschildMetric(MetricField):
         # g = delta + h x x^T with h = psi / r^2 gives
         # -Gamma(v, v) = -x (h |v|^2 + h' (x.v)^2 / (2 r)) / (1 + psi), and
         # h / (1 + psi) = 2m / r^3, h' / h = -(3r - 4m) / (r (r - 2m))
-        x = np.asarray(x, dtype=float)
         m = self.mass
         r2 = _dot3(x, x)
         r = np.sqrt(r2)
@@ -616,17 +598,15 @@ class SchwarzschildMetric(MetricField):
         return -(2.0 * m / (r2 * r) * bracket)[..., np.newaxis] * x
 
     def action(self, x):
-        return _SchwarzschildAction(self.mass, np.asarray(x, dtype=float))
+        return _SchwarzschildAction(self.mass, x)
 
     def metric(self, x):
-        x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
         u = x / r[..., np.newaxis]
         uu = np.einsum("...a,...b->...ab", u, u)
         return np.eye(3) + self._psi(r)[..., np.newaxis, np.newaxis] * uu
 
     def metric_deriv(self, x):
-        x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
         m = self.mass
         # built with the batch axes last, so every product runs over
@@ -643,7 +623,6 @@ class SchwarzschildMetric(MetricField):
         return np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (-3, -2, -1)))
 
     def metric_deriv2(self, x):
-        x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
         u = x / r[..., np.newaxis]
         m = self.mass
@@ -686,8 +665,7 @@ class SchwarzschildMetric(MetricField):
     def ricci_along(self, x, n):
         # Ric = (m / r^3) (g - 3 (1 + psi) dr dr): -2m/r^3 on the unit radial
         # vector, m/r^3 on the tangential ones
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(_dot3(x, x))
         psi = self._psi(r)
         u_n = np.sum(x * n, axis=-1) / r
         g_nn = np.sum(n * n, axis=-1) + psi * u_n * u_n
@@ -697,12 +675,10 @@ class SchwarzschildMetric(MetricField):
         return np.zeros(3), 0.0  # the slice is scalar-flat
 
     def domain_guard(self, x):
-        x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
         return r > 2.0 * self.mass * (1.0 + self.horizon_margin)
 
     def domain_margin(self, x):
-        x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
         return (r - 2.0 * self.mass * (1.0 + self.horizon_margin)) / self.mass
 
@@ -728,6 +704,14 @@ class SchwarzschildMetric(MetricField):
         return {"mass": self.mass, "horizon_margin": self.horizon_margin}
 
 
+def _exponents(e, name):
+    """The exponents (e1, e2, e3) of a monomial of the ``name`` parameter."""
+    e = tuple(e)
+    if len(e) != 3 or any(k < 0 or k != int(k) for k in e):
+        raise ValueError(f"{name}: exponents {list(e)} are not three non-negative integers")
+    return tuple(int(k) for k in e)
+
+
 class ConformalMetric(_ConformallyFlat):
     """g = exp(2 phi) * delta for a polynomial conformal factor.
 
@@ -739,7 +723,7 @@ class ConformalMetric(_ConformallyFlat):
     kind = "conformal"
 
     def __init__(self, terms):
-        self.poly_terms = [(float(c), tuple(int(e) for e in exps)) for c, exps in terms]
+        self.poly_terms = [(float(c), _exponents(e, "phi_poly")) for c, e in terms]
         self.phi = _Polynomial(
             [e for _, e in self.poly_terms], [c for c, _ in self.poly_terms]
         )
@@ -798,7 +782,9 @@ class PolynomialMetric(MetricField):
     def __init__(self, terms):
         exps, coefs, stored = [], [], []
         for a, b, c, e in terms:
-            a, b, c, e = int(a), int(b), float(c), tuple(int(k) for k in e)
+            if not {a, b} <= {0, 1, 2}:
+                raise ValueError(f"terms: entry ({a}, {b}) is not an index pair in 0..2")
+            a, b, c, e = int(a), int(b), float(c), _exponents(e, "terms")
             if sum(e) > self.MAX_DEGREE:
                 raise ValueError("perturbation terms must have total degree <= 4")
             coef = np.zeros((3, 3))
@@ -823,6 +809,13 @@ class PolynomialMetric(MetricField):
 
     def metric_deriv2(self, x):
         return self._ddh(x)
+
+    def action(self, x):
+        return _PolynomialAction(self.metric(x), lambda: self._dh(x))
+
+    def ricci_along(self, x, n):
+        ricci = _curvature_from(self.metric(x), self._dh(x), self._ddh(x))[2]
+        return np.einsum("...ab,...a,...b->...", ricci, n, n)
 
     def scalar_derivatives(self, p):
         # degree-2 Taylor series in t of g, dg and ddg at p + t e, pushed
@@ -936,16 +929,11 @@ def metric_at(metric, x):
 
 
 def metric_action(metric, x):
-    """The action of g at chart points ``x`` (..., 3): an object whose
-    ``apply(v)``, ``solve(c)`` and ``along(n)(v)`` give g v, g^{-1} c and
-    ((n.d)g) v for vectors shaped like ``x``.  It is the kind's closed-form
-    ``action`` where it has one, and otherwise applies ``metric.metric(x)``
-    of the object handed in, contracting ``metric.metric_deriv(x)`` only
-    when ``along`` is called.  Raises DomainError off-chart."""
+    """The action of g at chart points ``x`` (:meth:`MetricField.action`);
+    raises DomainError off-chart."""
     x = _as_points(x)
     _guard(metric, x)
-    action = getattr(metric, "action", None)
-    return action(x) if action is not None else _AssembledAction(metric, x)
+    return metric.action(x)
 
 
 def christoffel_at(metric, x):
@@ -992,20 +980,6 @@ def _orthonormal_frame(g):
         norm = np.sqrt(v @ g @ v)
         frame[mu] = v / norm
     return frame
-
-
-def scalar_gradient(metric, p):
-    """Chart-component gradient d_a Sc at the point ``p``."""
-    p = _as_points(p)
-    _guard(metric, p)
-    return metric.scalar_derivatives(p)[0]
-
-
-def scalar_laplacian(metric, p):
-    """Covariant Laplacian g^{ab} grad_a grad_b Sc at the point ``p``."""
-    p = _as_points(p)
-    _guard(metric, p)
-    return metric.scalar_derivatives(p)[1]
 
 
 def curvature_packet(metric, p):

@@ -192,16 +192,24 @@ class _SurfaceEvaluator:
 
     def solve_radius(self, rho_guess, w, target_area):
         """Newton iteration on rho with dA/drho ~ 2A/rho.  Returns
-        ``(rho, read)``, the read whose area met the tolerance."""
+        ``(rho, read)``, the read whose area met the tolerance.  Raises
+        DomainError on the first read at the fan's reach whose area is still
+        below the target."""
         rho = rho_guess
         w_sup = float(np.max(np.abs(w))) if w.size else 0.0
         rho_cap = self.fan.s_max / (1.0 + w_sup) * (1.0 - 1e-12)
         for _ in range(40):
+            capped = rho >= rho_cap
             rho = min(rho, rho_cap)
             area, read = self.area_of(rho, w)
             err = area - target_area
             if abs(err) <= self.cfg.area_rtol * target_area:
                 return rho, read
+            if capped and err < 0.0:
+                raise DomainError(
+                    f"target area {target_area:.6g} lies beyond the fan: the surface at its"
+                    f" reach s_max = {self.fan.s_max:.6g} has area {area:.6g}"
+                )
             rho = rho * (1.0 - 0.5 * err / area)
             if rho <= 0.0:
                 raise DomainError("area solve collapsed the radius")

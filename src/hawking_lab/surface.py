@@ -23,10 +23,8 @@ Per-node algebra
 ----------------
 The metric enters only through its action at the nodes
 (:func:`manifold.metric_action`): g Z_i, the normal g^{-1} (Z_1 x Z_2) and
-((N.d)g) Z_i.  Every kind but the polynomial perturbation has it in closed
-form, so no 3x3 tensor is assembled per node; the polynomial kind applies
-its assembled g, and contracts N with dg, component by component.  Dot
-products, the 2x2 forms and their inverses are written out component by
+((N.d)g) Z_i, in closed form on every kind but the polynomial perturbation,
+which applies its assembled g component by component.  Dot products, the 2x2 forms and their inverses are written out component by
 component over node arrays too: numpy's stacked ``matmul`` and ``inv`` run a
 per-matrix inner loop on 3x3 and 2x2 blocks, which costs several times the
 arithmetic at a few thousand nodes.

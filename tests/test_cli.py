@@ -278,6 +278,20 @@ def test_defaults_come_from_the_config_dataclasses():
         ({"K": True}, "K must be -1, 0 or 1, got True"),
         ({"K": 2}, "K must be -1, 0 or 1, got 2"),
         ({"mode": "optimum"}, "mode must be one of ('optimal', 'unperturbed')"),
+        # a monomial off the three axes or of negative degree is no metric
+        ({"metric": {"kind": "polynomial_perturbation", "terms": [[3, 0, 0.1, [1, 0, 0]]]}},
+         "terms: entry (3, 0)"),
+        ({"metric": {"kind": "polynomial_perturbation", "terms": [[-1, 0, 0.1, [1, 0, 0]]]}},
+         "terms: entry (-1, 0)"),
+        ({"metric": {"kind": "polynomial_perturbation", "terms": [[0, 0, 0.1, [1, 0]]]}},
+         "terms: exponents [1, 0]"),
+        ({"metric": {"kind": "conformal", "phi_poly": [[0.1, [-1, 0, 0]]]}},
+         "phi_poly: exponents [-1, 0, 0]"),
+        # a fractional index or exponent is not rounded to a metric
+        ({"metric": {"kind": "polynomial_perturbation", "terms": [[0.5, 0, 0.1, [1, 0, 0]]]}},
+         "terms: entry (0.5, 0)"),
+        ({"metric": {"kind": "conformal", "phi_poly": [[0.1, [2.5, 0, 0]]]}},
+         "phi_poly: exponents [2.5, 0, 0]"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -444,13 +445,13 @@ class TestDop853:
 
 
 class _ThroughMetricReads:
-    """A metric seen through its g and dg alone, counting both reads.  With
-    ``hide_closed_forms`` its closed-form ``acceleration`` and ``action``
-    are hidden, so callers contract dg."""
+    """A metric seen through its g and dg alone, counting both reads: its
+    action contracts the assembled tensors, and with ``hide_closed_forms``
+    its closed-form ``acceleration`` is hidden, so a fan contracts dg."""
 
     def __init__(self, inner, hide_closed_forms=False):
         self._inner = inner
-        self._hidden = ("acceleration", "action") if hide_closed_forms else ()
+        self._hidden = ("acceleration",) if hide_closed_forms else ()
         self.g_reads = 0
         self.dg_reads = 0
 
@@ -466,6 +467,19 @@ class _ThroughMetricReads:
     def metric_deriv(self, x):
         self.dg_reads += 1
         return self._inner.metric_deriv(x)
+
+    def action(self, x):
+        g = self.metric(x)
+
+        def along(n):
+            dg_n = np.einsum("...c,...cab->...ab", n, self.metric_deriv(x))
+            return lambda v: np.einsum("...ab,...b->...a", dg_n, v)
+
+        return SimpleNamespace(
+            apply=lambda v: np.einsum("...ab,...b->...a", g, v),
+            solve=lambda c: np.linalg.solve(g, c[..., np.newaxis])[..., 0],
+            along=along,
+        )
 
 
 class TestClosedFormRightHandSide:

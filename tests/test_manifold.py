@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from hawking_lab.errors import DomainError
 from hawking_lab.manifold import (
     ConformalMetric,
-    _AssembledAction,
+    MetricField,
+    _KINDS,
     _Polynomial,
     EuclideanMetric,
     HyperbolicMetric,
@@ -21,8 +22,6 @@ from hawking_lab.manifold import (
     ricci_along,
     ricci_at,
     scalar_curvature_at,
-    scalar_gradient,
-    scalar_laplacian,
 )
 
 import oracles
@@ -249,15 +248,15 @@ class TestClosedFormsPerKind:
     """``acceleration`` and ``action`` against the contractions of the
     assembled g and dg they replace."""
 
-    def test_kinds_with_closed_forms(self):
-        # the others keep the contraction, which reads g and dg through the
-        # metric object a caller holds
-        kinds = [metric for metric, _ in kernel_cases(np.random.default_rng(0))]
-        assert {m.kind for m in kinds if hasattr(m, "acceleration")} == {
-            "round_sphere", "hyperbolic", "schwarzschild", "conformal"
-        }
-        assert {m.kind for m in kinds if not hasattr(m, "action")} == {
-            "polynomial_perturbation"
+    def test_every_kind_defines_the_protocol(self):
+        for kind, cls in _KINDS.items():
+            for name in ("action", "ricci_along", "scalar_derivatives"):
+                assert getattr(cls, name) is not getattr(MetricField, name), (kind, name)
+        # a fan on a kind without ``acceleration`` contracts g and dg through
+        # the metric object it holds, which is how the benchmark's counting
+        # proxy sees each right-hand side of a Euclidean fan
+        assert {kind for kind, cls in _KINDS.items() if not hasattr(cls, "acceleration")} == {
+            "euclidean", "polynomial_perturbation"
         }
 
     def test_acceleration_matches_contractions(self):
@@ -278,14 +277,12 @@ class TestClosedFormsPerKind:
                 assert np.all(err <= 1e-13 * scale), metric.kind
 
     def test_action_matches_contractions(self):
-        # g v, g^{-1} c and ((n.d)g) v against the assembled g and dg, for
-        # the closed forms and for the fallback that assembles them
+        # g v, g^{-1} c and ((n.d)g) v against the assembled g and dg
         rng = np.random.default_rng(61)
         for metric, x in closed_form_cases(rng):
             n, v = rng.normal(size=x.shape), rng.normal(size=x.shape)
             g, dg = metric.metric(x), metric.metric_deriv(x)
             act = metric_action(metric, x)
-            assert isinstance(act, _AssembledAction) == (metric.kind == "polynomial_perturbation")
             got_g, got_inv, got_dg = act.apply(v), act.solve(v), act.along(n)(v)
             assert got_g.shape == got_inv.shape == got_dg.shape == x.shape, metric.kind
             dg_n = np.einsum("nc,ncab->nab", n, dg)
@@ -328,6 +325,56 @@ class TestClosedFormsPerKind:
     def test_action_domain_error_off_chart(self, metric, point):
         with pytest.raises(DomainError):
             metric_action(metric, np.array([point]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestComplexPoints:
+    """Each kind's unguarded methods at complex points z = x + i h e.  A
+    float cast left in them drops Im z with numpy's ComplexWarning, a
+    RuntimeWarning and an error here.  The complex step reads the
+    derivative along e with no truncation error (Squire and Trapp, SIAM
+    Rev. 1998)."""
+
+    H = 1e-30
+
+    def _cases(self):
+        rng = np.random.default_rng(71)
+        for metric, x in closed_form_cases(rng):
+            e = rng.normal(size=x.shape)
+            e /= np.linalg.norm(e, axis=1, keepdims=True)
+            yield metric, x, x + 1j * self.H * e, e, rng.normal(size=x.shape)
+
+    def test_imaginary_part_of_g_v_is_its_derivative_along_e(self):
+        # measured at most 5.3e-16 of |dg| |v|
+        for metric, x, z, e, v in self._cases():
+            got = metric.action(z).apply(v).imag / self.H
+            want = metric.action(x).along(e)(v)
+            dg = metric.metric_deriv(x).reshape(len(x), -1)
+            scale = np.linalg.norm(dg, axis=1) * np.linalg.norm(v, axis=1)
+            assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-14 * scale), metric.kind
+
+    def test_real_part_is_the_real_call(self):
+        # measured at most 2.8e-16 of the largest real value
+        for metric, x, z, e, v in self._cases():
+            act_z, act = metric.action(z), metric.action(x)
+            pairs = [
+                (act_z.apply(v), act.apply(v)),
+                (act_z.solve(v), act.solve(v)),
+                (act_z.along(e)(v), act.along(e)(v)),
+                (metric.ricci_along(z, v), metric.ricci_along(x, v)),
+            ]
+            if hasattr(metric, "acceleration"):
+                pairs.append((metric.acceleration(z, v), metric.acceleration(x, v)))
+            for got, want in pairs:
+                assert np.max(np.abs(got.real - want)) <= 1e-13 * np.max(np.abs(want)), metric.kind
+
+    def test_imaginary_part_of_the_polynomial_metric_is_dg_along_e(self):
+        # measured at most 3.7e-16 of the largest |dg e|
+        metric = PolynomialMetric(QUARTIC_TERMS)
+        for _, x, z, e, _ in self._cases():
+            want = np.einsum("nc,ncab->nab", e, metric.metric_deriv(x))
+            got = metric.metric(z).imag / self.H
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestExactPolynomialDerivatives:
@@ -528,11 +575,11 @@ class TestCurvature:
 
 class TestScalarLaplacian:
     def test_flat_zero(self):
-        assert abs(scalar_laplacian(EuclideanMetric(), np.array([1.0, 0.0, 0.0]))) < 1e-10
+        assert abs(EuclideanMetric().scalar_derivatives(np.array([1.0, 0.0, 0.0]))[1]) < 1e-10
 
     def test_constant_curvature_zero(self):
-        assert abs(scalar_laplacian(HyperbolicMetric(), np.array([0.2, 0.1, 0.0]))) < 1e-8
-        assert abs(scalar_laplacian(RoundSphereMetric(), np.array([0.1, -0.3, 0.2]))) < 1e-8
+        assert abs(HyperbolicMetric().scalar_derivatives(np.array([0.2, 0.1, 0.0]))[1]) < 1e-8
+        assert abs(RoundSphereMetric().scalar_derivatives(np.array([0.1, -0.3, 0.2]))[1]) < 1e-8
 
     def test_conformal_against_symbolic(self):
         import sympy as sp
@@ -542,13 +589,13 @@ class TestScalarLaplacian:
             lambda x1, x2, x3: sp.Rational(1, 20) * x1**2
         )
         point = np.array([0.3, 0.2, -0.1])
-        got = scalar_laplacian(metric, point)
+        got = metric.scalar_derivatives(point)[1]
         want = oracle.scalar_laplacian(point)
         assert_allclose(got, want, rtol=2e-4, atol=2e-5)
 
     def test_schwarzschild_zero(self):
         # Sc vanishes identically, so its Laplacian does too
-        got = scalar_laplacian(SchwarzschildMetric(mass=1.0), np.array([4.0, 0.0, 0.0]))
+        got = SchwarzschildMetric(mass=1.0).scalar_derivatives(np.array([4.0, 0.0, 0.0]))[1]
         assert abs(got) < 1e-8
 
     def test_packet_carries_the_same_laplacian(self):
@@ -556,9 +603,9 @@ class TestScalarLaplacian:
         metric = ConformalMetric([(0.05, (2, 0, 0)), (-0.03, (0, 1, 1))])
         point = np.array([0.3, 0.2, -0.1])
         packet = curvature_packet(metric, point)
-        assert packet.scalar_laplacian == scalar_laplacian(metric, point)
-        grad = packet.frame @ scalar_gradient(metric, point)
-        assert np.array_equal(packet.scalar_gradient, grad)
+        grad, lap = metric.scalar_derivatives(point)
+        assert packet.scalar_laplacian == lap
+        assert np.array_equal(packet.scalar_gradient, packet.frame @ grad)
 
     def test_flat_metric_near_the_chart_edge(self):
         # g = diag(1 - x^2, 1, 1) reparametrises flat space, and its chart
@@ -566,8 +613,9 @@ class TestScalarLaplacian:
         # are exact zeros a step of 1e-4 inside the edge
         metric = PolynomialMetric([(0, 0, -1.0, (2, 0, 0))])
         point = np.array([1.0 - 1e-4, 0.0, 0.0])
-        assert np.array_equal(scalar_gradient(metric, point), np.zeros(3))
-        assert scalar_laplacian(metric, point) == 0.0
+        grad, lap = metric.scalar_derivatives(point)
+        assert np.array_equal(grad, np.zeros(3))
+        assert lap == 0.0
 
 
 def _count_ddg_points(metric):
@@ -617,8 +665,9 @@ class TestScalarDerivatives:
     )
     def test_constant_scalar_kinds_are_exact_zeros(self, metric):
         x = sample_point(metric, np.random.default_rng(43))
-        assert np.array_equal(scalar_gradient(metric, x), np.zeros(3))
-        assert scalar_laplacian(metric, x) == 0.0
+        grad, lap = metric.scalar_derivatives(x)
+        assert np.array_equal(grad, np.zeros(3))
+        assert lap == 0.0
         packet = curvature_packet(metric, x)
         assert np.array_equal(packet.scalar_gradient, np.zeros(3))
         assert packet.scalar_laplacian == 0.0
@@ -702,7 +751,7 @@ class TestTensorSymmetries:
                     - np.einsum("dac,bd->abc", gamma, ric)
                 )
                 div_ric = np.einsum("ab,abc->c", g_inv, cov)
-                grad_sc = scalar_gradient(metric, x)
+                grad_sc = metric.scalar_derivatives(x)[0]
                 assert np.max(np.abs(div_ric - 0.5 * grad_sc)) < 1e-6
 
 

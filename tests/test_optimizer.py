@@ -245,6 +245,23 @@ class TestFanInputs:
         with pytest.raises(DomainError):
             maximize_hawking(fan, 4.0 * np.pi * rho**2, OptimizeConfig(max_iters=1))
 
+    def test_area_beyond_the_fan_stops_at_the_first_capped_read(self, grid, monkeypatch):
+        # the solve starts at the round radius 1.5 s_max, clamps it to the
+        # fan's reach and raises on that read, naming s_max and the target
+        fan = optimizer_fan(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.05, grid)
+        reads = []
+        area_of = _SurfaceEvaluator.area_of
+
+        def counted(ev, rho, w):
+            reads.append(rho)
+            return area_of(ev, rho, w)
+
+        monkeypatch.setattr(_SurfaceEvaluator, "area_of", counted)
+        target = 4.0 * np.pi * (1.5 * fan.s_max) ** 2
+        with pytest.raises(DomainError, match=f"target area {target:.6g} .* s_max"):
+            maximize_hawking(fan, target)
+        assert len(reads) == 1
+
 
 class _NoAssembly:
     """A metric whose assembled g and dg raise, so only its closed forms
