@@ -6,6 +6,11 @@ integrals-check, curvature, expansion, optimize, bartnik and el-residual.
 Reports echo the normalized configuration, carry the tool version, and print
 every floating-point number with 17 significant digits so repeated runs are
 byte-identical.
+
+The argument parser is built once, at import, so building it is part of
+start-up: a one-shot run pays for it in the import, and a process that calls
+:func:`main` many times (tests, notebooks, a benchmark loop) pays once rather
+than per command.
 """
 
 import argparse
@@ -14,6 +19,7 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -166,24 +172,23 @@ class RunConfig:
         return build_grid(int(g["n_theta"]), int(g["n_phi"]))
 
 
-def dump_stable(obj, indent=0):
-    """Serialize to JSON with every float printed at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {dump_stable(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            return "[" + ", ".join(dump_stable(v) for v in obj) + "]"
-        items = [f"{pad}  {dump_stable(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+# the text of a value of exactly one of these types; anything else, numpy
+# scalars included, goes through the isinstance checks of ``_leaf_text``
+_LEAF_TEXT = {
+    float: "{:.17g}".format,
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    str: encode_basestring_ascii,  # what json.dumps does with a str
+    type(None): lambda value: "null",
+}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _leaf_text(obj):
+    """JSON text of anything but a dict, list or tuple."""
+    text = _LEAF_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -195,8 +200,54 @@ def dump_stable(obj, indent=0):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return dump_stable(obj.tolist(), indent)
+        return dump_stable(obj.tolist())
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _dump_into(parts, obj, indent):
+    """Append the text of ``obj``, nested ``indent`` levels deep, to ``parts``."""
+    text = _LEAF_TEXT.get(type(obj))
+    if text is not None:
+        parts.append(text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        pad = "  " * indent
+        opening = "{\n"
+        for key, value in obj.items():
+            parts.append(f'{opening}{pad}  "{key}": ')
+            opening = ",\n"
+            _dump_into(parts, value, indent + 1)
+        parts.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            parts.append("[]")
+        elif not any(isinstance(value, _CONTAINERS) for value in obj):
+            # a flat list prints on one line, its items at no indent
+            parts.append("[" + ", ".join(map(_leaf_text, obj)) + "]")
+        else:
+            pad = "  " * indent
+            opening = "[\n"
+            for value in obj:
+                parts.append(f"{opening}{pad}  ")
+                opening = ",\n"
+                _dump_into(parts, value, indent + 1)
+            parts.append(f"\n{pad}]")
+    elif isinstance(obj, np.ndarray):
+        _dump_into(parts, obj.tolist(), indent)
+    else:
+        parts.append(_leaf_text(obj))
+
+
+def dump_stable(obj, indent=0):
+    """Serialize to JSON with every float printed at 17 significant digits.
+
+    One pass appends every piece to one list, joined once at the end.
+    """
+    parts = []
+    _dump_into(parts, obj, indent)
+    return "".join(parts)
 
 
 def _emit(report, out_dir, name):
@@ -441,16 +492,19 @@ _COMMANDS = {
     "el-residual": cmd_el_residual,
 }
 
+# built once, at import, and only read by main(); the command is looked up in
+# _COMMANDS at call time, so a replaced entry is the one that runs
+_PARSER = argparse.ArgumentParser(
+    prog="hawking-lab",
+    description="Hawking-mass laboratory for perturbed geodesic spheres",
+)
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", help="path to the JSON run configuration")
+_PARSER.add_argument("--out", help="directory for CSV/JSON artifacts")
+
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="hawking-lab",
-        description="Hawking-mass laboratory for perturbed geodesic spheres",
-    )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", help="path to the JSON run configuration")
-    parser.add_argument("--out", help="directory for CSV/JSON artifacts")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.config is not None:

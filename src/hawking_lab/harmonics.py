@@ -157,9 +157,6 @@ class HarmonicField:
     coeffs: np.ndarray
     grid: SphereGrid
 
-    def degree_of_mode(self):
-        return mode_degrees(self.max_degree)
-
     def copy_with(self, coeffs):
         return HarmonicField(self.max_degree, np.asarray(coeffs, dtype=float), self.grid)
 

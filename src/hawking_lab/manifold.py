@@ -51,7 +51,7 @@ Index conventions for the arrays returned here:
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -550,10 +550,10 @@ class HyperbolicMetric(_SpaceForm):
     _GUARD = 0.999
 
     def domain_guard(self, x):
-        return np.linalg.norm(x, axis=-1) < self._GUARD * self.radius
+        return np.sqrt(_dot3(x, x)) < self._GUARD * self.radius
 
     def domain_margin(self, x):
-        return (self._GUARD * self.radius - np.linalg.norm(x, axis=-1)) / self.radius
+        return (self._GUARD * self.radius - np.sqrt(_dot3(x, x))) / self.radius
 
     def injectivity_bound(self, p):
         # chart-limited: proper distance from p to the guard sphere
@@ -601,13 +601,13 @@ class SchwarzschildMetric(MetricField):
         return _SchwarzschildAction(self.mass, x)
 
     def metric(self, x):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(_dot3(x, x))
         u = x / r[..., np.newaxis]
         uu = np.einsum("...a,...b->...ab", u, u)
         return np.eye(3) + self._psi(r)[..., np.newaxis, np.newaxis] * uu
 
     def metric_deriv(self, x):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(_dot3(x, x))
         m = self.mass
         # built with the batch axes last, so every product runs over
         # contiguous batch rows
@@ -623,7 +623,7 @@ class SchwarzschildMetric(MetricField):
         return np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (-3, -2, -1)))
 
     def metric_deriv2(self, x):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(_dot3(x, x))
         u = x / r[..., np.newaxis]
         m = self.mass
         psi = self._psi(r)
@@ -675,11 +675,11 @@ class SchwarzschildMetric(MetricField):
         return np.zeros(3), 0.0  # the slice is scalar-flat
 
     def domain_guard(self, x):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(_dot3(x, x))
         return r > 2.0 * self.mass * (1.0 + self.horizon_margin)
 
     def domain_margin(self, x):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(_dot3(x, x))
         return (r - 2.0 * self.mass * (1.0 + self.horizon_margin)) / self.mass
 
     def injectivity_bound(self, p):
@@ -894,7 +894,6 @@ class CurvaturePacket:
     traceless_norm_sq: float
     scalar_laplacian: float
     scalar_gradient: np.ndarray  # (3,) frame components
-    riemann: np.ndarray = field(default=None, repr=False)  # (3,3,3,3) frame
 
     def as_dict(self):
         return {
@@ -987,7 +986,7 @@ def curvature_packet(metric, p):
     p = _as_points(p)
     _guard(metric, p)
     g = metric.metric(p)
-    _, riemann, ricci, scalar = _curvature_from(
+    _, _, ricci, scalar = _curvature_from(
         g, metric.metric_deriv(p), metric.metric_deriv2(p)
     )
     frame = _orthonormal_frame(g)
@@ -995,7 +994,6 @@ def curvature_packet(metric, p):
     ric_f = 0.5 * (ric_f + ric_f.T)
     sc = float(scalar)
     traceless = ric_f - (sc / 3.0) * np.eye(3)
-    rm_f = np.einsum("ma,nb,sc,td,abcd->mnst", frame, frame, frame, frame, riemann)
     grad_chart, laplacian = metric.scalar_derivatives(p)
     grad_f = frame @ grad_chart
     return CurvaturePacket(
@@ -1007,7 +1005,6 @@ def curvature_packet(metric, p):
         traceless_norm_sq=float(np.sum(traceless * traceless)),
         scalar_laplacian=laplacian,
         scalar_gradient=grad_f,
-        riemann=rm_f,
     )
 
 

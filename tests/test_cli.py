@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import hawking_lab
-from hawking_lab import manifold
-from hawking_lab.cli import RunConfig, main
+from hawking_lab import cli, manifold
+from hawking_lab.cli import RunConfig, dump_stable, main
 from hawking_lab.errors import ConfigError
 from hawking_lab.geodesics import GeodesicConfig, GeodesicFan
 from hawking_lab.optimizer import OptimizeConfig
@@ -340,9 +341,9 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_commands_run_without_scipy(tmp_path):
-    # scipy is a test-side oracle only: with its import blocked, every
-    # command exits as it does with scipy importable, and none loads it
+def small_configs(tmp_path):
+    """Paths of a Schwarzschild and a conformal config on a 16x32 grid, on
+    which every command runs in well under a second."""
     configs = []
     for name, metric, point in [
         ("schwarzschild", {"kind": "schwarzschild", "mass": 1.0}, [4.0, 0.0, 0.0]),
@@ -359,6 +360,13 @@ def test_commands_run_without_scipy(tmp_path):
             "optimizer": {"max_iters": 2},
         }))
         configs.append(str(path))
+    return configs
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test-side oracle only: with its import blocked, every
+    # command exits as it does with scipy importable, and none loads it
+    configs = small_configs(tmp_path)
     src = str(Path(hawking_lab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     reports = [
@@ -388,3 +396,119 @@ def test_config_builds_its_metric_once(monkeypatch):
     assert cfg.metric is cfg.metric
     assert cfg.metric.kind == "conformal"
     assert len(built) == 1
+
+
+def reference_dump_stable(obj, indent=0):
+    """The recursive serializer the one-pass ``dump_stable`` replaced, kept
+    verbatim as the reference for its output."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  "{k}": {reference_dump_stable(v, indent + 1)}' for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
+        if flat:
+            return "[" + ", ".join(reference_dump_stable(v) for v in obj) + "]"
+        items = [f"{pad}  {reference_dump_stable(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return reference_dump_stable(obj.tolist(), indent)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+class OrderedMap(dict):
+    pass
+
+
+SYNTHETIC = {
+    "numpy_scalars": [np.float64(0.1), np.int64(-7), np.float32(1.5), np.uint8(255)],
+    "arrays": {"zero_d": np.array(2.5), "two_d": np.arange(6.0).reshape(2, 3),
+               "int_2d": np.eye(2, dtype=int), "empty": np.zeros(0)},
+    "tuple": (1, 2.0, "three"),
+    "empty": [[], {}, (), [[]], [{}]],
+    "nested": [[1.0, [2.0, [3.0, []]]], {"a": [1, {"b": None}]}],
+    "arrays_in_a_flat_list": [np.arange(3), np.eye(2), 4.0],
+    "flags": [True, False, None, np.float64(-0.0)],
+    "floats": [-0.0, 1e-300, 5e-324, 1.0 / 3.0, 1e300, float("inf"), float("nan")],
+    "ints": [0, -1, 10**30, -(2**70)],
+    "escapes": ['quote " backslash \\ slash /', "new\nline\ttab\r\x00\x1f", "é ☃ 𝄞"],
+    "keys": {1: "int key", "": "empty key", "dotted.key": 0.5},
+    "subclasses": OrderedMap(inner=[OrderedMap(), OrderedMap(x=1)]),
+    "deep": {"a": {"b": {"c": {"d": [[{"e": np.array([[1.0, 2.0]])}]]}}}},
+}
+
+
+def test_dump_stable_matches_the_recursive_serializer():
+    assert dump_stable(SYNTHETIC) == reference_dump_stable(SYNTHETIC)
+    assert dump_stable(SYNTHETIC, 2) == reference_dump_stable(SYNTHETIC, 2)
+    for value in SYNTHETIC.values():
+        assert dump_stable(value) == reference_dump_stable(value)
+
+
+@pytest.mark.parametrize(
+    "value", [object(), np.bool_(True), {1, 2}, 1j, b"bytes", [1.0, {"x": object()}]],
+    ids=["object", "numpy_bool", "set", "complex", "bytes", "nested_object"],
+)
+def test_dump_stable_rejects_unsupported_types(value):
+    with pytest.raises(TypeError):
+        reference_dump_stable(value)
+    with pytest.raises(TypeError):
+        dump_stable(value)
+
+
+def test_every_report_serializes_as_before(capsys, tmp_path, monkeypatch):
+    # the report objects themselves, captured before they are serialized
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, out_dir, name: reports.append(report))
+    for config in small_configs(tmp_path):
+        for command in sorted(cli._COMMANDS):
+            assert main([command, "--config", config]) in (0, 1), command
+    assert len(reports) == 2 * len(cli._COMMANDS)
+    for report in reports:
+        assert dump_stable(report) == reference_dump_stable(report), report["command"]
+
+
+def test_main_reuses_one_parser(capsys, tmp_path, monkeypatch):
+    # no parser is built per call, and a second call prints the same bytes
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_new_parser)
+    config = small_configs(tmp_path)[0]
+    for command in sorted(cli._COMMANDS):
+        runs = []
+        for _ in range(2):
+            code = main([command, "--config", config])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1], command
+        assert runs[0][1].startswith("{"), command
+
+
+def test_usage_errors_and_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nope"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hawking-lab")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert usage.startswith("usage: hawking-lab")
+    for command in cli._COMMANDS:
+        assert command in usage

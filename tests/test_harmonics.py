@@ -13,6 +13,7 @@ from hawking_lab.harmonics import (
     apply_bilaplacian_shifted,
     expand,
     galerkin_degree,
+    mode_degrees,
     mode_index,
     optimal_perturbation,
     pde_residual,
@@ -62,7 +63,6 @@ def make_packet(ricci_diag, scalar=None):
         traceless_norm_sq=float(np.sum(s * s)),
         scalar_laplacian=0.0,
         scalar_gradient=np.zeros(3),
-        riemann=None,
     )
 
 
@@ -75,7 +75,7 @@ class TestTransforms:
     def test_quadrupole_is_pure_degree_two(self, grid):
         f = grid.unit[:, 0] ** 2 - grid.unit[:, 1] ** 2
         hf = analyze(f, grid, 6)
-        energies = np.bincount(hf.degree_of_mode(), hf.coeffs**2)
+        energies = np.bincount(mode_degrees(hf.max_degree), hf.coeffs**2)
         assert energies[2] > 1.0
         others = np.delete(energies, 2)
         assert np.max(others) < 1e-22
@@ -281,7 +281,7 @@ class TestPdeResidual:
             packet = curvature_packet(metric, p)
             f = ricci_direction_field(packet, grid) - packet.scalar / 3.0
             hf = analyze(f, grid, 6)
-            energies = np.bincount(hf.degree_of_mode(), hf.coeffs**2)
+            energies = np.bincount(mode_degrees(hf.max_degree), hf.coeffs**2)
             others = np.delete(energies, 2)
             assert np.max(others) < 1e-20
 

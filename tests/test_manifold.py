@@ -8,6 +8,7 @@ from hawking_lab.manifold import (
     MetricField,
     _KINDS,
     _Polynomial,
+    _curvature_from,
     EuclideanMetric,
     HyperbolicMetric,
     PolynomialMetric,
@@ -376,6 +377,25 @@ class TestComplexPoints:
             got = metric.metric(z).imag / self.H
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_imaginary_parts_of_schwarzschild_g_and_dg_are_their_derivatives(self):
+        # r = sqrt(x . x) continues analytically, where |x| would drop Im z;
+        # measured at most 4.2e-16 of the largest |dg e| and |ddg e|
+        cases = [
+            (x, z, e) for metric, x, z, e, _ in self._cases() if metric.kind == "schwarzschild"
+        ]
+        x = np.array([[4.0, 1.0, -0.5]])
+        e = np.array([[0.6, 0.8, 0.0]])
+        cases.append((x, x + 1j * self.H * e, e))
+        metric = SchwarzschildMetric(mass=1.0)
+        for x, z, e in cases:
+            pairs = [
+                (metric.metric(z), metric.metric_deriv(x)),
+                (metric.metric_deriv(z), metric.metric_deriv2(x)),
+            ]
+            for got, deriv in pairs:
+                want = np.einsum("nc,nc...->n...", e, deriv)
+                assert np.max(np.abs(got.imag / self.H - want)) <= 1e-14 * np.max(np.abs(want))
+
 
 class TestExactPolynomialDerivatives:
     def _check(self, metric, oracle, points):
@@ -701,12 +721,19 @@ class TestScalarDerivatives:
             assert abs(lap - want_lap) <= 1e-13 * abs(want_lap)
 
 
+def frame_riemann(metric, x):
+    """Rm_abcd at ``x`` in the curvature packet's orthonormal frame."""
+    rm = _curvature_from(metric.metric(x), metric.metric_deriv(x), metric.metric_deriv2(x))[1]
+    frame = curvature_packet(metric, x).frame
+    return np.einsum("ma,nb,sc,td,abcd->mnst", frame, frame, frame, frame, rm)
+
+
 class TestTensorSymmetries:
     def test_riemann_symmetries(self):
         rng = np.random.default_rng(13)
         for metric in all_builtin_metrics():
             x = sample_point(metric, rng)
-            rm = curvature_packet(metric, x).riemann
+            rm = frame_riemann(metric, x)
             assert_allclose(rm, -np.swapaxes(rm, 0, 1), atol=1e-8)
             assert_allclose(rm, -np.swapaxes(rm, 2, 3), atol=1e-8)
             assert_allclose(rm, np.transpose(rm, (2, 3, 0, 1)), atol=1e-8)
@@ -723,7 +750,7 @@ class TestTensorSymmetries:
         eye = np.eye(3)
         for metric, K in cases:
             x = sample_point(metric, rng)
-            rm = curvature_packet(metric, x).riemann
+            rm = frame_riemann(metric, x)
             model = K * (
                 np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye)
             )
