@@ -87,10 +87,14 @@ def _integer(value):
     return _real(value) and value == int(value)
 
 
+# the counts the search and the integrator take as Python ints
+_COUNTS = (("optimizer", "max_degree"), ("optimizer", "max_iters"), ("geodesic", "max_steps"))
+
 # (section, key, test, what the test asks) for the values the commands read
 _VALUE_CHECKS = (
     ("grid", "n_theta", _integer, "an integer"),
     ("grid", "n_phi", _integer, "an integer"),
+    *((section, key, _integer, "an integer") for section, key in _COUNTS),
     ("ladder", "rho0", _positive, "a positive number"),
     ("ladder", "n", lambda v: _integer(v) and v >= MIN_RUNGS,
      f"an integer of at least {MIN_RUNGS}"),
@@ -117,7 +121,18 @@ def _check_values(data):
     for section, key, test, what in _VALUE_CHECKS:
         value = data[section][key]
         if not test(value):
-            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+            raise ConfigError(
+                f"invalid config value: {section}.{key} must be {what}, got {value!r}"
+            )
+
+
+def _finite(text):
+    """A JSON number or constant literal as a float; ``NaN``, ``Infinity``
+    and a number that overflows, such as ``1e999``, are no config value."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"invalid config value: {text} is not a finite number")
+    return value
 
 
 class RunConfig:
@@ -146,6 +161,9 @@ class RunConfig:
                 value = {**default, **value}
             merged[key] = value
         _check_values(merged)
+        # _integer passes integral floats such as 3.0; the counts are ints
+        for section, key in _COUNTS:
+            merged[section][key] = int(merged[section][key])
         # reference_rho and target_area configure the command, not the search
         search = {f.name: merged["optimizer"][f.name] for f in fields(OptimizeConfig)}
         try:
@@ -160,7 +178,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
-            return cls(json.load(fh))
+            return cls(json.load(fh, parse_float=_finite, parse_constant=_finite))
 
     @property
     def point(self):

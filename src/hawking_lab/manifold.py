@@ -1,10 +1,14 @@
 """Analytic Riemannian 3-metrics and pointwise curvature.
 
-Every metric kind exposes the metric tensor together with its first and second
-coordinate derivatives on batches of chart points.  Every kind carries exact
-derivative data: closed forms for the built-in kinds (Euclidean, round
-sphere, hyperbolic, Schwarzschild), and monomial exponent shifts for the
-polynomial ones (polynomial perturbation, polynomial conformal factor).
+Every metric kind states its metric once, as the closed form of its action
+on vectors (:meth:`MetricField.action`), and g, dg and ddg are derived from
+it on batches of chart points: g e_b, ((e_c.d)g) e_b and
+Im dg(x + i h e_d) / h with h = 1e-30.  The actions are analytic and keep
+the dtype of their points, so this complex step differences nothing: its
+error is O(h^2), far below rounding (Squire and Trapp, SIAM Rev. 40, 1998).
+Only the polynomial perturbation states tensors: the exponent shifts its
+action is built from.
+
 The gradient and Laplacian of scalar curvature at a point
 (:meth:`MetricField.scalar_derivatives`) are closed forms too: exact zeros on
 the kinds of constant Sc (Euclidean, round sphere, hyperbolic,
@@ -46,8 +50,6 @@ Index conventions for the arrays returned here:
 * ``metric_deriv(x)[..., c, a, b]``   -> d_c g_ab
 * ``metric_deriv2(x)[..., d, c, a, b]`` -> d_d d_c g_ab
 * ``christoffel(x)[..., c, a, b]``    -> Gamma^c_ab
-* ``riemann(x)[..., a, b, c, d]``     -> Rm_abcd with Rm(X,Y,X,Y) > 0 on the
-  round sphere (so Rm_abab / (g_aa g_bb - g_ab^2) is the sectional curvature).
 """
 
 import itertools
@@ -97,7 +99,7 @@ def _christoffel_from(g_inv, braces, mul=np.einsum):
 
 
 def _curvature_from(g, dg, ddg, mul=np.einsum, inv=np.linalg.inv):
-    """Return (gamma, riemann04, ricci, scalar) from metric derivative data.
+    """Return (gamma, ricci, scalar) from metric derivative data.
 
     Products go through ``mul`` and the inverse through ``inv``; every other
     step is linear.  :func:`_series_einsum` and :func:`_series_inv` run the
@@ -108,14 +110,9 @@ def _curvature_from(g, dg, ddg, mul=np.einsum, inv=np.linalg.inv):
     gamma = _christoffel_from(g_inv, braces, mul)
     # d_e g^{cd} = -g^{ca} (d_e g_ab) g^{bd}
     dg_inv = -mul("...ca,...eab,...bd->...ecd", g_inv, dg, g_inv)
-    dbraces = (
-        np.einsum("...eadb->...eabd", ddg)
-        + np.einsum("...ebda->...eabd", ddg)
-        - np.einsum("...edab->...eabd", ddg)
-    )
     dgamma = 0.5 * (
         mul("...ecd,...abd->...ecab", dg_inv, braces)
-        + mul("...cd,...eabd->...ecab", g_inv, dbraces)
+        + mul("...cd,...eabd->...ecab", g_inv, _braces(ddg))  # d_e of the braces
     )
     # R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma^a_ce Gamma^e_db
     #           - Gamma^a_de Gamma^e_cb
@@ -125,10 +122,9 @@ def _curvature_from(g, dg, ddg, mul=np.einsum, inv=np.linalg.inv):
         + mul("...ace,...edb->...abcd", gamma, gamma)
         - mul("...ade,...ecb->...abcd", gamma, gamma)
     )
-    riemann = mul("...ae,...ebcd->...abcd", g, riem_up)
     ricci = np.einsum("...abad->...bd", riem_up)
     scalar = mul("...bd,...bd->...", g_inv, ricci)
-    return gamma, riemann, ricci, scalar
+    return gamma, ricci, scalar
 
 
 def _series_einsum(spec, *ops):
@@ -349,29 +345,42 @@ class _PolynomialAction:
 # metric kinds
 # ---------------------------------------------------------------------------
 
+_EYE = np.eye(3)
+# the imaginary step of :meth:`MetricField.metric_deriv2`: far below any
+# chart scale, so its O(h^2) relative error is nil, and its square far above
+# the smallest double
+_COMPLEX_STEP = 1e-30
+
+
 class MetricField:
     """Base class for analytic 3-metrics on a chart of R^3.
 
-    Subclasses provide :meth:`metric`, :meth:`metric_deriv` and
-    :meth:`metric_deriv2`, all exact, so assembled curvature tensors carry
-    rounding only; :meth:`action` and :meth:`ricci_along`; and
-    :meth:`scalar_derivatives`: closed forms for d Sc and Delta Sc on every
-    built-in kind but the polynomial perturbation, which propagates Taylor
-    jets of g through the curvature assembly.  Kinds with a closed-form
-    -Gamma(v, v) for velocities ``v`` (..., 3) also define
-    ``acceleration(x, v)`` (module docstring).
+    Subclasses state the metric once, as :meth:`action`, from which
+    :meth:`metric`, :meth:`metric_deriv` and :meth:`metric_deriv2` derive g,
+    dg and ddg with rounding errors only (module docstring), and provide
+    :meth:`ricci_along` and :meth:`scalar_derivatives`: closed forms for
+    d Sc and Delta Sc on every built-in kind but the polynomial
+    perturbation, which propagates Taylor jets of g through the curvature
+    assembly.  Kinds with a closed-form -Gamma(v, v) for velocities ``v``
+    (..., 3) also define ``acceleration(x, v)``.
     """
 
     kind = "abstract"
 
     def metric(self, x):
-        raise NotImplementedError
+        # row b is g e_b, which is g_ab since g is symmetric; the rows are
+        # evaluated apart, so g and dg are symmetric to rounding only
+        return self.action(x[..., np.newaxis, :]).apply(_EYE)
 
     def metric_deriv(self, x):
-        raise NotImplementedError
+        # [..., c, b, a] = (((e_c . d) g) e_b)_a = d_c g_ab since d_c g is
+        # symmetric
+        return self.action(x[..., np.newaxis, np.newaxis, :]).along(_EYE[:, np.newaxis])(_EYE)
 
     def metric_deriv2(self, x):
-        raise NotImplementedError
+        # [..., d, c, a, b] = Im d_c g_ab(x + i h e_d) / h = d_d d_c g_ab
+        steps = x[..., np.newaxis, :] + 1j * _COMPLEX_STEP * _EYE
+        return self.metric_deriv(steps).imag / _COMPLEX_STEP
 
     def action(self, x):
         """The action of g at the points ``x`` (..., 3), unguarded: an object
@@ -413,17 +422,6 @@ class MetricField:
 class EuclideanMetric(MetricField):
     kind = "euclidean"
 
-    def metric(self, x):
-        out = np.zeros(np.shape(x)[:-1] + (3, 3))
-        out[...] = np.eye(3)
-        return out
-
-    def metric_deriv(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3))
-
-    def metric_deriv2(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
-
     # no acceleration: a fan reads its zero -Gamma(v, v) through the
     # contraction, so a proxy around the metric sees each right-hand side
 
@@ -449,24 +447,6 @@ class _ConformallyFlat(MetricField):
 
     def _phi_hess(self, x):
         raise NotImplementedError
-
-    def metric(self, x):
-        conf = np.exp(2.0 * self._phi(x))
-        return conf[..., np.newaxis, np.newaxis] * np.eye(3)
-
-    def metric_deriv(self, x):
-        conf = np.exp(2.0 * self._phi(x))
-        grad = self._phi_grad(x)
-        out = np.einsum("...c,...->...c", 2.0 * grad, conf)
-        return out[..., :, np.newaxis, np.newaxis] * np.eye(3)
-
-    def metric_deriv2(self, x):
-        conf = np.exp(2.0 * self._phi(x))
-        grad = self._phi_grad(x)
-        hess = self._phi_hess(x)
-        core = 2.0 * hess + 4.0 * np.einsum("...d,...c->...dc", grad, grad)
-        out = core * conf[..., np.newaxis, np.newaxis]
-        return out[..., :, :, np.newaxis, np.newaxis] * np.eye(3)
 
     def acceleration(self, x, v):
         # Gamma^c_ab = delta_ca d_b phi + delta_cb d_a phi - delta_ab d_c phi
@@ -583,9 +563,6 @@ class SchwarzschildMetric(MetricField):
         self.mass = float(mass)
         self.horizon_margin = float(horizon_margin)
 
-    def _psi(self, r):
-        return 2.0 * self.mass / (r - 2.0 * self.mass)
-
     def acceleration(self, x, v):
         # g = delta + h x x^T with h = psi / r^2 gives
         # -Gamma(v, v) = -x (h |v|^2 + h' (x.v)^2 / (2 r)) / (1 + psi), and
@@ -600,73 +577,11 @@ class SchwarzschildMetric(MetricField):
     def action(self, x):
         return _SchwarzschildAction(self.mass, x)
 
-    def metric(self, x):
-        r = np.sqrt(_dot3(x, x))
-        u = x / r[..., np.newaxis]
-        uu = np.einsum("...a,...b->...ab", u, u)
-        return np.eye(3) + self._psi(r)[..., np.newaxis, np.newaxis] * uu
-
-    def metric_deriv(self, x):
-        r = np.sqrt(_dot3(x, x))
-        m = self.mass
-        # built with the batch axes last, so every product runs over
-        # contiguous batch rows
-        k = self._psi(r) / r
-        dpsi = -2.0 * m / (r - 2.0 * m) ** 2
-        ut = np.ascontiguousarray(np.moveaxis(x, -1, 0)) / r  # (3, ...)
-        eye = np.eye(3).reshape((3, 3) + (1,) * r.ndim)
-        uuu = ut[:, None, None] * ut[None, :, None] * ut[None, None, :]
-        # dpsi u_c u_a u_b + (psi / r) (delta_ca u_b + delta_cb u_a - 2 u_c u_a u_b)
-        out = (dpsi - 2.0 * k) * uuu + k * (
-            eye[:, :, None] * ut[None, None, :] + eye[:, None, :] * ut[None, :, None]
-        )
-        return np.ascontiguousarray(np.moveaxis(out, (0, 1, 2), (-3, -2, -1)))
-
-    def metric_deriv2(self, x):
-        r = np.sqrt(_dot3(x, x))
-        u = x / r[..., np.newaxis]
-        m = self.mass
-        psi = self._psi(r)
-        dpsi = -2.0 * m / (r - 2.0 * m) ** 2
-        ddpsi = 4.0 * m / (r - 2.0 * m) ** 3
-        eye = np.eye(3)
-        uu = np.einsum("...a,...b->...ab", u, u)
-        uuu = np.einsum("...c,...ab->...cab", u, uu)
-        u4 = np.einsum("...d,...cab->...dcab", u, uuu)
-
-        # d_d (u_c u_a u_b) = (delta terms - 3 u^4)/r
-        d_uuu = (
-            np.einsum("dc,...ab->...dcab", eye, uu)
-            + np.einsum("da,...cb->...dcab", eye, np.einsum("...c,...b->...cb", u, u))
-            + np.einsum("db,...ca->...dcab", eye, np.einsum("...c,...a->...ca", u, u))
-            - 3.0 * u4
-        ) / r[..., None, None, None, None]
-
-        sym = (
-            np.einsum("ca,...b->...cab", eye, u)
-            + np.einsum("cb,...a->...cab", eye, u)
-            - 2.0 * uuu
-        )
-        d_sym = (
-            np.einsum("ca,...db->...dcab", eye, (np.eye(3) - uu))
-            + np.einsum("cb,...da->...dcab", eye, (np.eye(3) - uu))
-        ) / r[..., None, None, None, None] - 2.0 * d_uuu
-
-        term1 = ddpsi[..., None, None, None, None] * u4 + dpsi[
-            ..., None, None, None, None
-        ] * d_uuu
-        coeff = dpsi / r - psi / r**2
-        term2 = (
-            coeff[..., None, None, None, None] * np.einsum("...d,...cab->...dcab", u, sym)
-            + (psi / r)[..., None, None, None, None] * d_sym
-        )
-        return term1 + term2
-
     def ricci_along(self, x, n):
         # Ric = (m / r^3) (g - 3 (1 + psi) dr dr): -2m/r^3 on the unit radial
         # vector, m/r^3 on the tangential ones
         r = np.sqrt(_dot3(x, x))
-        psi = self._psi(r)
+        psi = 2.0 * self.mass / (r - 2.0 * self.mass)
         u_n = np.sum(x * n, axis=-1) / r
         g_nn = np.sum(n * n, axis=-1) + psi * u_n * u_n
         return self.mass / r**3 * (g_nn - 3.0 * (1.0 + psi) * u_n * u_n)
@@ -814,7 +729,7 @@ class PolynomialMetric(MetricField):
         return _PolynomialAction(self.metric(x), lambda: self._dh(x))
 
     def ricci_along(self, x, n):
-        ricci = _curvature_from(self.metric(x), self._dh(x), self._ddh(x))[2]
+        ricci = _curvature_from(self.metric(x), self._dh(x), self._ddh(x))[1]
         return np.einsum("...ab,...a,...b->...", ricci, n, n)
 
     def scalar_derivatives(self, p):
@@ -837,7 +752,7 @@ class PolynomialMetric(MetricField):
                 ]
             )
 
-        gamma, _, _, sc = _curvature_from(
+        gamma, _, sc = _curvature_from(
             jet(g, dh, ddh),
             jet(dh, ddh, d3h),
             jet(ddh, d3h, d4h),
@@ -953,7 +868,7 @@ def _curvature_at(metric, x):
 
 def ricci_at(metric, x):
     """Ricci tensor Ric_ab in chart components (batched)."""
-    return _curvature_at(metric, x)[2]
+    return _curvature_at(metric, x)[1]
 
 
 def ricci_along(metric, x, n):
@@ -966,19 +881,19 @@ def ricci_along(metric, x, n):
 
 def scalar_curvature_at(metric, x):
     """Scalar curvature Sc as a batched field of chart points."""
-    return _curvature_at(metric, x)[3]
+    return _curvature_at(metric, x)[2]
+
+
+_LOWER = np.tri(3, dtype=bool)
 
 
 def _orthonormal_frame(g):
-    """Gram-Schmidt of the chart basis under g, deterministic order."""
-    frame = np.zeros((3, 3))
-    for mu in range(3):
-        v = np.eye(3)[mu].copy()
-        for nu in range(mu):
-            v -= (frame[nu] @ g @ v) * frame[nu]
-        norm = np.sqrt(v @ g @ v)
-        frame[mu] = v / norm
-    return frame
+    """The g-orthonormal frame that Gram-Schmidt builds from the chart basis
+    e_0, e_1, e_2 in order: with g = L L^T, the rows of L^{-1}, the one
+    lower-triangular frame with a positive diagonal.  The inverse pivots
+    rows when it must, which leaves rounding above the diagonal; the mask
+    keeps the frame exactly triangular."""
+    return np.where(_LOWER, np.linalg.inv(np.linalg.cholesky(g)), 0.0)
 
 
 def curvature_packet(metric, p):
@@ -986,7 +901,7 @@ def curvature_packet(metric, p):
     p = _as_points(p)
     _guard(metric, p)
     g = metric.metric(p)
-    _, _, ricci, scalar = _curvature_from(
+    _, ricci, scalar = _curvature_from(
         g, metric.metric_deriv(p), metric.metric_deriv2(p)
     )
     frame = _orthonormal_frame(g)

@@ -293,6 +293,17 @@ def test_defaults_come_from_the_config_dataclasses():
          "terms: entry (0.5, 0)"),
         ({"metric": {"kind": "conformal", "phi_poly": [[0.1, [2.5, 0, 0]]]}},
          "phi_poly: exponents [2.5, 0, 0]"),
+        # the search's and the integrator's counts are integers
+        ({"optimizer": {"max_degree": 2.5}}, "optimizer.max_degree must be an integer"),
+        ({"optimizer": {"max_iters": 1.5}}, "optimizer.max_iters must be an integer"),
+        ({"geodesic": {"max_steps": 1000.5}}, "geodesic.max_steps must be an integer"),
+        # json reads NaN and Infinity, which would make a run spin or yield NaN
+        ({"geodesic": {"rel_tol": float("nan")}}, "NaN is not a finite number"),
+        ({"optimizer": {"gradient_tol": float("nan")}}, "NaN is not a finite number"),
+        ({"optimizer": {"area_rtol": float("inf")}}, "Infinity is not a finite number"),
+        ({"metric": {"kind": "round_sphere", "radius": float("inf")}},
+         "Infinity is not a finite number"),
+        ({"point": [0, 0, float("-inf")]}, "-Infinity is not a finite number"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
@@ -302,6 +313,23 @@ def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
     path.write_text(json.dumps(config))
     assert main(["curvature", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_overflowing_number_literal_exits_2(capsys, tmp_path):
+    # 1e999 is a float to json, and an infinite one
+    path = tmp_path / "config.json"
+    path.write_text('{"metric": {"kind": "round_sphere", "radius": 1e999}}')
+    assert main(["curvature", "--config", str(path)]) == 2
+    assert "1e999 is not a finite number" in capsys.readouterr().err
+
+
+def test_integral_floats_are_integer_settings():
+    config = RunConfig({"optimizer": {"max_degree": 3.0, "max_iters": 2.0},
+                        "geodesic": {"max_steps": 1000.0}})
+    assert config.optimizer_config == OptimizeConfig(max_degree=3, max_iters=2)
+    assert type(config.optimizer_config.max_degree) is int
+    assert type(config.optimizer_config.max_iters) is int
+    assert type(config.geodesic_config.max_steps) is int
 
 
 def test_import_leaves_scipy_solvers_unloaded():

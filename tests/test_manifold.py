@@ -1,3 +1,5 @@
+from math import fsum
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from hawking_lab.manifold import (
     MetricField,
     _KINDS,
     _Polynomial,
-    _curvature_from,
+    _orthonormal_frame,
     EuclideanMetric,
     HyperbolicMetric,
     PolynomialMetric,
@@ -260,6 +262,15 @@ class TestClosedFormsPerKind:
             "euclidean", "polynomial_perturbation"
         }
 
+        # g, dg and ddg are derived from the action but on the polynomial
+        # kind, which builds its action from them
+        for name in ("metric", "metric_deriv", "metric_deriv2"):
+            overriding = {
+                kind for kind, cls in _KINDS.items()
+                if getattr(cls, name) is not getattr(MetricField, name)
+            }
+            assert overriding == {"polynomial_perturbation"}, name
+
     def test_acceleration_matches_contractions(self):
         rng = np.random.default_rng(59)
         for metric, x in closed_form_cases(rng):
@@ -379,7 +390,8 @@ class TestComplexPoints:
 
     def test_imaginary_parts_of_schwarzschild_g_and_dg_are_their_derivatives(self):
         # r = sqrt(x . x) continues analytically, where |x| would drop Im z;
-        # measured at most 4.2e-16 of the largest |dg e| and |ddg e|
+        # measured at most 4.2e-16 of the largest |dg e|.  The same step
+        # through dg is how ddg is defined (TestDerivedTensors checks it)
         cases = [
             (x, z, e) for metric, x, z, e, _ in self._cases() if metric.kind == "schwarzschild"
         ]
@@ -388,13 +400,62 @@ class TestComplexPoints:
         cases.append((x, x + 1j * self.H * e, e))
         metric = SchwarzschildMetric(mass=1.0)
         for x, z, e in cases:
-            pairs = [
-                (metric.metric(z), metric.metric_deriv(x)),
-                (metric.metric_deriv(z), metric.metric_deriv2(x)),
-            ]
-            for got, deriv in pairs:
-                want = np.einsum("nc,nc...->n...", e, deriv)
-                assert np.max(np.abs(got.imag / self.H - want)) <= 1e-14 * np.max(np.abs(want))
+            want = np.einsum("nc,nc...->n...", e, metric.metric_deriv(x))
+            got = metric.metric(z).imag / self.H
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def derived_tensor_case(kind):
+    """(metric, its sympy oracle, (N, 3) sample points) for a kind."""
+    import sympy as sp
+
+    rng = np.random.default_rng(73)
+    if kind == "euclidean":
+        return EuclideanMetric(), oracles.polynomial_symbolic([]), rng.uniform(-2, 2, size=(6, 3))
+    if kind == "schwarzschild":
+        metric = SchwarzschildMetric(mass=1.0)
+        points = [[4.0, 1.0, -0.5], [3.0, 2.0, 1.0]]
+        points += [sample_point(metric, rng) for _ in range(6)]
+        return metric, oracles.schwarzschild_symbolic(1), np.array(points)
+    if kind == "round_sphere":
+        oracle = oracles.round_sphere_symbolic(2)
+        return RoundSphereMetric(radius=2.0), oracle, rng.uniform(-1.2, 1.2, size=(6, 3))
+    if kind == "hyperbolic":
+        oracle = oracles.conformal_symbolic(
+            lambda x1, x2, x3: sp.log(2) - sp.log(1 - x1**2 - x2**2 - x3**2)
+        )
+        return HyperbolicMetric(), oracle, rng.uniform(-0.3, 0.3, size=(6, 3))
+    if kind == "conformal":
+        metric = ConformalMetric(
+            [(0.1, (2, 0, 0)), (0.05, (0, 1, 1)), (0.03, (1, 0, 0)), (-0.02, (0, 0, 3))]
+        )
+        oracle = oracles.conformal_symbolic(
+            lambda x1, x2, x3: sp.Rational(1, 10) * x1**2
+            + sp.Rational(1, 20) * x2 * x3
+            + sp.Rational(3, 100) * x1
+            - sp.Rational(1, 50) * x3**3
+        )
+        return metric, oracle, rng.uniform(-0.5, 0.5, size=(6, 3))
+    oracle = oracles.polynomial_symbolic(QUARTIC_TERMS)
+    return PolynomialMetric(QUARTIC_TERMS), oracle, rng.uniform(-0.5, 0.5, size=(6, 3))
+
+
+class TestDerivedTensors:
+    """g, dg and ddg, derived from each kind's action (ddg by the complex
+    step), against exact sympy differentiation of the chart expressions."""
+
+    @pytest.mark.parametrize("kind", list(_KINDS))
+    def test_match_symbolic_derivatives(self, kind):
+        # measured at most 1.1e-15 of the largest entry
+        metric, oracle, points = derived_tensor_case(kind)
+        assert metric.kind == kind
+        data = [oracle._data(x) for x in points]
+        for order, name in enumerate(("metric", "metric_deriv", "metric_deriv2")):
+            got = getattr(metric, name)(points)
+            want = np.array([d[order] for d in data])
+            assert got.dtype == float and got.shape == want.shape, name
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
 
 
 class TestExactPolynomialDerivatives:
@@ -584,13 +645,21 @@ class TestCurvature:
             )
 
     def test_frame_orthonormal(self):
+        # the frame Gram-Schmidt builds from e_0, e_1, e_2: lower-triangular
+        # with a positive diagonal, on every kind (measured 8.9e-16 from I)
         rng = np.random.default_rng(9)
+        frames = []
         for metric in all_builtin_metrics():
             x = sample_point(metric, rng)
-            packet = curvature_packet(metric, x)
-            g = metric_at(metric, x)
-            gram = packet.frame @ g @ packet.frame.T
-            assert_allclose(gram, np.eye(3), atol=1e-12)
+            frames.append((metric.kind, curvature_packet(metric, x).frame, metric_at(metric, x)))
+        for metric, x in closed_form_cases(np.random.default_rng(79)):
+            for point in x[::4]:
+                g = metric.metric(point)
+                frames.append((metric.kind, _orthonormal_frame(g), g))
+        for kind, frame, g in frames:
+            assert np.all(frame[np.triu_indices(3, 1)] == 0.0), kind
+            assert np.all(np.diag(frame) > 0.0), kind
+            assert np.max(np.abs(frame @ g @ frame.T - np.eye(3))) <= 1e-14, kind
 
 
 class TestScalarLaplacian:
@@ -722,8 +791,14 @@ class TestScalarDerivatives:
 
 
 def frame_riemann(metric, x):
-    """Rm_abcd at ``x`` in the curvature packet's orthonormal frame."""
-    rm = _curvature_from(metric.metric(x), metric.metric_deriv(x), metric.metric_deriv2(x))[1]
+    """Rm_abcd at ``x`` in the curvature packet's orthonormal frame: R^a_bcd
+    by the oracles' loop assembly from the metric's own (g, dg, ddg),
+    lowered with g."""
+    g = metric.metric(x)
+    riem_up = oracles._loop_assembly(
+        np.linalg.inv(g), metric.metric_deriv(x), metric.metric_deriv2(x), fsum
+    )[1]
+    rm = np.einsum("ae,ebcd->abcd", g, riem_up)
     frame = curvature_packet(metric, x).frame
     return np.einsum("ma,nb,sc,td,abcd->mnst", frame, frame, frame, frame, rm)
 
