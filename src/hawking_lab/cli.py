@@ -135,6 +135,20 @@ def _finite(text):
     return value
 
 
+def _finite_int(text):
+    """A JSON integer literal as an int; one beyond the float range, such as
+    1 followed by 400 zeros, is no config value."""
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):
+        raise ConfigError(
+            f"invalid config value: the {len(text)}-digit integer {text[:12]}..."
+            " is not a finite number"
+        ) from None
+    return value
+
+
 class RunConfig:
     """Normalized run configuration with strict key checking.
 
@@ -177,8 +191,16 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls(json.load(fh, parse_float=_finite, parse_constant=_finite))
+        try:
+            with open(path) as fh:
+                data = json.load(
+                    fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
+                )
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # malformed JSON, or text that is not UTF-8
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        return cls(data)
 
     @property
     def point(self):
@@ -420,25 +442,26 @@ def cmd_optimize(config, out_dir):
         rho = float(opt["reference_rho"])
     else:
         rho = math.sqrt(target_area / (4.0 * math.pi))
-    # the one fan carries the metric, centre, grid and integrator settings;
-    # the search, and the reference sphere when there is one, read it
-    fan = optimizer_fan(
-        config.metric, config.point, rho, config.grid, config.geodesic_config
+    # one packet and one optimal perturbation serve the fan's reach and the
+    # reference sphere, which is the search's first iterate
+    grid = config.grid
+    packet = curvature_packet(config.metric, config.point)
+    pert = optimal_perturbation(packet, grid)
+    fan = optimizer_fan(config.metric, packet, pert, rho, grid, config.geodesic_config)
+    reference = closed_form_reference(
+        fan, pert, rho, config.optimizer_config, K, target_area
     )
-    reference = None
-    if target_area is None:
-        target_area, reference, _ = closed_form_reference(fan, rho, K)
-    result = maximize_hawking(fan, float(target_area), config.optimizer_config, K)
+    result = maximize_hawking(fan, reference, config.optimizer_config, K)
     report = _report_skeleton("optimize", config)
     report["result"] = result.as_dict()
     report["fan"] = fan.diagnostics()
-    if reference is not None:
-        report["reference_mass"] = reference
+    if target_area is None:
+        report["reference_mass"] = reference.mass
         _add_check(
             report,
             "beats_closed_form_reference",
-            result.m_H_star >= reference - 1e-8,
-            value=result.m_H_star - reference,
+            result.m_H_star >= reference.mass - 1e-8,
+            value=result.m_H_star - reference.mass,
             tolerance=1e-8,
         )
     _add_check(report, "converged", result.converged)

@@ -291,7 +291,9 @@ class GeodesicFan:
 
     def surface_from(self, read):
         """The surface of a :meth:`read`, with its extrinsic geometry; the
-        normal is oriented against the outward geodesic velocities."""
+        normal is oriented against the outward geodesic velocities.  A read
+        may carry, fourth, the :func:`surface.induced_metric` already
+        measured on it, which the geometry then starts from."""
         return extrinsic_geometry(self.metric, self.grid, *read)
 
     def surface(self, rho, w):

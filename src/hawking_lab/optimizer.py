@@ -12,11 +12,21 @@ that carries geometry: its metric, centre, grid and integrator settings
 a radius beyond its reach ``fan.s_max`` raises :class:`DomainError`.
 :func:`optimizer_fan` shoots the fan that reaches the closed-form reference
 sphere (:func:`closed_form_reference`) and the search around it, so a run
-with a reference shoots one fan and computes one curvature packet.
+shoots one fan and computes one curvature packet and one optimal
+perturbation, which the fan's reach and the reference sphere share.
 
-Each iterate builds one surface: the area solve reads positions, tangents
-and velocities from the fan (:meth:`geodesics.GeodesicFan.read`), measures
-the first form only and returns the read that met the area tolerance, which
+The search starts at the reference sphere, the paper's optimal graph
+``rho^2 wbar``: it is the maximiser to leading order, and the true maximiser
+differs from it by O(rho^3).  Its surface, radius and mass are the first
+iterate, so the start costs no area solve and no surface beyond the
+reference's own; with an explicit target area the same shape is solved to
+that area.  On a space form wbar = 0 and the gradient there vanishes, so
+such a run solves no area at all.
+
+Each later iterate builds one surface: the area solve reads positions,
+tangents and velocities from the fan (:meth:`geodesics.GeodesicFan.read`),
+measures the induced metric only (:func:`surface.induced_metric`) and
+returns the read that met the area tolerance, with that measurement, which
 is completed into the iterate's surface.  The gradient returns that
 surface's Willmore densities with it, and for the returned iterate they
 serve its Euler-Lagrange residual too.
@@ -48,7 +58,10 @@ perturbs it at order rho^2: central differences of the gradient at the
 round sphere (32x64, L = 4, rho = 0.2) match the diagonal to 6e-4, with
 off-diagonal entries below 8e-4 of it, on Schwarzschild, and to 3e-3 on a
 conformally flat metric.  So the steps converge in a few iterations (Nocedal
-and Wright, *Numerical Optimization*).
+and Wright, *Numerical Optimization*): at 32x64 and L = 4, from the
+reference sphere, 2 at rho = 0.05 and 3 at rho = 0.2 on Schwarzschild at
+(4, 0, 0) and on a conformally flat metric, one fewer than from the round
+sphere on the conformally flat one.
 """
 
 from dataclasses import dataclass, field
@@ -65,15 +78,15 @@ from .harmonics import (
     _project,
     _shifted_bilaplacian_eigenvalues,
     _tables,
-    optimal_perturbation,
     willmore_densities,
 )
-from .manifold import _dot3, curvature_packet, metric_action
-from .surface import first_form, hawking_mass
+from .manifold import _dot3
+from .surface import hawking_mass, induced_metric
 
 __all__ = [
     "OptimizeConfig",
     "OptimizeResult",
+    "ReferenceSphere",
     "maximize_hawking",
     "closed_form_reference",
     "optimizer_fan",
@@ -138,18 +151,37 @@ class OptimizeResult:
         }
 
 
-def optimizer_fan(metric, p, rho, grid, geo_cfg=None):
-    """The one geodesic fan of an area-constrained search around radius ``rho``.
+@dataclass
+class ReferenceSphere:
+    """The closed-form optimally perturbed sphere, the search's first iterate.
 
-    It reaches the closed-form reference sphere at ``rho`` (checked by
-    :func:`geodesics.sphere_reach`) and the search headroom
-    ``min(1.35 * 1.05 rho, injectivity bound)``: 35% above a radius 5% over
-    ``rho``.
+    ``w_field`` is the graph ``rho0^2 wbar`` of the radius ``rho0`` it was
+    built at, ``w`` its node values, ``rho`` the radius of ``surface`` and
+    ``mass`` the surface's generalized Hawking mass.  ``target_area`` is the
+    area the search holds: the surface's own area, or the explicit target
+    it was solved to.
     """
-    packet = curvature_packet(metric, p)
-    w = optimal_perturbation(packet, grid).w_values(rho, grid)
+
+    rho: float
+    w_field: HarmonicField
+    w: np.ndarray
+    target_area: float
+    mass: float
+    surface: object = field(repr=False)
+
+
+def optimizer_fan(metric, packet, pert, rho, grid, geo_cfg=None):
+    """The one geodesic fan of an area-constrained search around radius ``rho``,
+    centred at the ``packet``'s point.
+
+    It reaches the closed-form reference sphere of the optimal perturbation
+    ``pert`` at ``rho`` (checked by :func:`geodesics.sphere_reach`) and the
+    search headroom ``min(1.35 * 1.05 rho, injectivity bound)``: 35% above a
+    radius 5% over ``rho``.
+    """
+    p = packet.point
     headroom = min(1.35 * 1.05 * rho, float(metric.injectivity_bound(p)))
-    s_max = max(sphere_reach(metric, p, rho, w, grid), headroom)
+    s_max = max(sphere_reach(metric, p, rho, pert.w_values(rho, grid), grid), headroom)
     return GeodesicFan(metric, p, grid, s_max, geo_cfg, packet=packet)
 
 
@@ -181,14 +213,15 @@ class _SurfaceEvaluator:
     def area_of(self, rho, w):
         """``(area, read)``: the area of the surface at radius ``rho`` and
         shape ``w``, from its first fundamental form alone, and the fan's
-        :meth:`GeodesicFan.read` it was measured on."""
+        :meth:`GeodesicFan.read` it was measured on, extended by the
+        :func:`surface.induced_metric` the area came from, so that
+        :meth:`GeodesicFan.surface_from` completes it without measuring
+        again."""
         read = self.fan.read(rho, w)
-        positions, tangents, _ = read
-        g = metric_action(self.fan.metric, positions)
-        g_z = np.stack([g.apply(tangents[:, 0]), g.apply(tangents[:, 1])], axis=1)
-        _, det = first_form(tangents, g_z)
+        induced = induced_metric(self.fan.metric, *read[:2])
         grid = self.fan.grid
-        return float(np.sum(grid.weights * np.sqrt(det) / grid.sin_theta)), read
+        area = float(np.sum(grid.weights * np.sqrt(induced[3]) / grid.sin_theta))
+        return area, (*read, induced)
 
     def solve_radius(self, rho_guess, w, target_area):
         """Newton iteration on rho with dA/drho ~ 2A/rho.  Returns
@@ -244,10 +277,18 @@ class _SurfaceEvaluator:
         return np.sqrt(surf.area / (16.0 * np.pi) ** 3) * rho * moments, densities
 
 
-def maximize_hawking(fan, target_area, cfg=None, K=0):
-    """Newton iteration for the Hawking mass at fixed area on ``fan``.
+def maximize_hawking(fan, reference, cfg=None, K=0):
+    """Newton iteration for the Hawking mass on ``fan``, at the area
+    ``reference.target_area``.
 
-    Starts from the round sphere (``coeffs = 0``) and takes the analytic
+    Starts from the closed-form reference sphere ``reference``
+    (:func:`closed_form_reference`, built on the same fan with the same
+    ``K``), the only start there is: its surface, radius and mass are the
+    first iterate, and its graph ``rho0^2 wbar``, pure degree 2, gives the
+    first shape coefficients, so the start costs no area solve and no
+    surface.  From there the search walks only the O(rho^3) distance to
+    the maximiser, in 2 or 3 iterations on the fixtures of the module
+    docstring.  It takes the analytic
     gradient in the shape coefficients from the first variation of the
     surface it holds (:meth:`_SurfaceEvaluator.mass_gradient`, no extra
     surface or area solve).  Each step divides the gradient by minus the
@@ -268,16 +309,18 @@ def maximize_hawking(fan, target_area, cfg=None, K=0):
     if cfg is None:
         cfg = OptimizeConfig()
     ev = _SurfaceEvaluator(fan, cfg, K)
+    target_area = reference.target_area
     # at the round sphere of the target area (module docstring)
     minus_hessian = 2.0 * np.sqrt(target_area / (16.0 * np.pi) ** 3) * (
         _shifted_bilaplacian_eigenvalues(cfg.max_degree)[4:]
     )
 
-    # each iterate's shape is expanded once, for its surface and its gradient
+    # the reference's degree 2..L coefficients; each later iterate's shape is
+    # expanded once, for its surface and its gradient
     coeffs = np.zeros(ev.n_coeff)
-    w = ev.w_values(coeffs)
-    rho_flat = np.sqrt(target_area / (4.0 * np.pi))
-    value, rho, surf = ev.constrained_mass(w, rho_flat, target_area)
+    start = reference.w_field.coeffs[4 : ev.n_coeff + 4]
+    coeffs[: start.size] = start
+    w, rho, surf, value = reference.w, reference.rho, reference.surface, reference.mass
     trace = []
     stop_reason = "max_iters"
 
@@ -333,14 +376,31 @@ def maximize_hawking(fan, target_area, cfg=None, K=0):
     )
 
 
-def closed_form_reference(fan, rho, K=0):
-    """Area and mass of the closed-form optimally perturbed sphere at ``rho``.
+def closed_form_reference(fan, pert, rho, cfg=None, K=0, target_area=None):
+    """The closed-form optimally perturbed sphere of radius ``rho``: the graph
+    ``rho^2 wbar`` of the optimal perturbation ``pert``, read from ``fan``,
+    the :func:`optimizer_fan` around ``rho`` that the search then shares.
 
-    Returns ``(target_area, mass, w_field)`` for optimizer comparisons: the
-    optimizer searching at this target area can only do at least as well as
-    this surface.  The sphere is read from ``fan``, the
-    :func:`optimizer_fan` around ``rho`` that the search then shares.
+    Returns the :class:`ReferenceSphere` that :func:`maximize_hawking`
+    starts from, with the generalized mass of ``K``.  Without
+    ``target_area`` the sphere is read at ``rho`` and its own area becomes
+    the target: one area read, completed into the surface, and the search
+    at that area can only do at least as well as this surface.  With an
+    explicit ``target_area`` the same shape is solved to that area from
+    ``rho`` (:meth:`_SurfaceEvaluator.solve_radius`, to ``cfg.area_rtol``).
     """
-    pert = optimal_perturbation(fan.packet, fan.grid)
-    surf = fan.surface(rho, pert.w_values(rho, fan.grid))
-    return surf.area, hawking_mass(surf, K).generalized, pert.w_field(rho)
+    ev = _SurfaceEvaluator(fan, cfg or OptimizeConfig(), K)
+    w_field, w = pert.w_field(rho), pert.w_values(rho, fan.grid)
+    if target_area is None:
+        target_area, read = ev.area_of(rho, w)
+    else:
+        rho, read = ev.solve_radius(rho, w, target_area)
+    surf = fan.surface_from(read)
+    return ReferenceSphere(
+        rho=float(rho),
+        w_field=w_field,
+        w=w,
+        target_area=float(target_area),
+        mass=hawking_mass(surf, K).generalized,
+        surface=surf,
+    )

@@ -52,6 +52,7 @@ __all__ = [
     "build_grid",
     "EmbeddedSurface",
     "first_form",
+    "induced_metric",
     "extrinsic_geometry",
     "HawkingReport",
     "hawking_mass",
@@ -114,14 +115,19 @@ class SphereGrid:
         return self._diff_cache["theta"]
 
     def _spectrum(self, values):
-        """Fourier coefficients in theta2, shape (n_theta, n_phi // 2 + 1, C)."""
+        """Fourier coefficients in theta2, shape (C, n_theta, n_phi // 2 + 1),
+        and the trailing component shape of ``values``.  The components are
+        moved to the front first, so each transform runs along a contiguous
+        axis."""
         f2d = self.to_2d(np.asarray(values, dtype=float))
         flat = f2d.reshape(self.n_theta, self.n_phi, -1)
-        return np.fft.rfft(flat, axis=1), f2d.shape[2:]
+        return np.fft.rfft(np.moveaxis(flat, -1, 0), axis=-1), f2d.shape[2:]
 
     def _synthesis(self, spectrum, trail):
-        values = np.fft.irfft(spectrum, n=self.n_phi, axis=1)
-        return values.reshape((self.n_nodes,) + trail)
+        """Node values (N,) + ``trail`` of a spectrum in the layout of
+        :meth:`_spectrum`."""
+        values = np.fft.irfft(spectrum, n=self.n_phi, axis=-1)
+        return np.moveaxis(values, 0, -1).reshape((self.n_nodes,) + trail)
 
     def _theta_modes(self, values, even, odd):
         """Apply ``even`` to the even Fourier modes and ``odd`` to the odd ones."""
@@ -155,7 +161,8 @@ class SphereGrid:
         grid."""
         spectrum, trail = self._spectrum(values)
         even, odd = self._colatitude_series(fine.theta_axis)
-        rows = np.fft.irfft(_by_parity(spectrum, even, odd), n=self.n_phi, axis=1)
+        rows = np.fft.irfft(_by_parity(spectrum, even, odd), n=self.n_phi, axis=-1)
+        rows = np.ascontiguousarray(np.moveaxis(rows, 0, -1))  # (fine n_theta, n_phi, C)
         padded = np.fft.rfft(np.eye(self.n_phi), axis=0) * (fine.n_phi / self.n_phi)
         if fine.n_phi > self.n_phi:
             padded[-1] *= 0.5
@@ -168,7 +175,7 @@ class SphereGrid:
         over the top two colatitude degrees and the top two Fourier modes."""
         spectrum, _ = self._spectrum(values)
         coeffs = np.abs(_by_parity(spectrum, *self._colatitude_series())) / self.n_phi
-        return float(max(np.max(coeffs[-2:]), np.max(coeffs[:, -2:])))
+        return float(max(np.max(coeffs[:, -2:]), np.max(coeffs[..., -2:])))
 
     def dphi(self, values):
         """d/d theta2 of a node field (periodic).  The Nyquist mode's
@@ -183,34 +190,34 @@ class SphereGrid:
         for the inverse."""
         spectrum, trail = self._spectrum(values)
         both = np.concatenate(
-            [_by_parity(spectrum, *self._theta_matrices()), _phi_derivative(spectrum)],
-            axis=-1,
+            [_by_parity(spectrum, *self._theta_matrices()), _phi_derivative(spectrum)]
         )
-        values = np.fft.irfft(both, n=self.n_phi, axis=1).reshape((self.n_nodes, 2) + trail)
+        values = self._synthesis(both, (2,) + trail)
         return values[:, 0], values[:, 1]
 
 
 def _phi_derivative(spectrum):
-    """d/d theta2 of a Fourier spectrum (n_theta, n_phi // 2 + 1, C)."""
-    m = np.arange(spectrum.shape[1])
-    return spectrum * (1j * m)[:, np.newaxis]
+    """d/d theta2 of a Fourier spectrum (C, n_theta, n_phi // 2 + 1)."""
+    return spectrum * (1j * np.arange(spectrum.shape[-1]))
 
 
 def _by_parity(spectrum, even, odd):
     """Apply the colatitude matrix ``even`` to the even Fourier modes of a
-    spectrum (n_theta, n_phi // 2 + 1, C) and ``odd`` to the odd ones."""
-    out = np.empty((even.shape[0],) + spectrum.shape[1:], dtype=complex)
-    out[:, 0::2] = _real_matmul(even, spectrum[:, 0::2])
-    out[:, 1::2] = _real_matmul(odd, spectrum[:, 1::2])
+    spectrum (C, n_theta, n_phi // 2 + 1) and ``odd`` to the odd ones."""
+    out = np.empty((spectrum.shape[0], even.shape[0], spectrum.shape[2]), dtype=complex)
+    out[..., 0::2] = _real_matmul(even, spectrum[..., 0::2])
+    out[..., 1::2] = _real_matmul(odd, spectrum[..., 1::2])
     return out
 
 
 def _real_matmul(a, z):
-    """``a @ z`` over the first axis of ``z``, for a real (possibly
-    rectangular) matrix and a complex array, as one real product."""
-    z = np.ascontiguousarray(z)
+    """``a @ z`` over the middle axis of ``z`` (C, n, M), for a real
+    (possibly rectangular) matrix and a complex array, as one real product
+    over every component on the (n, M, C) layout: a product per component
+    would round differently."""
+    z = np.ascontiguousarray(z.transpose(1, 2, 0))
     out = a @ z.view(float).reshape(z.shape[0], -1)
-    return out.view(complex).reshape((a.shape[0],) + z.shape[1:])
+    return out.view(complex).reshape((a.shape[0],) + z.shape[1:]).transpose(2, 0, 1)
 
 
 def build_grid(n_theta, n_phi):
@@ -315,7 +322,18 @@ def first_form(tangents, g_z):
     return _sym2(e, f, gg), det
 
 
-def extrinsic_geometry(metric, grid, positions, tangents, outward):
+def induced_metric(metric, positions, tangents):
+    """``(g, g_z, form, det)`` at node positions (N, 3) with tangents
+    (N, 2, 3): the metric's action g (:func:`manifold.metric_action`),
+    ``g_z[n, i]`` = g Z_i (N, 2, 3), and the first fundamental form with its
+    determinant (:func:`first_form`).  The area needs no more, and
+    :func:`extrinsic_geometry` starts from it."""
+    g = metric_action(metric, positions)
+    g_z = np.stack([g.apply(tangents[:, 0]), g.apply(tangents[:, 1])], axis=1)
+    return (g, g_z, *first_form(tangents, g_z))
+
+
+def extrinsic_geometry(metric, grid, positions, tangents, outward, induced=None):
     """Build an :class:`EmbeddedSurface` from node positions and tangents.
 
     Parameters
@@ -329,13 +347,16 @@ def extrinsic_geometry(metric, grid, positions, tangents, outward):
     outward : ndarray
         Reference field (N, 3) pointing out of the enclosed region; the unit
         normal is oriented inward against it.
+    induced : tuple, optional
+        The :func:`induced_metric` of these positions and tangents, when the
+        caller has already measured it; computed here otherwise.
     """
     positions = np.asarray(positions, dtype=float)
     tangents = np.asarray(tangents, dtype=float)
     z1, z2 = tangents[:, 0], tangents[:, 1]
-    g = metric_action(metric, positions)
-    g_z = np.stack([g.apply(z1), g.apply(z2)], axis=1)
-    first, det_first = first_form(tangents, g_z)
+    if induced is None:
+        induced = induced_metric(metric, positions, tangents)
+    g, g_z, first, det_first = induced
 
     # normal: g N is euclidean-orthogonal to Z_1, Z_2, so g N = cross / |.|,
     # g(N, N) = N . cross and g(N, outward) has the sign of cross . outward

@@ -177,7 +177,7 @@ def test_optimize_rejects_removed_gradient_step(capsys, tmp_path, key):
 
 def test_optimize_schwarzschild_stops_on_gradient_tol(capsys, tmp_path):
     # Newton steps preconditioned by the round sphere's Hessian stop far
-    # under the tolerance: measured 2 iterations and 5.0e-11
+    # under the tolerance: measured 2 iterations and 2.9e-13
     config = {
         "metric": {"kind": "schwarzschild", "mass": 1.0},
         "point": [4.0, 0.0, 0.0],
@@ -195,8 +195,8 @@ def test_optimize_out_of_iterations_reports_returned_surface_gradient(
     capsys, tmp_path
 ):
     # with one iteration the run ends after its one step; the reported
-    # gradient is the returned surface's (measured 5.0e-11), not the round
-    # sphere's it stepped from (4.9e-7)
+    # gradient is the returned surface's (measured 2.9e-13), not the
+    # reference sphere's it stepped from (1.4e-8)
     config = {
         "metric": {"kind": "schwarzschild", "mass": 1.0},
         "point": [4.0, 0.0, 0.0],
@@ -208,6 +208,64 @@ def test_optimize_out_of_iterations_reports_returned_surface_gradient(
     assert report["result"]["iterations"] == 1
     assert report["result"]["stop_reason"] == "gradient_tol"
     assert report["result"]["final_gradient_norm"] <= 1e-10
+
+
+SCHWARZSCHILD_SEARCH = {
+    "metric": {"kind": "schwarzschild", "mass": 1.0},
+    "point": [4.0, 0.0, 0.0],
+    "grid": {"n_theta": 32, "n_phi": 64},
+    "optimizer": {"max_degree": 4, "max_iters": 1, "reference_rho": 0.2},
+}
+
+
+def test_optimize_starts_at_the_reference_sphere(capsys, tmp_path):
+    # the closed-form reference sphere is the search's first iterate
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SCHWARZSCHILD_SEARCH))
+    main(["optimize", "--config", str(path), "--out", str(tmp_path)])
+    report = json.loads(capsys.readouterr().out)
+    with open(tmp_path / "optimize_trace.csv") as fh:
+        first = dict(zip(fh.readline().strip().split(","), fh.readline().strip().split(",")))
+    assert first["mass"] == f"{report['reference_mass']:.17g}"
+    assert first["rho"] == f"{report['config']['optimizer']['reference_rho']:.17g}"
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Count the calls of ``name`` through every owner that binds it."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "metric, point, counts",
+    [
+        # one step: its area solve and its surface, after the reference's
+        ({"kind": "schwarzschild", "mass": 1.0}, [4.0, 0.0, 0.0], (1, 2, 1)),
+        # the gradient vanishes at the reference sphere: no step, no solve
+        ({"kind": "round_sphere", "radius": 1.0}, [0.1, 0.05, -0.03], (0, 1, 1)),
+    ],
+    ids=["schwarzschild", "round_sphere"],
+)
+def test_optimize_builds_each_surface_once(capsys, tmp_path, monkeypatch, metric, point,
+                                           counts):
+    from hawking_lab import geodesics, harmonics, optimizer
+
+    solves = _count_calls(monkeypatch, [optimizer._SurfaceEvaluator], "solve_radius")
+    surfaces = _count_calls(monkeypatch, [geodesics], "extrinsic_geometry")
+    perturbations = _count_calls(monkeypatch, [harmonics, cli], "optimal_perturbation")
+    config = {**SCHWARZSCHILD_SEARCH, "metric": metric, "point": point}
+    code, report = run(capsys, tmp_path, "optimize", config)
+    assert code in (0, 1)  # exit 1: one iteration did not converge
+    assert report["result"]["iterations"] == 1
+    assert (len(solves), len(surfaces), len(perturbations)) == counts
 
 
 def test_optimize_rejects_max_degree_above_band_limit(capsys, tmp_path):
@@ -321,6 +379,30 @@ def test_overflowing_number_literal_exits_2(capsys, tmp_path):
     path.write_text('{"metric": {"kind": "round_sphere", "radius": 1e999}}')
     assert main(["curvature", "--config", str(path)]) == 2
     assert "1e999 is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # an integer literal beyond the float range
+        ('{"metric": {"kind": "schwarzschild", "mass": 1' + "0" * 400 + "}}",
+         "the 401-digit integer 100000000000... is not a finite number"),
+        ('{"metric": {"kind": "round_sphere", ', "is not valid JSON: Expecting"),
+    ],
+    ids=["overflowing_integer", "malformed"],
+)
+def test_unreadable_config_exits_2(capsys, tmp_path, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["curvature", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and key in err
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    assert main(["curvature", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: cannot read config {path}")
 
 
 def test_integral_floats_are_integer_settings():

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from hawking_lab import geodesics, harmonics, manifold, optimizer, surface
+from hawking_lab import cli, expansion, geodesics, harmonics, manifold, optimizer, surface
 from hawking_lab.errors import BandLimitExceeded
 from hawking_lab.geodesics import GeodesicConfig, geodesic_sphere_surface
 from hawking_lab.harmonics import (
@@ -33,7 +35,12 @@ from hawking_lab.manifold import (
     curvature_packet,
 )
 from hawking_lab.harmonics import lagrange_multiplier_from_surface
-from hawking_lab.optimizer import OptimizeConfig, maximize_hawking, optimizer_fan
+from hawking_lab.optimizer import (
+    OptimizeConfig,
+    closed_form_reference,
+    maximize_hawking,
+    optimizer_fan,
+)
 from hawking_lab.surface import build_grid
 
 POLY_TERMS = [
@@ -149,10 +156,12 @@ class TestSeparableTransforms:
         with pytest.raises(BandLimitExceeded):
             analyze(np.ones(grid.n_nodes), grid, degree + 1)
 
-    def test_transforms_cache_nothing(self):
+    def test_transforms_cache_nothing(self, capsys, tmp_path):
         # every reuse lives within one call: no module (or class defined in
-        # one) gains, loses or grows an attribute
-        modules = (harmonics, surface, geodesics, optimizer, manifold)
+        # one) gains, loses or grows an attribute.  The CLI and the expansion
+        # count too: a process that runs command after command would
+        # otherwise pay less for a command than a one-shot run
+        modules = (harmonics, surface, geodesics, optimizer, manifold, expansion, cli)
 
         def snapshot():
             out = {}
@@ -182,9 +191,20 @@ class TestSeparableTransforms:
                 metric, p, 0.2, w, grid, GeodesicConfig(), packet=packet
             )
             willmore_el_residual(surf, metric)
-            target = 4.0 * np.pi * 0.2**2
-            fan = optimizer_fan(metric, p, 0.2, grid)
-            maximize_hawking(fan, target, OptimizeConfig(max_iters=2))
+            fan = optimizer_fan(metric, packet, pert, 0.2, grid)
+            reference = closed_form_reference(fan, pert, 0.2)
+            maximize_hawking(fan, reference, OptimizeConfig(max_iters=2))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "metric": {"kind": "schwarzschild", "mass": 1.0},
+            "point": [4.0, 0.0, 0.0],
+            "grid": {"n_theta": 16, "n_phi": 32},
+            "ladder": {"rho0": 0.2, "n": 5},
+            "optimizer": {"max_iters": 2},
+        }))
+        for command in ("expansion", "optimize"):
+            assert cli.main([command, "--config", str(config)]) in (0, 1)
+        capsys.readouterr()
         after = snapshot()
         assert after.keys() == before.keys()
         for name, (value, size) in before.items():

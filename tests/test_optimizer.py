@@ -11,7 +11,7 @@ from hawking_lab.geodesics import (
     sphere_fan,
     surface_tangents,
 )
-from hawking_lab.harmonics import willmore_el_residual
+from hawking_lab.harmonics import optimal_perturbation, willmore_el_residual
 from hawking_lab.manifold import (
     ConformalMetric,
     EuclideanMetric,
@@ -39,16 +39,24 @@ def grid():
     return build_grid(32, 64)
 
 
+def search_fan(metric, p, rho, grid, geo_cfg=None):
+    """``(fan, pert)``: the :func:`optimizer_fan` around ``rho`` and the
+    optimal perturbation its reach and the reference sphere share."""
+    packet = curvature_packet(metric, np.asarray(p, dtype=float))
+    pert = optimal_perturbation(packet, grid)
+    return optimizer_fan(metric, packet, pert, rho, grid, geo_cfg), pert
+
+
 class TestGridFloor:
     def test_flat_reference_mass_is_floor_free(self, grid):
-        fan = optimizer_fan(EuclideanMetric(), np.zeros(3), 0.05, grid)
-        area, mass, _ = closed_form_reference(fan, 0.05)
-        assert area == pytest.approx(4.0 * np.pi * 0.05**2, rel=1e-13)
-        assert abs(mass) < 1e-15
+        fan, pert = search_fan(EuclideanMetric(), np.zeros(3), 0.05, grid)
+        ref = closed_form_reference(fan, pert, 0.05)
+        assert ref.target_area == pytest.approx(4.0 * np.pi * 0.05**2, rel=1e-13)
+        assert abs(ref.mass) < 1e-15
 
     def test_schwarzschild_reference_matches_expansion(self, grid):
         metric, p, rho = SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.05
-        _, mass, _ = closed_form_reference(optimizer_fan(metric, p, rho, grid), rho)
+        mass = closed_form_reference(*search_fan(metric, p, rho, grid), rho).mass
         pred = predicted_coefficients(curvature_packet(metric, p), "optimal")
         expected = pred.c3 * rho**3 + pred.c5 * rho**5
         assert abs(mass - expected) <= 0.02 * abs(expected)
@@ -56,8 +64,9 @@ class TestGridFloor:
     def test_flat_optimizer_masses_are_floor_free(self, grid):
         cfg = OptimizeConfig(max_degree=2, max_iters=1)
         target = 4.0 * np.pi * 0.05**2
-        fan = optimizer_fan(EuclideanMetric(), np.zeros(3), 0.05, grid)
-        result = maximize_hawking(fan, target, cfg)
+        fan, pert = search_fan(EuclideanMetric(), np.zeros(3), 0.05, grid)
+        ref = closed_form_reference(fan, pert, 0.05, cfg, target_area=target)
+        result = maximize_hawking(fan, ref, cfg)
         assert abs(result.m_H_star) < 1e-14
         assert abs(result.area - target) <= 1e-9 * target
 
@@ -77,7 +86,7 @@ def central_difference_gradient(ev, coeffs, rho, target_area, h=1e-6):
 
 
 def evaluator_at(metric, p, rho, grid, K=0):
-    fan = optimizer_fan(metric, np.asarray(p, dtype=float), 1.05 * rho, grid, GeodesicConfig())
+    fan, _ = search_fan(metric, p, 1.05 * rho, grid, GeodesicConfig())
     return _SurfaceEvaluator(fan, OptimizeConfig(max_degree=4), K)
 
 
@@ -178,11 +187,11 @@ class TestOptimalGraph:
         degree_2 = slice(4, 9)
         errors = []
         for rho in (0.2, 0.1):
-            fan = optimizer_fan(metric, p, rho, grid)
-            area, _, graph = closed_form_reference(fan, rho)
-            result = maximize_hawking(fan, area, OptimizeConfig())
+            fan, pert = search_fan(metric, p, rho, grid)
+            ref = closed_form_reference(fan, pert, rho)
+            result = maximize_hawking(fan, ref, OptimizeConfig())
             assert result.converged
-            want = graph.coeffs[degree_2]
+            want = ref.w_field.coeffs[degree_2]
             got = result.w_star.coeffs[degree_2]
             errors.append(np.linalg.norm(got - want) / np.linalg.norm(want))
         # measured 2.4e-4 and 6.1e-5
@@ -214,10 +223,9 @@ class TestOneSurfacePerIterate:
     def test_el_residual_norm_is_the_returned_surfaces(self, grid, max_iters):
         # the residual reuses the densities of the returned surface's gradient
         metric, p, rho = SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2
-        fan = optimizer_fan(metric, p, rho, grid)
-        area, _, _ = closed_form_reference(fan, rho)
+        fan, pert = search_fan(metric, p, rho, grid)
         cfg = OptimizeConfig(max_iters=max_iters)
-        result = maximize_hawking(fan, area, cfg)
+        result = maximize_hawking(fan, closed_form_reference(fan, pert, rho), cfg)
         assert result.converged == (max_iters > 1)
         res = willmore_el_residual(result.surface, metric)
         assert result.el_residual_norm == float(np.sqrt(result.surface.integrate(res**2)))
@@ -228,27 +236,33 @@ class TestFanInputs:
     band limit and its reach bounds the radius."""
 
     @pytest.fixture(scope="class")
-    def fan(self):
+    def search(self):
         grid = build_grid(16, 32)
-        return optimizer_fan(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2, grid)
+        return search_fan(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2, grid)
 
-    def test_max_degree_above_the_band_limit(self, fan):
+    def test_max_degree_above_the_band_limit(self, search):
         # 16x32 resolves degrees up to min(16 - 2, 32 // 2 - 1) = 14
+        fan, pert = search
         assert _SurfaceEvaluator(fan, OptimizeConfig(max_degree=14)).n_coeff == 221
+        ref = closed_form_reference(fan, pert, 0.2)
         with pytest.raises(BandLimitExceeded, match="optimizer.max_degree 15"):
-            maximize_hawking(fan, 4.0 * np.pi * 0.2**2, OptimizeConfig(max_degree=15))
+            maximize_hawking(fan, ref, OptimizeConfig(max_degree=15))
 
-    def test_radius_beyond_the_fan(self, fan):
+    def test_radius_beyond_the_fan(self, search):
+        fan, pert = search
         rho = 2.0 * fan.s_max
         with pytest.raises(DomainError):
-            closed_form_reference(fan, rho)
+            closed_form_reference(fan, pert, rho)
         with pytest.raises(DomainError):
-            maximize_hawking(fan, 4.0 * np.pi * rho**2, OptimizeConfig(max_iters=1))
+            closed_form_reference(fan, pert, 0.2, target_area=4.0 * np.pi * rho**2)
 
     def test_area_beyond_the_fan_stops_at_the_first_capped_read(self, grid, monkeypatch):
-        # the solve starts at the round radius 1.5 s_max, clamps it to the
-        # fan's reach and raises on that read, naming s_max and the target
-        fan = optimizer_fan(SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.05, grid)
+        # the solve of the closed-form shape to the target starts at the
+        # target's round radius 1.5 s_max, clamps it to the fan's reach and
+        # raises on that read, naming s_max and the target
+        fan, pert = search_fan(
+            SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.05, grid
+        )
         reads = []
         area_of = _SurfaceEvaluator.area_of
 
@@ -257,9 +271,10 @@ class TestFanInputs:
             return area_of(ev, rho, w)
 
         monkeypatch.setattr(_SurfaceEvaluator, "area_of", counted)
-        target = 4.0 * np.pi * (1.5 * fan.s_max) ** 2
+        rho = 1.5 * fan.s_max
+        target = 4.0 * np.pi * rho**2
         with pytest.raises(DomainError, match=f"target area {target:.6g} .* s_max"):
-            maximize_hawking(fan, target)
+            closed_form_reference(fan, pert, rho, target_area=target)
         assert len(reads) == 1
 
 

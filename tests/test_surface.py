@@ -40,6 +40,45 @@ def cfg():
     return GeodesicConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
+def axis_1_transforms(g, f, fine):
+    """Every Fourier-based transform of the grid ``g`` on the node field ``f``
+    (N, C), by name, computed on the (n_theta, n_phi, C) layout with the
+    longitude transforms along its axis 1; ``fine`` is the upsampling
+    target."""
+    spectrum = np.fft.rfft(g.to_2d(f), axis=1)  # (n_theta, n_phi // 2 + 1, C)
+
+    def by_parity(a_even, a_odd):
+        out = np.empty((a_even.shape[0],) + spectrum.shape[1:], dtype=complex)
+        for parity, a in ((slice(0, None, 2), a_even), (slice(1, None, 2), a_odd)):
+            z = np.ascontiguousarray(spectrum[:, parity])
+            product = a @ z.view(float).reshape(z.shape[0], -1)
+            out[:, parity] = product.view(complex).reshape((a.shape[0],) + z.shape[1:])
+        return out
+
+    def nodes(spec, n_nodes=g.n_nodes):
+        return np.fft.irfft(spec, n=g.n_phi, axis=1).reshape((n_nodes,) + f.shape[1:])
+
+    even, odd = g._theta_matrices()
+    theta = by_parity(even, odd)
+    phi = spectrum * (1j * np.arange(spectrum.shape[1]))[:, np.newaxis]
+    gradient = np.fft.irfft(np.concatenate([theta, phi], axis=-1), n=g.n_phi, axis=1)
+    padded = np.fft.rfft(np.eye(g.n_phi), axis=0) * (fine.n_phi / g.n_phi)
+    padded[-1] *= 0.5
+    lon = np.fft.irfft(padded, n=fine.n_phi, axis=0)
+    rows = np.fft.irfft(
+        by_parity(*g._colatitude_series(fine.theta_axis)), n=g.n_phi, axis=1
+    )
+    coeffs = np.abs(by_parity(*g._colatitude_series())) / g.n_phi
+    return {
+        "dtheta": nodes(theta),
+        "dtheta_adjoint": nodes(by_parity(even.T, odd.T)),
+        "dphi": nodes(phi),
+        "gradient": gradient.reshape((g.n_nodes, 2) + f.shape[1:]),
+        "upsample": (lon @ rows).reshape((fine.n_nodes,) + f.shape[1:]),
+        "spectral_tail": np.float64(max(np.max(coeffs[-2:]), np.max(coeffs[:, -2:]))),
+    }
+
+
 def coordinate_sphere(metric, r, grid):
     pos = r * grid.unit
     tan = surface_tangents(pos, grid)
@@ -58,6 +97,23 @@ class TestGrid:
         assert d_theta.shape == d_phi.shape == f.shape
         assert d_theta.tobytes() == g.dtheta(f).tobytes()
         assert d_phi.tobytes() == g.dphi(f).tobytes()
+
+    @pytest.mark.parametrize("components", [1, 6])
+    def test_transforms_match_the_axis_1_formula_bit_for_bit(self, components):
+        # the transforms run along a contiguous axis, with the same numbers
+        g, fine = build_grid(24, 48), build_grid(32, 96)
+        f = np.random.default_rng(components).normal(size=(g.n_nodes, components))
+        got = {
+            "dtheta": g.dtheta(f),
+            "dtheta_adjoint": g.dtheta_adjoint(f),
+            "dphi": g.dphi(f),
+            "gradient": np.stack(g.gradient(f), axis=1),
+            "upsample": g.upsample(f, fine),
+            "spectral_tail": np.float64(g.spectral_tail(f)),
+        }
+        for name, want in axis_1_transforms(g, f, fine).items():
+            assert got[name].shape == want.shape, name
+            assert got[name].tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("n_theta", [16, 32])
     def test_coordinate_moment_identities(self, n_theta):
