@@ -9,7 +9,6 @@ from .errors import (
     DegenerateSurface,
     DomainError,
     DomainExit,
-    FitUnstable,
     GridTooCoarse,
     HawkingLabError,
     PerturbationTooLarge,

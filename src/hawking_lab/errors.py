@@ -9,7 +9,6 @@ __all__ = [
     "GridTooCoarse",
     "DegenerateSurface",
     "BandLimitExceeded",
-    "FitUnstable",
     "RadiusOutOfRange",
     "ConfigError",
 ]
@@ -45,10 +44,6 @@ class DegenerateSurface(HawkingLabError):
 
 class BandLimitExceeded(HawkingLabError):
     """Requested harmonic degree exceeds what the grid can resolve."""
-
-
-class FitUnstable(HawkingLabError):
-    """A least-squares fit is too ill-conditioned to be trusted."""
 
 
 class RadiusOutOfRange(DomainError):

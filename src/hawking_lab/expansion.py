@@ -1,6 +1,6 @@
-"""Radius-ladder scans of the (generalized) Hawking mass, least-squares
-extraction of the asymptotic coefficients, their curvature-side predictions,
-and the Bartnik-mass lower-bound evaluator.
+"""Radius-ladder scans of the (generalized) Hawking mass, the odd expansion
+coefficients read from them, their curvature-side predictions, and the
+Bartnik-mass lower-bound evaluator.
 
 The mass of an optimally perturbed geodesic sphere behaves like
 
@@ -9,28 +9,25 @@ The mass of an optimally perturbed geodesic sphere behaves like
 
 with the traceless-Ricci term absent for unperturbed spheres.  The graph
 rho^2 w-bar is even in Theta, so the coefficient of rho^(3+k) integrates a
-polynomial of parity (-1)^k over the sphere: c4 = c6 = 0, and the remainder
-after c5 is c7 rho^7.  Ladders are geometric with ratio 1/2.  The fits'
-rho^6 column therefore fits a term that vanishes, and it aliases c7 into
-c5 instead of absorbing it, so the reported c5 is biased: on Schwarzschild
-(m = 1, p = (4, 0, 0), 32x64, rho0 = 0.8, 6 rungs) its relative error is
-4.2e-3 with {rho^3, rho^5, rho^6} against 1.1e-4 with {rho^3, rho^5, rho^7}.
+polynomial of parity (-1)^k over the sphere: m is odd and analytic in rho.
+So the coefficients are read from its odd interpolant at Chebyshev radii,
+which is spectrally accurate and needs no basis choice.
 
 Every rung is read from one geodesic fan, the one
-:func:`geodesics.sphere_fan` shoots for the widest rung, through
+:func:`geodesics.sphere_fan` shoots for the ladder's width rho0, through
 :meth:`geodesics.GeodesicFan.surface`.
 
 Rung values are the surfaces' own masses, with no correction: the spectral
 angular derivatives leave the flat unit sphere's W - 16 pi and
 |Sigma|/(4 pi) - 1 at rounding level, so no radius-independent error is left
-for the fits to magnify.
+for the read to magnify.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitUnstable, RadiusOutOfRange
+from .errors import RadiusOutOfRange
 from .geodesics import sphere_fan
 from .harmonics import optimal_perturbation
 from .manifold import curvature_packet
@@ -50,18 +47,26 @@ __all__ = [
 ]
 
 MODES = ("optimal", "unperturbed")
-# the fewest rungs a ladder takes
+# the fewest rungs a ladder takes: 2n - 1 >= 9, so c7 and its error exist
 MIN_RUNGS = 5
+
+
+def _chebyshev_angles(n):
+    """theta_j = (2j - 1) pi / (4n), j = 1..n: rung j of a ladder of width R
+    is rho_j = R cos(theta_j), so the radii decrease."""
+    return (2.0 * np.arange(1, n + 1) - 1.0) * (np.pi / (4.0 * n))
+
 
 @dataclass
 class LadderResult:
-    """Geometric radius ladder with per-radius mass data.
+    """Chebyshev radius ladder of width ``rho0`` with per-radius mass data.
 
     ``fan`` is the geodesic fan every rung was read from.
     """
 
     mode: str
     K: int
+    rho0: float
     radii: np.ndarray
     masses: np.ndarray      # generalized Hawking mass at the given K
     areas: np.ndarray
@@ -71,11 +76,12 @@ class LadderResult:
 
 
 def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None):
-    """Build surfaces on the ladder rho_k = rho0 / 2^k and record their masses.
+    """Build surfaces at the n Chebyshev radii rho0 cos((2j - 1) pi / (4n))
+    and record their masses.
 
     ``mode`` selects the graph function: the closed-form optimal perturbation
     scaled by rho^2, or identically zero.  All rungs reuse one geodesic fan,
-    the :func:`sphere_fan` of the widest rung, which raises RadiusOutOfRange
+    the :func:`sphere_fan` of radius ``rho0``, which raises RadiusOutOfRange
     when ``rho0`` exceeds the injectivity bound.
     """
     if mode not in MODES:
@@ -83,7 +89,7 @@ def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None):
     if n < MIN_RUNGS:
         raise ValueError(f"need at least {MIN_RUNGS} ladder rungs")
     packet = curvature_packet(metric, p)
-    radii = rho0 * 0.5 ** np.arange(n)
+    radii = rho0 * np.cos(_chebyshev_angles(n))
 
     if mode == "optimal":
         wbar = optimal_perturbation(packet, grid).wbar_values(grid)
@@ -100,69 +106,69 @@ def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None):
         areas[k] = report.area
         willmores[k] = report.willmore
     return LadderResult(
-        mode=mode, K=int(K), radii=radii, masses=masses, areas=areas,
-        willmores=willmores, packet=packet, fan=fan,
+        mode=mode, K=int(K), rho0=float(rho0), radii=radii, masses=masses,
+        areas=areas, willmores=willmores, packet=packet, fan=fan,
     )
 
 
 # ---------------------------------------------------------------------------
-# least-squares extraction
+# Chebyshev read
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ExpansionFit:
-    """Weighted fit of mass values against {rho^3, rho^5, rho^6}."""
+    """Leading coefficients of a ladder's odd interpolant in powers of rho,
+    each with its error estimate (:func:`fit_coefficients`)."""
 
-    radii: np.ndarray
-    values: np.ndarray
+    c1: float   # 0 for a mass expansion; its reading is a diagnostic
+    c1_error: float
     c3: float
+    c3_error: float
     c5: float
-    c6: float
+    c5_error: float
+    c7: float
+    c7_error: float
     condition_number: float
-    rms_residual: float
 
 
-def _check_geometric(radii):
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < MIN_RUNGS:
-        raise ValueError(f"need at least {MIN_RUNGS} samples")
-    if np.any(np.diff(radii) >= 0.0):
-        raise ValueError("radii must be strictly decreasing")
-    ratios = radii[1:] / radii[:-1]
-    if np.max(np.abs(ratios - ratios[0])) > 1e-9:
-        raise ValueError("radii must form a geometric ladder")
-    return radii
+def _chebyshev_to_monomial(degree):
+    """Row k holds the monomial coefficients of T_k, k = 0..degree, from the
+    recurrence T_(k+1) = 2 x T_k - T_(k-1)."""
+    table = np.zeros((degree + 1, degree + 1))
+    table[0, 0] = table[1, 1] = 1.0
+    for k in range(1, degree):
+        table[k + 1, 1:] = 2.0 * table[k, :-1]
+        table[k + 1] -= table[k - 1]
+    return table
 
 
-def fit_coefficients(radii, values, condition_limit=1e8):
-    """Fit ``values ~ c3 rho^3 + c5 rho^5 + c6 rho^6``.
+def fit_coefficients(rho0, values):
+    """Read c1, c3, c5 and c7 from masses at the Chebyshev radii of
+    :func:`radius_ladder` of width ``rho0``, in that ladder's order.
 
-    Residuals are weighted by rho^-6 (equations scaled by rho^-3), which
-    keeps all rungs comparable.  The expansion has no rho^6 term, and the
-    rho^6 column aliases the remainder c7 rho^7 into c5 rather than
-    absorbing it (module docstring), so c5 carries that bias.  Raises
-    FitUnstable when the scaled design matrix is ill-conditioned.
+    With n values m_j, the interpolant is sum_k a_k T_(2k+1)(rho / rho0)
+    over k < n.  The columns of V[j, k] = T_(2k+1)(rho_j / rho0) are
+    orthogonal, so a = (2/n) V^T m with no solve.  Each ``c<d>_error`` is
+    the change in ``c<d>`` when the top term is dropped, which is also the
+    least-squares refit without it; ``condition_number``, that of V, is 1 to
+    rounding.
     """
-    radii = _check_geometric(radii)
     values = np.asarray(values, dtype=float)
+    n = values.size
+    if n < MIN_RUNGS:
+        raise ValueError(f"need at least {MIN_RUNGS} samples")
     if not np.all(np.isfinite(values)):
         raise ValueError("mass values must be finite")
-    scaled = values / radii**3
-    design = np.column_stack([np.ones_like(radii), radii**2, radii**3])
-    cond = float(np.linalg.cond(design))
-    if cond > condition_limit:
-        raise FitUnstable(f"design matrix condition {cond:.3e} too large")
-    coef, _, _, _ = np.linalg.lstsq(design, scaled, rcond=None)
-    resid = design @ coef - scaled
-    return ExpansionFit(
-        radii=radii,
-        values=values,
-        c3=float(coef[0]),
-        c5=float(coef[1]),
-        c6=float(coef[2]),
-        condition_number=cond,
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-    )
+    if not rho0 > 0.0:
+        raise ValueError("rho0 must be positive")
+    basis = np.cos(np.outer(_chebyshev_angles(n), np.arange(1, 2 * n, 2)))
+    series = (2.0 / n) * (values @ basis)
+    # rows T_1, T_3, ..., T_(2n-1); columns rho, rho^3, rho^5, rho^7
+    powers = np.arange(1, 8, 2)
+    to_monomial = _chebyshev_to_monomial(2 * n - 1)[1::2, powers] / float(rho0) ** powers
+    c1, c3, c5, c7 = (series @ to_monomial).tolist()
+    e1, e3, e5, e7 = np.abs(series[-1] * to_monomial[-1]).tolist()
+    return ExpansionFit(c1, e1, c3, e3, c5, e5, c7, e7, float(np.linalg.cond(basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +200,23 @@ def predicted_coefficients(packet, mode, K=0):
     return PredictedCoefficients(mode=mode, K=int(K), c3=float(c3), c5=float(c5))
 
 
+# a coefficient may miss its prediction by this many of its error estimates
+ERROR_MARGIN = 3.0
+
+
 @dataclass
 class ComparisonReport:
-    """Fitted vs predicted coefficients with configurable pass criteria."""
+    """Read vs predicted coefficients with configurable pass criteria."""
 
     c3_fit: float
     c3_pred: float
     c3_delta: float
+    c3_tolerance: float
     c3_pass: bool
     c5_fit: float
     c5_pred: float
     c5_delta: float
+    c5_tolerance: float
     c5_pass: bool
 
     @property
@@ -213,22 +225,21 @@ class ComparisonReport:
 
 
 def compare_report(fit, pred, *, c3_rel, c3_abs, c5_rel, c5_abs):
-    """Absolute/relative deltas between a fit and a prediction.
+    """Deltas between a read and a prediction.
 
-    A coefficient passes when ``|delta| <= abs_tol + rel_tol * |predicted|``.
+    A coefficient passes when ``|delta| <= abs_tol + rel_tol * |predicted|
+    + ERROR_MARGIN * e``, with e the read's error estimate, so a prediction
+    of 0 can pass.
     """
-    d3 = fit.c3 - pred.c3
-    d5 = fit.c5 - pred.c5
-    return ComparisonReport(
-        c3_fit=fit.c3,
-        c3_pred=pred.c3,
-        c3_delta=float(d3),
-        c3_pass=bool(abs(d3) <= c3_abs + c3_rel * abs(pred.c3)),
-        c5_fit=fit.c5,
-        c5_pred=pred.c5,
-        c5_delta=float(d5),
-        c5_pass=bool(abs(d5) <= c5_abs + c5_rel * abs(pred.c5)),
-    )
+    fields = {}
+    for name, rel, atol in (("c3", c3_rel, c3_abs), ("c5", c5_rel, c5_abs)):
+        read, want = getattr(fit, name), getattr(pred, name)
+        tolerance = atol + rel * abs(want) + ERROR_MARGIN * getattr(fit, f"{name}_error")
+        fields.update({
+            f"{name}_fit": read, f"{name}_pred": want, f"{name}_delta": read - want,
+            f"{name}_tolerance": tolerance, f"{name}_pass": abs(read - want) <= tolerance,
+        })
+    return ComparisonReport(**fields)
 
 
 # ---------------------------------------------------------------------------

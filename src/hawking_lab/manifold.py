@@ -357,7 +357,9 @@ class MetricField:
 
     Subclasses state the metric once, as :meth:`action`, from which
     :meth:`metric`, :meth:`metric_deriv` and :meth:`metric_deriv2` derive g,
-    dg and ddg with rounding errors only (module docstring), and provide
+    dg and ddg with rounding errors only (module docstring).  The derived g
+    and dg are symmetric only to rounding, so :func:`metric_at` can return
+    a g that differs from its transpose by an ulp.  Subclasses also provide
     :meth:`ricci_along` and :meth:`scalar_derivatives`: closed forms for
     d Sc and Delta Sc on every built-in kind but the polynomial
     perturbation, which propagates Taylor jets of g through the curvature

@@ -41,10 +41,40 @@ def test_curvature_on_polynomial_config(capsys, tmp_path):
 def test_flat_expansion_masses_are_rounding(capsys, tmp_path):
     config = {"grid": {"n_theta": 24, "n_phi": 48}, "ladder": {"rho0": 0.2, "n": 5}}
     code, report = run(capsys, tmp_path, "expansion", config)
-    assert code in (0, 1)  # exit 1 is a failed physics check, not an error
+    assert code == 0
     assert "grid_floor" not in report
     # flat space leaves rounding only in the rung masses
     assert np.max(np.abs(report["fit"]["masses"])) < 1e-14
+
+
+# flat space in linear coordinates: every mass is 0, but the geodesic
+# spheres are ellipsoids in the chart
+LINEAR_FLAT = {
+    "kind": "polynomial_perturbation",
+    "terms": [[0, 0, 0.3, [0, 0, 0]], [0, 1, 0.2, [0, 0, 0]], [2, 2, -0.25, [0, 0, 0]],
+              [1, 2, 0.1, [0, 0, 0]]],
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"metric": {"kind": "schwarzschild", "mass": 1.0}, "point": [4.0, 0.0, 0.0],
+         "ladder": {"rho0": 0.8, "n": 6}},
+        {},
+        {"metric": LINEAR_FLAT, "point": [0.1, -0.2, 0.15], "ladder": {"rho0": 0.4, "n": 6}},
+    ],
+    ids=["schwarzschild", "flat", "linear_flat"],
+)
+def test_expansion_passes_where_a_prediction_is_zero(capsys, tmp_path, config):
+    # c3 = 0 on all three and c5 = 0 on the flat two: the read's own error
+    # estimate sets the tolerance there
+    code, report = run(capsys, tmp_path, "expansion", config)
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("c3_match", "c5_match"):
+        assert checks[name]["passed"], name
+        assert abs(checks[name]["value"]) <= checks[name]["tolerance"], name
+    assert code == 0
 
 
 def test_reports_carry_fan_diagnostics(capsys, tmp_path):
