@@ -491,7 +491,7 @@ def cmd_el_residual(config, out_dir):
     pert = optimal_perturbation(packet, grid)
     w = pert.w_values(rho, grid)
     fan = sphere_fan(metric, config.point, rho, w, grid, geo, packet=packet)
-    surf = fan.surface(rho, w)
+    surf = fan.surface(rho, pert.w_field(rho))
     residual = willmore_el_residual(surf, metric, pert.lam)
     scale = 2.0 / rho**3  # magnitude of the leading Euler-Lagrange terms
     sup = float(np.max(np.abs(residual)))

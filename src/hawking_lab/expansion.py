@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import RadiusOutOfRange
 from .geodesics import sphere_fan
-from .harmonics import optimal_perturbation
+from .harmonics import HarmonicField, optimal_perturbation, synthesize
 from .manifold import curvature_packet
 from .surface import hawking_mass
 
@@ -92,16 +92,18 @@ def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None):
     radii = rho0 * np.cos(_chebyshev_angles(n))
 
     if mode == "optimal":
-        wbar = optimal_perturbation(packet, grid).wbar_values(grid)
+        wbar = optimal_perturbation(packet, grid).wbar
     else:
-        wbar = np.zeros(grid.n_nodes)
-    fan = sphere_fan(metric, p, rho0, rho0**2 * wbar, grid, cfg, packet=packet)
+        wbar = HarmonicField(0, np.zeros(1), grid)
+    # the reach from the node values, each rung's shape as a field
+    wbar_values = synthesize(wbar)
+    fan = sphere_fan(metric, p, rho0, rho0**2 * wbar_values, grid, cfg, packet=packet)
 
     masses = np.empty(n)
     areas = np.empty(n)
     willmores = np.empty(n)
     for k, rho in enumerate(radii):
-        report = hawking_mass(fan.surface(rho, rho**2 * wbar), K)
+        report = hawking_mass(fan.surface(rho, wbar.copy_with(rho**2 * wbar.coeffs)), K)
         masses[k] = report.generalized
         areas[k] = report.area
         willmores[k] = report.willmore

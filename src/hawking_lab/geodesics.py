@@ -11,7 +11,7 @@ evaluation on the whole stacked batch through the metric object the fan was
 handed; neither path forms g^{-1} or the full Christoffel tensor.  Every
 step end is held to the chart by ``metric.domain_margin``.
 
-Building a surface needs one geodesic per grid node; :class:`GeodesicFan`
+A surface is read off a fan of radial geodesics: :class:`GeodesicFan`
 integrates the whole fan of unit-speed radial geodesics in a single stacked
 ODE solve, samples it on 17 Chebyshev-Lobatto arclength nodes, and
 reconstructs positions at arbitrary per-node radii by barycentric
@@ -35,10 +35,17 @@ polynomials of low degree in Theta, so a small radius needs far fewer
 geodesics than the surface grid has nodes.  The fan is therefore shot on
 the coarsest of a fixed ladder of shooting grids whose spectral tail (the
 top colatitude degrees and Fourier modes of x - p and v at the last sample)
-is within the integrator's ``abs_tol``, and upsampled spectrally to the
-surface grid, exactly for band-limited fields (the double Fourier sphere of
-Townsend, Wilber and Wright, SIAM J. Sci. Comput. 2016).  Refining costs a
-shot per grid tried; ``rhs_evals`` sums them all.
+is within the integrator's ``abs_tol``, and its samples of x - p and v stay
+on that grid.  Refining costs a shot per grid tried; ``rhs_evals`` sums them
+all.  A read whose shape is a :class:`~hawking_lab.harmonics.HarmonicField`
+evaluates the shape on the shooting grid and interpolates there.  The read
+is itself a smooth field on the sphere, so only its six fields are upsampled
+spectrally to the surface grid, exactly for band-limited fields (the double
+Fourier sphere of Townsend, Wilber and Wright, SIAM J. Sci. Comput. 2016).
+It is accepted when its arclengths lie in the fan's range and its own
+spectral tail passes the shots' test.  Every other read, and every read with
+node values, interpolates the whole fan upsampled to the surface grid, which
+is built once, on first use.
 
 A fan builds an :class:`~hawking_lab.surface.EmbeddedSurface` along one
 path: :meth:`GeodesicFan.read` interpolates positions and velocities and
@@ -58,6 +65,7 @@ import numpy as np
 
 from . import _dop853
 from .errors import DomainError, DomainExit, PerturbationTooLarge, RadiusOutOfRange
+from .harmonics import HarmonicField, _expand, _tables
 from .manifold import _dot3, curvature_packet, geodesic_acceleration, metric_action
 from .surface import build_grid, extrinsic_geometry
 
@@ -156,25 +164,30 @@ def exp_map(metric, p, v, cfg=None):
 class GeodesicFan:
     """All radial geodesics from one centre, sampled for fast re-evaluation.
 
-    The fan holds the unit-speed geodesic in direction Theta(node) for every
-    node of the surface grid, sampled on 17 Chebyshev-Lobatto arclength nodes
-    in ``[0, s_max]`` (enough to reach the integrator's noise; module
-    docstring), and exposes barycentric interpolants for positions and
-    velocities at per-node arclengths.
+    The fan holds the unit-speed geodesics in the directions Theta of the
+    nodes of its *shooting grid*, sampled on 17 Chebyshev-Lobatto arclength
+    nodes in ``[0, s_max]`` (enough to reach the integrator's noise; module
+    docstring), as x - p and v, shape (N_shot, 6, 17), and reads surfaces
+    on the surface grid ``grid`` from them.
 
-    The geodesics are shot on the first *shooting grid* that resolves them:
-    n_theta = 12, 16, 24, 32 (those below the surface grid's n_theta, each
-    with n_phi = min(2 n_theta, surface n_phi)), and last the surface grid
+    The shooting grid is the first that resolves the geodesics: n_theta =
+    12, 16, 24, 32 (those below the surface grid's n_theta, each with
+    n_phi = min(2 n_theta, surface n_phi)), and last the surface grid
     itself.  A shot passes when the :meth:`SphereGrid.spectral_tail` of
     x - p and v at the last sample is at most ``cfg.abs_tol``, the
-    integrator's own error scale.  A coarse fan that passes is upsampled to
-    the surface grid sample by sample (:meth:`SphereGrid.upsample`), and every
-    upsampled position must pass ``metric.domain_guard`` (DomainExit
-    otherwise, as from the integrator's chart check).  ``shooting_grid`` is
-    ``[n_theta, n_phi]`` of the grid shot last, ``spectral_tail`` its tail,
-    ``rhs_evals`` the right-hand-side evaluations summed over every shot,
-    and ``speed_drift`` the largest ``|g(v, v) - 1|`` over the last sample
-    of the surface grid, so it also bounds the upsampling error.  An
+    integrator's own error scale.  ``shooting_grid`` is ``[n_theta, n_phi]``
+    of the grid shot last, ``spectral_tail`` its tail, ``rhs_evals`` the
+    right-hand-side evaluations summed over every shot, and ``speed_drift``
+    the largest ``|g(v, v) - 1|`` over the last sample upsampled to the
+    surface grid, so it also bounds the upsampling error.
+
+    :meth:`read` takes a shape on the shooting grid when it can (module
+    docstring); otherwise it interpolates the fan's samples upsampled to the
+    surface grid, ``_samples`` (N, 6, 17) of x and v, built on first use
+    (as are ``positions_at``, ``velocities_at``, ``_positions`` and
+    ``_velocities``, which read them).  Every upsampled position must pass
+    ``metric.domain_guard``: DomainExit otherwise, as from the integrator's
+    chart check, raised by the read or the samples that hold it.  An
     ``s_max`` that is not finite and positive raises DomainError.
     """
 
@@ -211,36 +224,58 @@ class GeodesicFan:
             x0 = np.broadcast_to(self.p, (shot.n_nodes, 3))
             states, n_evals = _integrate(metric, x0, directions, self.s_max, cfg, t_eval=nodes)
             self.rhs_evals += n_evals
-            # (N, 6, M): [x, v] of each node over the arclength samples
+            # (N_shot, 6, M): [x - p, v] of each node over the arclength samples
             samples = np.concatenate([states[:, 0], states[:, 1]], axis=-1).transpose(1, 2, 0)
-            self.spectral_tail = shot.spectral_tail(samples[..., -1] - offset)
+            samples -= offset[:, np.newaxis]
+            self.spectral_tail = shot.spectral_tail(samples[..., -1])
             if self.spectral_tail <= cfg.abs_tol:
                 break
         self.shooting_grid = [shot.n_theta, shot.n_phi]
-        if shot is not grid:
-            # the node fields of x - p and v, upsampled together
-            samples = shot.upsample(samples - offset[:, np.newaxis], grid)
-            samples[:, :3] += self.p[:, np.newaxis]
-            if not np.all(metric.domain_guard(samples[:, :3].transpose(0, 2, 1))):
-                raise DomainExit("an upsampled fan geodesic left the chart")
+        self._shot = shot
         self._nodes = nodes
         # node-major and contiguous, so a read contracts over contiguous rows
-        self._samples = np.ascontiguousarray(samples)
-        self._positions = self._samples[:, :3].transpose(2, 0, 1)   # (M, N, 3)
-        self._velocities = self._samples[:, 3:].transpose(2, 0, 1)  # (M, N, 3)
+        self._shot_samples = np.ascontiguousarray(samples)
         w = np.ones(_N_SAMPLES)
         w[1::2] = -1.0
         w[0] *= 0.5
         w[-1] *= 0.5
         self._bary_w = w
+        # harmonic basis factors per (grid, degree), for this fan's shapes
+        self._basis = {}
+
+    def _upsampled(self, fields):
+        """Fields [x - p, v] (N_shot, 6, ...) on the shooting grid as [x, v]
+        on the surface grid, with every position held to the chart."""
+        coarse = self._shot is not self.grid
+        fields = self._shot.upsample(fields, self.grid) if coarse else fields.copy()
+        fields[:, :3] += self.p.reshape((3,) + (1,) * (fields.ndim - 2))
+        positions = np.moveaxis(fields[:, :3], 1, -1)
+        if coarse and not np.all(self.metric.domain_guard(positions)):
+            raise DomainExit("an upsampled fan geodesic left the chart")
+        return fields
+
+    @cached_property
+    def _samples(self):
+        """The samples [x, v] on the surface grid, (N, 6, M), upsampled from
+        the shooting grid on first use."""
+        return np.ascontiguousarray(self._upsampled(self._shot_samples))
+
+    @property
+    def _positions(self):
+        return self._samples[:, :3].transpose(2, 0, 1)  # (M, N, 3)
+
+    @property
+    def _velocities(self):
+        return self._samples[:, 3:].transpose(2, 0, 1)  # (M, N, 3)
 
     @cached_property
     def speed_drift(self):
-        """Largest ``|g(v, v) - 1|`` over the last sample, from the metric's
-        action on the velocities (:func:`manifold.metric_action`); evaluated
-        on first use, so a fan build reads the metric only in the
-        integrator's right-hand side."""
-        x, v = self._positions[-1], self._velocities[-1]
+        """Largest ``|g(v, v) - 1|`` over the last sample, upsampled alone to
+        the surface grid, from the metric's action on the velocities
+        (:func:`manifold.metric_action`); evaluated on first use, so a fan
+        build reads the metric only in the integrator's right-hand side."""
+        last = self._upsampled(self._shot_samples[..., -1])
+        x, v = last[:, :3], last[:, 3:]
         speed_sq = _dot3(v, metric_action(self.metric, x).apply(v))
         return float(np.max(np.abs(speed_sq - 1.0)))
 
@@ -254,11 +289,34 @@ class GeodesicFan:
             "spectral_tail": self.spectral_tail,
         }
 
-    def _interpolate(self, s, rows=slice(None)):
-        """The rows ``rows`` of the samples [x, v] (all six by default) at
-        per-node arclengths ``s``, shape (N, len(rows))."""
+    def basis_tables(self, grid, degree):
+        """The real harmonic basis factors of degree ``degree`` on ``grid``
+        (:func:`harmonics._tables`), built once per fan, so that every shape
+        read from it and every search on it shares them."""
+        key = (grid.n_theta, grid.n_phi, degree)
+        if key not in self._basis:
+            self._basis[key] = _tables(grid, degree)
+        return self._basis[key]
+
+    def shape_values(self, w, grid=None):
+        """Node values on ``grid`` (the surface grid by default) of a shape:
+        a :class:`~hawking_lab.harmonics.HarmonicField`, or node values on
+        the surface grid, returned as they are."""
+        if not isinstance(w, HarmonicField):
+            return w
+        grid = self.grid if grid is None else grid
+        return _expand(w.coeffs, grid, w.max_degree, self.basis_tables(grid, w.max_degree))
+
+    def _reaches(self, s):
+        """Whether the per-node arclengths ``s`` lie within the sampled range."""
+        return not (np.any(s < -1e-12) or np.any(s > self.s_max * (1.0 + 1e-12)))
+
+    def _interpolate(self, s, rows=slice(None), samples=None):
+        """The rows ``rows`` of ``samples`` (all six of the surface grid's
+        [x, v] by default) at per-node arclengths ``s``, shape
+        (N, len(rows))."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < -1e-12) or np.any(s > self.s_max * (1.0 + 1e-12)):
+        if not self._reaches(s):
             raise DomainError("arclength outside the sampled fan range")
         diff = s[:, np.newaxis] - self._nodes  # (N, M)
         exact = np.abs(diff) <= 1e-15 * max(1.0, self.s_max)
@@ -266,7 +324,7 @@ class GeodesicFan:
         if hit:
             diff = np.where(exact, 1.0, diff)
         w = self._bary_w / diff
-        samples = self._samples[:, rows]
+        samples = (self._samples if samples is None else samples)[:, rows]
         out = np.einsum("ncm,nm->nc", samples, w) / np.sum(w, axis=1)[:, np.newaxis]
         if hit:
             node, sample = np.nonzero(exact)
@@ -281,11 +339,31 @@ class GeodesicFan:
         """Outward unit-speed geodesic velocities at per-node arclengths."""
         return self._interpolate(s, slice(3, 6))
 
+    def _shot_read(self, rho, w):
+        """[x, v] of the sphere of shape field ``w`` at the surface nodes,
+        read on the shooting grid and upsampled, or None when the shooting
+        grid does not hold it: an arclength beyond the fan's range there,
+        or a read whose spectral tail exceeds ``cfg.abs_tol``."""
+        s = rho * (1.0 - self.shape_values(w, self._shot))
+        if not self._reaches(s):
+            return None
+        states = self._interpolate(s, samples=self._shot_samples)
+        if self._shot.spectral_tail(states) > self.cfg.abs_tol:
+            return None
+        return self._upsampled(states)
+
     def read(self, rho, w):
         """Positions, coordinate tangents and outward geodesic velocities of
-        the sphere Exp_p[rho (1 - w) Theta] for node values ``w``.
-        Positions and velocities share one set of barycentric weights."""
-        states = self._interpolate(rho * (1.0 - w))
+        the sphere Exp_p[rho (1 - w) Theta] for the shape ``w``: a
+        :class:`~hawking_lab.harmonics.HarmonicField`, read on the shooting
+        grid where it holds the read (module docstring), or node values on
+        the surface grid.  Positions and velocities share one set of
+        barycentric weights."""
+        states = None
+        if isinstance(w, HarmonicField) and self._shot is not self.grid:
+            states = self._shot_read(rho, w)
+        if states is None:
+            states = self._interpolate(rho * (1.0 - self.shape_values(w)))
         positions = states[:, :3]
         return positions, surface_tangents(positions, self.grid), states[:, 3:]
 
@@ -297,8 +375,9 @@ class GeodesicFan:
         return extrinsic_geometry(self.metric, self.grid, *read)
 
     def surface(self, rho, w):
-        """The surface Exp_p[rho (1 - w) Theta] for node values ``w``: its
-        :meth:`read`, completed by :meth:`surface_from`."""
+        """The surface Exp_p[rho (1 - w) Theta] for the shape ``w`` (a
+        harmonic field or node values): its :meth:`read`, completed by
+        :meth:`surface_from`."""
         return self.surface_from(self.read(rho, w))
 
 

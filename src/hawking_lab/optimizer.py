@@ -24,10 +24,12 @@ that area.  On a space form wbar = 0 and the gradient there vanishes, so
 such a run solves no area at all.
 
 Each later iterate builds one surface: the area solve reads positions,
-tangents and velocities from the fan (:meth:`geodesics.GeodesicFan.read`),
-measures the induced metric only (:func:`surface.induced_metric`) and
-returns the read that met the area tolerance, with that measurement, which
-is completed into the iterate's surface.  The gradient returns that
+tangents and velocities of the iterate's shape field from the fan
+(:meth:`geodesics.GeodesicFan.read`, on the fan's shooting grid where that
+holds the read), measures the induced metric only
+(:func:`surface.induced_metric`) and returns the read that met the area
+tolerance, with that measurement, which is completed into the iterate's
+surface.  The gradient returns that
 surface's Willmore densities with it, and for the returned iterate they
 serve its Euler-Lagrange residual too.
 
@@ -73,11 +75,9 @@ from .geodesics import GeodesicFan, sphere_reach
 from .harmonics import (
     HarmonicField,
     _check_band_limit,
-    _expand,
     _galerkin_residual,
     _project,
     _shifted_bilaplacian_eigenvalues,
-    _tables,
     willmore_densities,
 )
 from .manifold import _dot3
@@ -195,7 +195,9 @@ def _normal_speed(surface):
 
 
 class _SurfaceEvaluator:
-    """Shape synthesis, area solve and mass evaluation on one fan."""
+    """Shape synthesis, area solve and mass evaluation on one fan.  A shape
+    ``w`` is a :class:`~hawking_lab.harmonics.HarmonicField` (:meth:`shape`)
+    or its node values on the fan's grid (:meth:`w_values`)."""
 
     def __init__(self, fan, cfg, K=0):
         _check_band_limit(cfg.max_degree, fan.grid, "optimizer.max_degree")
@@ -203,20 +205,27 @@ class _SurfaceEvaluator:
         self.cfg = cfg
         self.K = K
         self.n_coeff = (cfg.max_degree + 1) ** 2 - 4  # degrees >= 2
-        # the shape basis factors, for every expansion and projection here
-        self._tables = _tables(fan.grid, cfg.max_degree)
+        # the shape basis factors, for every expansion and projection here;
+        # the fan holds them, so every evaluator on it shares one build
+        self._tables = fan.basis_tables(fan.grid, cfg.max_degree)
+
+    def shape(self, coeffs):
+        """The shape field of the degree 2..L coefficients ``coeffs``."""
+        return HarmonicField(
+            self.cfg.max_degree, np.concatenate([np.zeros(4), coeffs]), self.fan.grid
+        )
 
     def w_values(self, coeffs):
-        coeffs = np.concatenate([np.zeros(4), coeffs])
-        return _expand(coeffs, self.fan.grid, self.cfg.max_degree, self._tables)
+        """Node values of :meth:`shape` on the fan's surface grid."""
+        return self.fan.shape_values(self.shape(coeffs))
 
     def area_of(self, rho, w):
         """``(area, read)``: the area of the surface at radius ``rho`` and
-        shape ``w``, from its first fundamental form alone, and the fan's
-        :meth:`GeodesicFan.read` it was measured on, extended by the
-        :func:`surface.induced_metric` the area came from, so that
-        :meth:`GeodesicFan.surface_from` completes it without measuring
-        again."""
+        shape ``w`` (a harmonic field or node values), from its first
+        fundamental form alone, and the fan's :meth:`GeodesicFan.read` it
+        was measured on, extended by the :func:`surface.induced_metric` the
+        area came from, so that :meth:`GeodesicFan.surface_from` completes
+        it without measuring again."""
         read = self.fan.read(rho, w)
         induced = induced_metric(self.fan.metric, *read[:2])
         grid = self.fan.grid
@@ -229,7 +238,8 @@ class _SurfaceEvaluator:
         DomainError on the first read at the fan's reach whose area is still
         below the target."""
         rho = rho_guess
-        w_sup = float(np.max(np.abs(w))) if w.size else 0.0
+        w_values = self.fan.shape_values(w)
+        w_sup = float(np.max(np.abs(w_values))) if w_values.size else 0.0
         rho_cap = self.fan.s_max / (1.0 + w_sup) * (1.0 - 1e-12)
         for _ in range(40):
             capped = rho >= rho_cap
@@ -249,8 +259,8 @@ class _SurfaceEvaluator:
         raise DomainError("area constraint did not converge")
 
     def constrained_mass(self, w, rho_guess, target_area):
-        """Hawking mass at the area-matched radius for the shape values ``w``
-        (:meth:`w_values`).
+        """Hawking mass at the area-matched radius for the shape ``w``
+        (:meth:`shape`, or its node values :meth:`w_values`).
 
         Returns ``(mass, rho, surface)``.  The surface is completed
         (:meth:`GeodesicFan.surface_from`) from the read the area solve
@@ -265,6 +275,7 @@ class _SurfaceEvaluator:
         from the first variation at ``surf`` of shape ``w`` (module
         docstring).  Returns ``(grad, densities)``, the second the Willmore
         densities of ``surf`` it sums (:func:`harmonics.willmore_densities`)."""
+        w = self.fan.shape_values(w)
         v_n = _normal_speed(surf)
         densities = willmore_densities(surf, self.fan.metric)
         g_e, g_h = densities
@@ -341,7 +352,7 @@ def maximize_hawking(fan, reference, cfg=None, K=0):
         step = grad / minus_hessian
         row["step"] = float(np.linalg.norm(step))
         coeffs = coeffs + step
-        w = ev.w_values(coeffs)
+        w = ev.shape(coeffs)
         value, rho, surf = ev.constrained_mass(w, rho, target_area)
     else:
         # the budget ran out after a step: report the returned surface's own
@@ -392,9 +403,9 @@ def closed_form_reference(fan, pert, rho, cfg=None, K=0, target_area=None):
     ev = _SurfaceEvaluator(fan, cfg or OptimizeConfig(), K)
     w_field, w = pert.w_field(rho), pert.w_values(rho, fan.grid)
     if target_area is None:
-        target_area, read = ev.area_of(rho, w)
+        target_area, read = ev.area_of(rho, w_field)
     else:
-        rho, read = ev.solve_radius(rho, w, target_area)
+        rho, read = ev.solve_radius(rho, w_field, target_area)
     surf = fan.surface_from(read)
     return ReferenceSphere(
         rho=float(rho),

@@ -151,6 +151,20 @@ class SphereGrid:
         even, odd = self._theta_matrices()
         return self._theta_modes(values, even.T, odd.T)
 
+    def _upsampling(self, fine):
+        """The colatitude series at the fine colatitudes, ``(even, odd)``,
+        and the longitude interpolation matrix (fine n_phi, n_phi) of
+        :meth:`upsample`, built once per fine grid shape."""
+        key = ("upsample", fine.n_theta, fine.n_phi)
+        if key not in self._diff_cache:
+            even, odd = self._colatitude_series(fine.theta_axis)
+            padded = np.fft.rfft(np.eye(self.n_phi), axis=0) * (fine.n_phi / self.n_phi)
+            if fine.n_phi > self.n_phi:
+                padded[-1] *= 0.5
+            lon = np.fft.irfft(padded, n=fine.n_phi, axis=0)
+            self._diff_cache[key] = (even, odd, lon)
+        return self._diff_cache[key]
+
     def upsample(self, values, fine):
         """A node field's values at the nodes of the grid ``fine``, which has
         at least as many colatitudes and longitudes.  Each Fourier mode's
@@ -160,21 +174,19 @@ class SphereGrid:
         split between +m and -m).  Exact for fields band-limited to this
         grid."""
         spectrum, trail = self._spectrum(values)
-        even, odd = self._colatitude_series(fine.theta_axis)
+        even, odd, lon = self._upsampling(fine)
         rows = np.fft.irfft(_by_parity(spectrum, even, odd), n=self.n_phi, axis=-1)
         rows = np.ascontiguousarray(np.moveaxis(rows, 0, -1))  # (fine n_theta, n_phi, C)
-        padded = np.fft.rfft(np.eye(self.n_phi), axis=0) * (fine.n_phi / self.n_phi)
-        if fine.n_phi > self.n_phi:
-            padded[-1] *= 0.5
-        lon = np.fft.irfft(padded, n=fine.n_phi, axis=0)  # (fine n_phi, n_phi)
         return (lon @ rows).reshape((fine.n_nodes,) + trail)
 
     def spectral_tail(self, values):
         """Largest magnitude of a node field's series coefficients (Fourier
         in longitude, divided by n_phi, then cosine or sine in colatitude)
         over the top two colatitude degrees and the top two Fourier modes."""
+        if "series" not in self._diff_cache:
+            self._diff_cache["series"] = self._colatitude_series()
         spectrum, _ = self._spectrum(values)
-        coeffs = np.abs(_by_parity(spectrum, *self._colatitude_series())) / self.n_phi
+        coeffs = np.abs(_by_parity(spectrum, *self._diff_cache["series"])) / self.n_phi
         return float(max(np.max(coeffs[:, -2:]), np.max(coeffs[..., -2:])))
 
     def dphi(self, values):

@@ -16,6 +16,7 @@ from hawking_lab.cli import RunConfig, dump_stable, main
 from hawking_lab.errors import ConfigError
 from hawking_lab.geodesics import GeodesicConfig, GeodesicFan
 from hawking_lab.optimizer import OptimizeConfig
+from hawking_lab.surface import SphereGrid
 
 
 def run(capsys, tmp_path, command, config):
@@ -296,6 +297,51 @@ def test_optimize_builds_each_surface_once(capsys, tmp_path, monkeypatch, metric
     assert code in (0, 1)  # exit 1: one iteration did not converge
     assert report["result"]["iterations"] == 1
     assert (len(solves), len(surfaces), len(perturbations)) == counts
+
+
+def test_commands_upsample_reads_not_fans(capsys, tmp_path, monkeypatch):
+    # a read upsamples its six fields and speed_drift its last sample; the
+    # whole fan (17 samples of six fields) stays on its shooting grid
+    columns, fans = [], []
+    upsample, fan_init = SphereGrid.upsample, GeodesicFan.__init__
+
+    def counted_upsample(grid, values, fine):
+        columns.append(int(np.prod(np.shape(values)[1:])))
+        return upsample(grid, values, fine)
+
+    def kept_init(fan, *args, **kwargs):
+        fans.append(fan)
+        fan_init(fan, *args, **kwargs)
+
+    monkeypatch.setattr(SphereGrid, "upsample", counted_upsample)
+    monkeypatch.setattr(GeodesicFan, "__init__", kept_init)
+    config = {**SCHWARZSCHILD_SEARCH, "ladder": {"rho0": 0.2, "n": 6}}
+    for command in ("optimize", "expansion"):
+        code, _ = run(capsys, tmp_path, command, config)
+        assert code in (0, 1), command
+    assert len(fans) == 2
+    assert columns and max(columns) <= 6
+    assert not any("_samples" in vars(fan) for fan in fans)
+
+
+def test_el_residual_reads_at_the_reach(capsys, tmp_path):
+    # el-residual reads at exactly the fan's reach, and here a node of the
+    # 16x32 shooting grid lands 2.7e-7 (relative) past it: the read falls
+    # back to the surface grid instead of raising DomainError
+    config = {
+        "metric": {"kind": "conformal", "phi_poly": [
+            [0.12503965943632755, [0, 1, 1]],
+            [-0.10744664978829657, [0, 0, 2]],
+            [0.11172721367052832, [1, 1, 0]],
+        ]},
+        "point": [-0.13211996651701632, -0.09323569660882317, 0.18611808859591308],
+        "grid": {"n_theta": 48, "n_phi": 96},
+        "ladder": {"rho0": 0.19816804715627476, "n": 6},
+    }
+    code, report = run(capsys, tmp_path, "el-residual", config)
+    assert code == 0
+    numbers = [*report["residual"].values(), *report["surface"].values()]
+    assert np.all(np.isfinite(numbers))
 
 
 def test_optimize_rejects_max_degree_above_band_limit(capsys, tmp_path):

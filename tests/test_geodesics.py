@@ -15,6 +15,7 @@ from hawking_lab.geodesics import (
     sphere_fan,
     surface_tangents,
 )
+from hawking_lab.harmonics import HarmonicField, optimal_perturbation, synthesize
 from hawking_lab.manifold import (
     ConformalMetric,
     EuclideanMetric,
@@ -26,7 +27,7 @@ from hawking_lab.manifold import (
     geodesic_acceleration,
     metric_at,
 )
-from hawking_lab.surface import build_grid, extrinsic_geometry
+from hawking_lab.surface import build_grid, extrinsic_geometry, hawking_mass
 
 import oracles
 
@@ -380,13 +381,93 @@ class TestShootingGrid:
         # 24x48 ones nearest +x reach 0.9979 and leave it
         fan = GeodesicFan(_HalfSpaceChart(), np.zeros(3), build_grid(12, 24), 1.0, cfg)
         assert np.max(fan._positions[..., 0]) < 0.995
+        fan = GeodesicFan(_HalfSpaceChart(), np.zeros(3), grid, 1.0, cfg)
         with pytest.raises(DomainExit, match="upsampled"):
-            GeodesicFan(_HalfSpaceChart(), np.zeros(3), grid, 1.0, cfg)
+            fan.read(1.0, np.zeros(grid.n_nodes))
 
     def test_coarse_shot_leaving_the_chart_raises(self, grid, cfg):
         # the integrator's chart check fires on the first, 12x24, shot
         with pytest.raises(DomainExit, match="chart boundary"):
             GeodesicFan(HyperbolicMetric(), np.array([0.9, 0.0, 0.0]), grid, 6.0, cfg)
+
+
+def spy_shot_reads(monkeypatch):
+    """A list that records, per shape read, whether the shooting grid held it."""
+    taken = []
+    shot_read = GeodesicFan._shot_read
+
+    def spy(fan, rho, w):
+        states = shot_read(fan, rho, w)
+        taken.append(states is not None)
+        return states
+
+    monkeypatch.setattr(GeodesicFan, "_shot_read", spy)
+    return taken
+
+
+class TestShootingGridRead:
+    # every kind, the polynomial one included
+    KIND_CASES = [
+        (EuclideanMetric(), (0.2, 0.0, -0.1)),
+        (RoundSphereMetric(), (0.3, 0.1, 0.0)),
+        (HyperbolicMetric(), (0.1, 0.05, -0.03)),
+        (SchwarzschildMetric(1.0), (4.0, 0.0, 0.0)),
+        (CONFORMAL, (0.05, 0.02, 0.0)),
+        (PolynomialMetric([(0, 0, 0.02, (2, 0, 0)), (0, 1, 0.015, (1, 1, 0))]), (0.0, 0.0, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("s_max", [0.21, 0.84])
+    @pytest.mark.parametrize(
+        "metric, p", KIND_CASES,
+        ids=["euclidean", "round_sphere", "hyperbolic", "schwarzschild", "conformal", "polynomial"],
+    )
+    def test_matches_the_surface_grid_read(self, monkeypatch, cfg, metric, p, s_max):
+        # a shape of production size: the kind's optimal graph at rho plus a
+        # degree-3 and -4 part of 1e-5, as an optimizer iterate carries; at
+        # s_max = 0.84 the shooting grid refines on some kinds.  Measured:
+        # positions 3.2e-15, tangents 1.3e-13 (the rounding of |p| = 4,
+        # amplified by the spectral derivative), velocities 1.6e-14 and
+        # masses 9.0e-17
+        grid = build_grid(48, 96)
+        fan = GeodesicFan(metric, np.array(p), grid, s_max, cfg)
+        rho = 0.8 * s_max
+        graph = optimal_perturbation(fan.packet, grid).w_field(rho)
+        extra = np.zeros(graph.coeffs.size)
+        extra[9:] = np.random.default_rng(0).standard_normal(extra.size - 9)
+        extra *= 1e-5 / np.max(np.abs(fan.shape_values(graph.copy_with(extra))))
+        shape = graph.copy_with(graph.coeffs + extra)
+        taken = spy_shot_reads(monkeypatch)
+        shot = fan.read(rho, shape)
+        assert taken == [True]
+        ref = fan.read(rho, fan.shape_values(shape))
+        for got, want, bound in zip(shot, ref, (1e-14, 4e-13, 5e-14)):
+            assert np.max(np.abs(got - want)) <= bound
+        masses = [hawking_mass(fan.surface_from(read)).hawking for read in (shot, ref)]
+        assert abs(masses[0] - masses[1]) <= 3e-16
+
+    def test_unresolved_read_falls_back(self, monkeypatch, cfg):
+        # |w| = 0.05 at degree 8 on a fan shot on 12x24: read there, the
+        # surface would be off by 1.8e-6 in positions, and the read's spectral
+        # tail (8.4e-6) sends it to the surface grid
+        grid = build_grid(48, 96)
+        metric, p, rho = SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2
+        coeffs = np.random.default_rng(0).standard_normal(81)
+        shape = HarmonicField(8, coeffs, grid)
+        shape = shape.copy_with(coeffs * 0.05 / np.max(np.abs(synthesize(shape))))
+        w = synthesize(shape)
+        fan = sphere_fan(metric, p, rho, w, grid, cfg)
+        assert fan.shooting_grid == [12, 24]
+        on_shot = fan._interpolate(
+            rho * (1.0 - fan.shape_values(shape, fan._shot)), samples=fan._shot_samples
+        )
+        unguarded = fan._upsampled(on_shot)[:, :3]
+        taken = spy_shot_reads(monkeypatch)
+        read = fan.read(rho, shape)
+        assert taken == [False]
+        ref = fan.read(rho, w)
+        for got, want in zip(read, ref):
+            assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(unguarded - ref[0])) >= 1e-7
 
 
 def solve_ivp_integrate(metric, x0, v0, t_end, cfg, t_eval=None):
