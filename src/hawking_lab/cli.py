@@ -351,7 +351,7 @@ def _add_check(report, name, passed, value=None, tolerance=None):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_integrals_check(config, out_dir):
+def cmd_integrals_check(config):
     grid = config.grid
     report = _report_skeleton("integrals-check", config)
     x, y, z = grid.unit[:, 0], grid.unit[:, 1], grid.unit[:, 2]
@@ -369,11 +369,10 @@ def cmd_integrals_check(config, out_dir):
         max_err = max(max_err, err)
         _add_check(report, name, err <= tol, value=err, tolerance=tol)
     report["max_relative_error"] = max_err
-    _emit(report, out_dir, "integrals_check")
-    return 0 if report["passed"] else 1
+    return report, {}
 
 
-def cmd_curvature(config, out_dir):
+def cmd_curvature(config):
     packet = curvature_packet(config.metric, config.point)
     report = _report_skeleton("curvature", config)
     report["packet"] = packet.as_dict()
@@ -386,11 +385,10 @@ def cmd_curvature(config, out_dir):
         value=trace_err,
         tolerance=tolerance,
     )
-    _emit(report, out_dir, "curvature")
-    return 0 if report["passed"] else 1
+    return report, {}
 
 
-def cmd_expansion(config, out_dir):
+def cmd_expansion(config):
     metric = config.metric
     grid = config.grid
     ladder_cfg = config.data["ladder"]
@@ -418,13 +416,10 @@ def cmd_expansion(config, out_dir):
                tolerance=comparison.c3_tolerance)
     _add_check(report, "c5_match", comparison.c5_pass, value=comparison.c5_delta,
                tolerance=comparison.c5_tolerance)
-    if out_dir is not None:
-        _write_csv(Path(out_dir) / "expansion_ladder.csv", *_ladder_table(ladder, pred))
-    _emit(report, out_dir, "expansion")
-    return 0 if report["passed"] else 1
+    return report, {"expansion_ladder.csv": _ladder_table(ladder, pred)}
 
 
-def cmd_optimize(config, out_dir):
+def cmd_optimize(config):
     opt = config.data["optimizer"]
     K = config.data["K"]
     target_area = opt["target_area"]
@@ -441,7 +436,7 @@ def cmd_optimize(config, out_dir):
     reference = closed_form_reference(
         fan, pert, rho, config.optimizer_config, K, target_area
     )
-    result = maximize_hawking(fan, reference, config.optimizer_config, K)
+    result = maximize_hawking(reference, config.optimizer_config)
     report = _report_skeleton("optimize", config)
     report["result"] = result.as_dict()
     report["fan"] = fan.diagnostics()
@@ -457,16 +452,15 @@ def cmd_optimize(config, out_dir):
     _add_check(report, "converged", result.converged)
     area_drift = abs(result.area - result.target_area) / result.target_area
     _add_check(report, "area_constraint", area_drift <= 1e-8, value=area_drift, tolerance=1e-8)
-    if out_dir is not None:
-        header = ("iteration", "mass", "gradient_norm", "step", "rho")
-        rows = ([row[name] for name in header] for row in result.trace)
-        _write_csv(Path(out_dir) / "optimize_trace.csv", header, rows)
-        _write_csv(Path(out_dir) / "optimize_surface.csv", *_surface_table(result.surface))
-    _emit(report, out_dir, "optimize")
-    return 0 if report["passed"] else 1
+    header = ("iteration", "mass", "gradient_norm", "step", "rho")
+    rows = [[row[name] for name in header] for row in result.trace]
+    return report, {
+        "optimize_trace.csv": (header, rows),
+        "optimize_surface.csv": _surface_table(result.surface),
+    }
 
 
-def cmd_bartnik(config, out_dir):
+def cmd_bartnik(config):
     packet = curvature_packet(config.metric, config.point)
     b = config.data["bartnik"]
     bound = bartnik_lower_bound(packet, float(b["rho"]), float(b["validity_radius"]))
@@ -478,11 +472,10 @@ def cmd_bartnik(config, out_dir):
         packet.scalar >= -1e-9,
         value=packet.scalar,
     )
-    _emit(report, out_dir, "bartnik")
-    return 0 if report["passed"] else 1
+    return report, {}
 
 
-def cmd_el_residual(config, out_dir):
+def cmd_el_residual(config):
     metric = config.metric
     grid = config.grid
     geo = config.geodesic_config
@@ -508,10 +501,7 @@ def cmd_el_residual(config, out_dir):
     }
     report["surface"] = asdict(hawking_mass(surf, config.data["K"]))
     report["fan"] = fan.diagnostics()
-    if out_dir is not None:
-        _write_csv(Path(out_dir) / "el_residual_surface.csv", *_surface_table(surf))
-    _emit(report, out_dir, "el_residual")
-    return 0
+    return report, {"el_residual_surface.csv": _surface_table(surf)}
 
 
 _COMMANDS = {
@@ -542,12 +532,23 @@ def main(argv=None):
             config = RunConfig.from_file(args.config)
         else:
             config = RunConfig({})
-        if args.out is not None:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, args.out)
+        report, tables = _COMMANDS[args.command](config)
     except HawkingLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    # every output is written here: the command's CSV tables under --out,
+    # then the report to stdout and --out
+    try:
+        if args.out is not None:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, (header, rows) in tables.items():
+                _write_csv(out / name, header, rows)
+        _emit(report, args.out, args.command.replace("-", "_"))
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ Index conventions for the arrays returned here:
 * ``christoffel(x)[..., c, a, b]``    -> Gamma^c_ab
 """
 
+import inspect
 import itertools
 from dataclasses import dataclass
 
@@ -632,15 +633,15 @@ def _exponents(e, name):
 class ConformalMetric(_ConformallyFlat):
     """g = exp(2 phi) * delta for a polynomial conformal factor.
 
-    ``terms`` is an iterable of ``(coef, (e1, e2, e3))`` monomials of phi;
+    ``phi_poly`` is an iterable of ``(coef, (e1, e2, e3))`` monomials of phi;
     its derivatives are exact, by exponent shifts, up to the fourth order
     that Delta Sc needs.
     """
 
     kind = "conformal"
 
-    def __init__(self, terms):
-        self.poly_terms = [(float(c), _exponents(e, "phi_poly")) for c, e in terms]
+    def __init__(self, phi_poly):
+        self.poly_terms = [(float(c), _exponents(e, "phi_poly")) for c, e in phi_poly]
         self.phi = _Polynomial(
             [e for _, e in self.poly_terms], [c for c, _ in self.poly_terms]
         )
@@ -937,8 +938,17 @@ _KINDS = {
     "conformal": ConformalMetric,
     "polynomial_perturbation": PolynomialMetric,
 }
-# the parameter without which a kind has no metric
-_REQUIRED_PARAM = {"conformal": "phi_poly", "polynomial_perturbation": "terms"}
+
+
+def _parameters(cls):
+    """The constructor parameters of a metric kind, and those of them that
+    have no default."""
+    params = inspect.signature(cls).parameters
+    return set(params), [name for name, p in params.items() if p.default is p.empty]
+
+
+# read once: a signature takes tens of microseconds, and every run parses a config
+_PARAMS = {kind: _parameters(cls) for kind, cls in _KINDS.items()}
 
 
 def metric_from_config(spec):
@@ -947,25 +957,12 @@ def metric_from_config(spec):
     kind = spec.pop("kind", None)
     if kind not in _KINDS:
         raise ConfigError(f"unknown metric kind: {kind!r}")
-    required = _REQUIRED_PARAM.get(kind)
-    if required is not None and required not in spec:
-        raise ConfigError(f"metric kind {kind!r} needs the parameter {required!r}")
-    if kind == "euclidean":
-        _reject_unknown(spec, set())
-        return EuclideanMetric()
-    if kind in ("round_sphere", "hyperbolic"):
-        _reject_unknown(spec, {"radius"})
-        return _KINDS[kind](**spec)
-    if kind == "schwarzschild":
-        _reject_unknown(spec, {"mass", "horizon_margin"})
-        return SchwarzschildMetric(**spec)
-    if kind == "conformal":
-        _reject_unknown(spec, {"phi_poly"})
-        terms = [(c, tuple(e)) for c, e in spec["phi_poly"]]
-        return ConformalMetric(terms)
-    _reject_unknown(spec, {"terms"})
-    terms = [(a, b, c, tuple(e)) for a, b, c, e in spec["terms"]]
-    return PolynomialMetric(terms)
+    allowed, required = _PARAMS[kind]
+    for name in required:
+        if name not in spec:
+            raise ConfigError(f"metric kind {kind!r} needs the parameter {name!r}")
+    _reject_unknown(spec, allowed)
+    return _KINDS[kind](**spec)
 
 
 def _reject_unknown(spec, allowed):

@@ -6,7 +6,9 @@ The search space is the span of real spherical harmonics of degree 2..L
 every coefficient vector the radius is solved for so the surface area
 matches the target, making the search an unconstrained problem in the shape
 coefficients.  Every surface evaluation reuses one geodesic fan, so the
-inner loop is pure interpolation and quadrature.  The fan is the only input
+inner loop is pure interpolation and quadrature.  The search's only input is
+the reference sphere it starts from (:class:`ReferenceSphere`), which carries
+the fan it was read from and the K of its mass.  That fan is the only input
 that carries geometry: its metric, centre, grid and integrator settings
 (``fan.metric``, ``fan.p``, ``fan.grid``, ``fan.cfg``) are the search's, and
 a radius beyond its reach ``fan.s_max`` raises :class:`DomainError`.
@@ -153,18 +155,21 @@ class OptimizeResult:
 
 @dataclass
 class ReferenceSphere:
-    """The closed-form optimally perturbed sphere, the search's first iterate.
+    """The closed-form optimally perturbed sphere, the search's first iterate
+    and its whole input.
 
+    ``fan`` is the geodesic fan it was read from and ``K`` the
+    normalization of its generalized mass; the search runs on both.
     ``w_field`` is the graph ``rho0^2 wbar`` of the radius ``rho0`` it was
-    built at, ``w`` its node values, ``rho`` the radius of ``surface`` and
-    ``mass`` the surface's generalized Hawking mass.  ``target_area`` is the
-    area the search holds: the surface's own area, or the explicit target
-    it was solved to.
+    built at, ``rho`` the radius of ``surface`` and ``mass`` the surface's
+    generalized Hawking mass.  ``target_area`` is the area the search
+    holds: the surface's own area, or the explicit target it was solved to.
     """
 
+    fan: GeodesicFan = field(repr=False)
+    K: int
     rho: float
     w_field: HarmonicField
-    w: np.ndarray
     target_area: float
     mass: float
     surface: object = field(repr=False)
@@ -197,7 +202,7 @@ def _normal_speed(surface):
 class _SurfaceEvaluator:
     """Shape synthesis, area solve and mass evaluation on one fan.  A shape
     ``w`` is a :class:`~hawking_lab.harmonics.HarmonicField` (:meth:`shape`)
-    or its node values on the fan's grid (:meth:`w_values`)."""
+    or its node values on the fan's grid."""
 
     def __init__(self, fan, cfg, K=0):
         _check_band_limit(cfg.max_degree, fan.grid, "optimizer.max_degree")
@@ -214,10 +219,6 @@ class _SurfaceEvaluator:
         return HarmonicField(
             self.cfg.max_degree, np.concatenate([np.zeros(4), coeffs]), self.fan.grid
         )
-
-    def w_values(self, coeffs):
-        """Node values of :meth:`shape` on the fan's surface grid."""
-        return self.fan.shape_values(self.shape(coeffs))
 
     def area_of(self, rho, w):
         """``(area, read)``: the area of the surface at radius ``rho`` and
@@ -260,7 +261,7 @@ class _SurfaceEvaluator:
 
     def constrained_mass(self, w, rho_guess, target_area):
         """Hawking mass at the area-matched radius for the shape ``w``
-        (:meth:`shape`, or its node values :meth:`w_values`).
+        (:meth:`shape`, or its node values).
 
         Returns ``(mass, rho, surface)``.  The surface is completed
         (:meth:`GeodesicFan.surface_from`) from the read the area solve
@@ -288,18 +289,18 @@ class _SurfaceEvaluator:
         return np.sqrt(surf.area / (16.0 * np.pi) ** 3) * rho * moments, densities
 
 
-def maximize_hawking(fan, reference, cfg=None, K=0):
-    """Newton iteration for the Hawking mass on ``fan``, at the area
+def maximize_hawking(reference, cfg=None):
+    """Newton iteration for the Hawking mass on ``reference.fan``, with the
+    generalized mass of ``reference.K``, at the area
     ``reference.target_area``.
 
     Starts from the closed-form reference sphere ``reference``
-    (:func:`closed_form_reference`, built on the same fan with the same
-    ``K``), the only start there is: its surface, radius and mass are the
-    first iterate, and its graph ``rho0^2 wbar``, pure degree 2, gives the
-    first shape coefficients, so the start costs no area solve and no
-    surface.  From there the search walks only the O(rho^3) distance to
-    the maximiser, in 2 or 3 iterations on the fixtures of the module
-    docstring.  It takes the analytic
+    (:func:`closed_form_reference`), the only start there is: its surface,
+    radius and mass are the first iterate, and its graph ``rho0^2 wbar``,
+    pure degree 2, gives the first shape coefficients, so the start costs no
+    area solve and no surface.  From there the search walks only the
+    O(rho^3) distance to the maximiser, in 2 or 3 iterations on the fixtures
+    of the module docstring.  It takes the analytic
     gradient in the shape coefficients from the first variation of the
     surface it holds (:meth:`_SurfaceEvaluator.mass_gradient`, no extra
     surface or area solve).  Each step divides the gradient by minus the
@@ -314,72 +315,60 @@ def maximize_hawking(fan, reference, cfg=None, K=0):
     of a run that used its budget, one more gradient is taken, with no trace
     row).  ``stop_reason`` is ``"gradient_tol"`` whenever that norm is
     within the tolerance, else ``"max_iters"``.
-    A ``cfg.max_degree`` above the band limit of ``fan.grid`` raises
+    A ``cfg.max_degree`` above the band limit of the fan's grid raises
     :class:`BandLimitExceeded`.
     """
     if cfg is None:
         cfg = OptimizeConfig()
-    ev = _SurfaceEvaluator(fan, cfg, K)
+    ev = _SurfaceEvaluator(reference.fan, cfg, reference.K)
     target_area = reference.target_area
     # at the round sphere of the target area (module docstring)
     minus_hessian = 2.0 * np.sqrt(target_area / (16.0 * np.pi) ** 3) * (
         _shifted_bilaplacian_eigenvalues(cfg.max_degree)[4:]
     )
 
-    # the reference's degree 2..L coefficients; each later iterate's shape is
-    # expanded once, for its surface and its gradient
+    # the reference's degree 2..L coefficients
     coeffs = np.zeros(ev.n_coeff)
     start = reference.w_field.coeffs[4 : ev.n_coeff + 4]
     coeffs[: start.size] = start
-    w, rho, surf, value = reference.w, reference.rho, reference.surface, reference.mass
+    w, rho, surf, value = reference.w_field, reference.rho, reference.surface, reference.mass
     trace = []
-    stop_reason = "max_iters"
-
-    for iterations in range(1, cfg.max_iters + 1):
+    while True:
         grad, densities = ev.mass_gradient(w, rho, surf)
         grad_norm = float(np.linalg.norm(grad))
         row = {
-            "iteration": iterations,
+            "iteration": len(trace) + 1,
             "mass": value,
             "gradient_norm": grad_norm,
             "step": 0.0,
             "rho": rho,
         }
-        trace.append(row)
-        if grad_norm <= cfg.gradient_tol:
-            stop_reason = "gradient_tol"
+        if grad_norm <= cfg.gradient_tol or len(trace) == cfg.max_iters:
             break
         step = grad / minus_hessian
         row["step"] = float(np.linalg.norm(step))
+        trace.append(row)
         coeffs = coeffs + step
         w = ev.shape(coeffs)
         value, rho, surf = ev.constrained_mass(w, rho, target_area)
-    else:
-        # the budget ran out after a step: report the returned surface's own
-        # gradient, not the one the step was taken from
-        grad, densities = ev.mass_gradient(w, rho, surf)
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= cfg.gradient_tol:
-            stop_reason = "gradient_tol"
+    if len(trace) < cfg.max_iters:
+        # converged inside the budget: the returned iterate's row, with no step
+        trace.append(row)
+    converged = grad_norm <= cfg.gradient_tol
 
-    w_star = HarmonicField(
-        cfg.max_degree,
-        np.concatenate([np.zeros(4), coeffs]),
-        fan.grid,
-    )
     # the last gradient was taken at the returned surface, so its Willmore
     # densities serve the Euler-Lagrange residual too
     res_field = _galerkin_residual(surf, densities)
     el_norm = float(np.sqrt(surf.integrate(res_field**2)))
     return OptimizeResult(
-        w_star=w_star,
+        w_star=ev.shape(coeffs),
         rho_star=float(rho),
         m_H_star=float(value),
-        iterations=iterations,
+        iterations=len(trace),
         final_gradient_norm=grad_norm,
         el_residual_norm=el_norm,
-        converged=stop_reason == "gradient_tol",
-        stop_reason=stop_reason,
+        converged=converged,
+        stop_reason="gradient_tol" if converged else "max_iters",
         target_area=float(target_area),
         area=float(surf.area),
         trace=trace,
@@ -393,7 +382,8 @@ def closed_form_reference(fan, pert, rho, cfg=None, K=0, target_area=None):
     the :func:`optimizer_fan` around ``rho`` that the search then shares.
 
     Returns the :class:`ReferenceSphere` that :func:`maximize_hawking`
-    starts from, with the generalized mass of ``K``.  Without
+    starts from and runs on: it carries ``fan`` and ``K``, and its mass is
+    the generalized mass of ``K``.  Without
     ``target_area`` the sphere is read at ``rho`` and its own area becomes
     the target: one area read, completed into the surface, and the search
     at that area can only do at least as well as this surface.  With an
@@ -401,16 +391,17 @@ def closed_form_reference(fan, pert, rho, cfg=None, K=0, target_area=None):
     ``rho`` (:meth:`_SurfaceEvaluator.solve_radius`, to ``cfg.area_rtol``).
     """
     ev = _SurfaceEvaluator(fan, cfg or OptimizeConfig(), K)
-    w_field, w = pert.w_field(rho), pert.w_values(rho, fan.grid)
+    w_field = pert.w_field(rho)
     if target_area is None:
         target_area, read = ev.area_of(rho, w_field)
     else:
         rho, read = ev.solve_radius(rho, w_field, target_area)
     surf = fan.surface_from(read)
     return ReferenceSphere(
+        fan=fan,
+        K=K,
         rho=float(rho),
         w_field=w_field,
-        w=w,
         target_area=float(target_area),
         mass=hawking_mass(surf, K).generalized,
         surface=surf,

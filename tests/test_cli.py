@@ -481,6 +481,19 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err.startswith(f"error: ConfigError: cannot read config {path}")
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["existing_file", "under_a_file"])
+def test_out_that_is_not_a_directory_exits_2(capsys, tmp_path, sub):
+    # FileExistsError for the file itself, NotADirectoryError below it
+    out = tmp_path / "taken"
+    out.write_text("")
+    target = out / sub if sub else out
+    assert main(["curvature", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_integral_floats_are_integer_settings():
     config = RunConfig({"optimizer": {"max_degree": 3.0, "max_iters": 2.0},
                         "geodesic": {"max_steps": 1000.0}})

@@ -193,7 +193,7 @@ class TestSeparableTransforms:
             willmore_el_residual(surf, metric)
             fan = optimizer_fan(metric, packet, pert, 0.2, grid)
             reference = closed_form_reference(fan, pert, 0.2)
-            maximize_hawking(fan, reference, OptimizeConfig(max_iters=2))
+            maximize_hawking(reference, OptimizeConfig(max_iters=2))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "metric": {"kind": "schwarzschild", "mass": 1.0},

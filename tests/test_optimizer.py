@@ -66,7 +66,7 @@ class TestGridFloor:
         target = 4.0 * np.pi * 0.05**2
         fan, pert = search_fan(EuclideanMetric(), np.zeros(3), 0.05, grid)
         ref = closed_form_reference(fan, pert, 0.05, cfg, target_area=target)
-        result = maximize_hawking(fan, ref, cfg)
+        result = maximize_hawking(ref, cfg)
         assert abs(result.m_H_star) < 1e-14
         assert abs(result.area - target) <= 1e-9 * target
 
@@ -78,9 +78,9 @@ def central_difference_gradient(ev, coeffs, rho, target_area, h=1e-6):
     for k in range(ev.n_coeff):
         probe = coeffs.copy()
         probe[k] = coeffs[k] + h
-        up = ev.constrained_mass(ev.w_values(probe), rho, target_area)[0]
+        up = ev.constrained_mass(ev.shape(probe), rho, target_area)[0]
         probe[k] = coeffs[k] - h
-        dn = ev.constrained_mass(ev.w_values(probe), rho, target_area)[0]
+        dn = ev.constrained_mass(ev.shape(probe), rho, target_area)[0]
         grad[k] = (up - dn) / (2.0 * h)
     return grad
 
@@ -110,7 +110,7 @@ class TestMassGradient:
         ev = evaluator_at(metric, p, rho0, grid, K)
         target = 4.0 * np.pi * rho0**2
         coeffs = 1e-3 * np.random.default_rng(0).standard_normal(ev.n_coeff)
-        w = ev.w_values(coeffs)
+        w = ev.shape(coeffs)
         _, rho, surf = ev.constrained_mass(w, rho0, target)
         grad, _ = ev.mass_gradient(w, rho, surf)
         reference = central_difference_gradient(ev, coeffs, rho, target)
@@ -125,7 +125,7 @@ class TestMassGradient:
         # read about 7e-12 here, the mass's rounding over the step
         rho0 = 0.05
         ev = evaluator_at(metric, np.zeros(3), rho0, grid)
-        w = ev.w_values(np.zeros(ev.n_coeff))
+        w = ev.shape(np.zeros(ev.n_coeff))
         _, rho, surf = ev.constrained_mass(w, rho0, 4.0 * np.pi * rho0**2)
         assert np.linalg.norm(ev.mass_gradient(w, rho, surf)[0]) <= 1e-11
 
@@ -171,8 +171,8 @@ class TestAreaSolve:
     def test_area_matches_the_surface_read_from_the_fan(self, grid, metric, p):
         # the area solve's first-form-only area is the surface's own area
         ev = evaluator_at(metric, p, 0.2, grid)
-        w = ev.w_values(1e-2 * np.random.default_rng(1).standard_normal(ev.n_coeff))
-        assert np.max(np.abs(w)) > 1e-3
+        w = ev.shape(1e-2 * np.random.default_rng(1).standard_normal(ev.n_coeff))
+        assert np.max(np.abs(ev.fan.shape_values(w))) > 1e-3
         area, _ = ev.area_of(0.2, w)
         assert area == pytest.approx(ev.fan.surface(0.2, w).area, rel=1e-14, abs=0.0)
 
@@ -189,7 +189,7 @@ class TestOptimalGraph:
         for rho in (0.2, 0.1):
             fan, pert = search_fan(metric, p, rho, grid)
             ref = closed_form_reference(fan, pert, rho)
-            result = maximize_hawking(fan, ref, OptimizeConfig())
+            result = maximize_hawking(ref, OptimizeConfig())
             assert result.converged
             want = ref.w_field.coeffs[degree_2]
             got = result.w_star.coeffs[degree_2]
@@ -211,7 +211,7 @@ class TestOneSurfacePerIterate:
     def test_handed_over_surface_is_the_fans(self, grid, metric, p):
         # the area solve's accepted read, completed, is the fan's surface
         ev = evaluator_at(metric, p, 0.2, grid)
-        w = ev.w_values(1e-2 * np.random.default_rng(2).standard_normal(ev.n_coeff))
+        w = ev.shape(1e-2 * np.random.default_rng(2).standard_normal(ev.n_coeff))
         _, rho, surf = ev.constrained_mass(w, 0.19, 4.0 * np.pi * 0.2**2)
         ref = ev.fan.surface(rho, w)
         for field in dataclasses.fields(surf):
@@ -230,15 +230,16 @@ class TestOneSurfacePerIterate:
         # the residual reuses the densities of the returned surface's gradient
         metric, p, rho = SchwarzschildMetric(1.0), np.array([4.0, 0.0, 0.0]), 0.2
         fan, pert = search_fan(metric, p, rho, grid)
-        result = maximize_hawking(fan, closed_form_reference(fan, pert, rho), cfg)
+        result = maximize_hawking(closed_form_reference(fan, pert, rho), cfg)
         assert result.converged == (cfg.max_iters > 1)
         res = willmore_el_residual(result.surface, metric)
         assert result.el_residual_norm == float(np.sqrt(result.surface.integrate(res**2)))
 
 
 class TestFanInputs:
-    """The fan is the search's only geometry: its grid bounds the shape's
-    band limit and its reach bounds the radius."""
+    """The reference sphere is the search's only input: its fan's grid
+    bounds the shape's band limit, its fan's reach bounds the radius, and
+    its K is the search's."""
 
     @pytest.fixture(scope="class")
     def search(self):
@@ -251,7 +252,7 @@ class TestFanInputs:
         assert _SurfaceEvaluator(fan, OptimizeConfig(max_degree=14)).n_coeff == 221
         ref = closed_form_reference(fan, pert, 0.2)
         with pytest.raises(BandLimitExceeded, match="optimizer.max_degree 15"):
-            maximize_hawking(fan, ref, OptimizeConfig(max_degree=15))
+            maximize_hawking(ref, OptimizeConfig(max_degree=15))
 
     def test_radius_beyond_the_fan(self, search):
         fan, pert = search
@@ -260,6 +261,18 @@ class TestFanInputs:
             closed_form_reference(fan, pert, rho)
         with pytest.raises(DomainError):
             closed_form_reference(fan, pert, 0.2, target_area=4.0 * np.pi * rho**2)
+
+    def test_search_keeps_the_references_K(self, grid):
+        # the maximiser gains O(rho^7) over the reference here, measured
+        # 1.2e-11; a search at K = 0 from this reference would read 4.0e-3
+        metric = ConformalMetric([(0.1, (2, 0, 0)), (-0.05, (0, 1, 1))])
+        fan, pert = search_fan(metric, [0.1, 0.0, 0.0], 0.2, grid)
+        reference = closed_form_reference(fan, pert, 0.2, K=1)
+        result = maximize_hawking(reference)
+        masses = [row["mass"] for row in result.trace]
+        assert masses[0] == reference.mass
+        for mass in masses[1:] + [result.m_H_star]:
+            assert abs(mass - reference.mass) <= 1e-8
 
     def test_area_beyond_the_fan_stops_at_the_first_capped_read(self, grid, monkeypatch):
         # the solve of the closed-form shape to the target starts at the
@@ -321,7 +334,7 @@ class TestNoAssembly:
         cfg = OptimizeConfig(max_degree=3)
         ev = _SurfaceEvaluator(fan, cfg)
         coeffs = 1e-2 * np.random.default_rng(3).standard_normal(ev.n_coeff)
-        w = ev.w_values(coeffs)
+        w = ev.shape(coeffs)
         fan.surface(0.2, w)
         _, rho, surf = ev.constrained_mass(w, 0.2, 4.0 * np.pi * 0.2**2)
         assert np.all(np.isfinite(ev.mass_gradient(w, rho, surf)[0]))
