@@ -16,7 +16,6 @@ than per command.
 import argparse
 import json
 import math
-import numbers
 import sys
 from dataclasses import asdict, fields
 from json.encoder import encode_basestring_ascii
@@ -37,7 +36,7 @@ from .expansion import (
 )
 from .geodesics import GeodesicConfig, sphere_fan
 from .harmonics import galerkin_degree, optimal_perturbation, willmore_el_residual
-from .manifold import curvature_packet, metric_from_config
+from .manifold import _is_number, curvature_packet, metric_from_config
 from .optimizer import (
     OptimizeConfig,
     closed_form_reference,
@@ -68,11 +67,7 @@ _DEFAULTS = {
 
 
 def _real(value):
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    return _is_number(value) and math.isfinite(value)
 
 
 def _positive(value):
@@ -87,17 +82,21 @@ def _integer(value):
     return _real(value) and value == int(value)
 
 
-# the counts the search and the integrator take as Python ints
-_COUNTS = (("optimizer", "max_degree"), ("optimizer", "max_iters"), ("geodesic", "max_steps"))
+# the counts the commands take as Python ints
+_COUNTS = (
+    ("grid", "n_theta"), ("grid", "n_phi"), ("ladder", "n"),
+    ("optimizer", "max_degree"), ("optimizer", "max_iters"), ("geodesic", "max_steps"),
+)
 
-# (section, key, test, what the test asks) for the values the commands read
+# (section, key, test, what the test asks) for the values the commands read;
+# each count's integer check runs before any other check of its value
 _VALUE_CHECKS = (
-    ("grid", "n_theta", _integer, "an integer"),
-    ("grid", "n_phi", _integer, "an integer"),
     *((section, key, _integer, "an integer") for section, key in _COUNTS),
     ("ladder", "rho0", _positive, "a positive number"),
-    ("ladder", "n", lambda v: _integer(v) and v >= MIN_RUNGS,
-     f"an integer of at least {MIN_RUNGS}"),
+    ("ladder", "n", lambda v: v >= MIN_RUNGS, f"an integer of at least {MIN_RUNGS}"),
+    *(("geodesic", key, _positive, "a positive number") for key in ("rel_tol", "abs_tol")),
+    *(("optimizer", key, _positive, "a positive number")
+      for key in ("gradient_tol", "area_rtol")),
     ("optimizer", "reference_rho", _positive, "a positive number"),
     ("optimizer", "target_area", lambda v: v is None or _positive(v),
      "null or a positive number"),
@@ -209,7 +208,7 @@ class RunConfig:
     @property
     def grid(self):
         g = self.data["grid"]
-        return build_grid(int(g["n_theta"]), int(g["n_phi"]))
+        return build_grid(g["n_theta"], g["n_phi"])
 
 
 # the text of a value of exactly one of these types; anything else, numpy
@@ -399,7 +398,7 @@ def cmd_expansion(config):
         config.point,
         mode,
         float(ladder_cfg["rho0"]),
-        int(ladder_cfg["n"]),
+        ladder_cfg["n"],
         grid,
         K=K,
         cfg=config.geodesic_config,

@@ -188,7 +188,8 @@ class GeodesicFan:
     ``_velocities``, which read them).  Every upsampled position must pass
     ``metric.domain_guard``: DomainExit otherwise, as from the integrator's
     chart check, raised by the read or the samples that hold it.  An
-    ``s_max`` that is not finite and positive raises DomainError.
+    ``s_max`` that is not finite and positive raises DomainError, and a
+    ``packet`` at any point but ``p`` ValueError.
     """
 
     def __init__(self, metric, p, grid, s_max, cfg=None, packet=None):
@@ -205,6 +206,8 @@ class GeodesicFan:
         self.cfg = cfg
         if packet is None:
             packet = curvature_packet(metric, p)
+        elif not np.array_equal(packet.point, self.p):
+            raise ValueError(f"the packet is at {packet.point.tolist()}, not at the fan's centre")
         self.packet = packet
 
         k = np.arange(_N_SAMPLES)

@@ -54,6 +54,7 @@ Index conventions for the arrays returned here:
 
 import inspect
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,6 +367,9 @@ class MetricField:
     perturbation, which propagates Taylor jets of g through the curvature
     assembly.  Kinds with a closed-form -Gamma(v, v) for velocities ``v``
     (..., 3) also define ``acceleration(x, v)``.
+
+    A kind states its chart once, as :meth:`domain_margin`, and
+    :meth:`domain_guard` is its sign.
     """
 
     kind = "abstract"
@@ -402,11 +406,13 @@ class MetricField:
         raise NotImplementedError
 
     def domain_guard(self, x):
-        """Boolean chart-validity mask for points ``x`` of shape (..., 3)."""
-        return np.ones(np.shape(x)[:-1], dtype=bool)
+        """Boolean chart-validity mask for points ``x`` of shape (..., 3):
+        where :meth:`domain_margin` is positive."""
+        return self.domain_margin(x) > 0.0
 
     def domain_margin(self, x):
-        """Continuous margin, positive inside the chart (used as ODE event)."""
+        """Continuous margin at points ``x`` (..., 3), positive exactly inside
+        the chart; the integrator holds each step end to its sign."""
         return np.ones(np.shape(x)[:-1])
 
     def injectivity_bound(self, p):
@@ -440,16 +446,8 @@ class EuclideanMetric(MetricField):
 
 
 class _ConformallyFlat(MetricField):
-    """g = exp(2 phi) * delta with closed-form phi derivatives."""
-
-    def _phi(self, x):
-        raise NotImplementedError
-
-    def _phi_grad(self, x):
-        raise NotImplementedError
-
-    def _phi_hess(self, x):
-        raise NotImplementedError
+    """g = exp(2 phi) * delta; a kind gives phi and d phi at points ``x``
+    (..., 3) as ``_phi(x)`` and ``_phi_grad(x)``."""
 
     def acceleration(self, x, v):
         # Gamma^c_ab = delta_ca d_b phi + delta_cb d_a phi - delta_ab d_c phi
@@ -458,16 +456,6 @@ class _ConformallyFlat(MetricField):
 
     def action(self, x):
         return _ConformalAction(np.exp(2.0 * self._phi(x)), lambda: self._phi_grad(x))
-
-    def ricci_along(self, x, n):
-        # Ric = -(Hess phi - dphi dphi) - (Lap phi + |dphi|^2) delta in three
-        # dimensions, with flat derivatives of phi
-        grad, hess = self._phi_grad(x), self._phi_hess(x)
-        dphi_n = _dot3(grad, n)
-        hess_nn = _dot3(n, _apply_sym3(hess, n))
-        lap = hess[..., 0, 0] + hess[..., 1, 1] + hess[..., 2, 2] + _dot3(grad, grad)
-        return dphi_n * dphi_n - hess_nn - lap * _dot3(n, n)
-
 
 
 class _SpaceForm(_ConformallyFlat):
@@ -478,9 +466,9 @@ class _SpaceForm(_ConformallyFlat):
     _sign = 1.0
 
     def __init__(self, radius=1.0):
-        if radius <= 0:
+        self.radius = _number(radius, "radius")
+        if self.radius <= 0:
             raise ValueError("radius must be positive")
-        self.radius = float(radius)
 
     def _phi(self, x):
         r2 = np.sum(x * x, axis=-1)
@@ -490,15 +478,6 @@ class _SpaceForm(_ConformallyFlat):
     def _phi_grad(self, x):
         r2 = np.sum(x * x, axis=-1)
         return (-2.0 * self._sign) * x / (self.radius**2 + self._sign * r2)[..., np.newaxis]
-
-    def _phi_hess(self, x):
-        r2 = np.sum(x * x, axis=-1)
-        den = self.radius**2 + self._sign * r2
-        outer = np.einsum("...a,...b->...ab", x, x)
-        return (
-            (-2.0 * self._sign) * np.eye(3) / den[..., np.newaxis, np.newaxis]
-            + 4.0 * outer / (den**2)[..., np.newaxis, np.newaxis]
-        )
 
     def ricci_along(self, x, n):
         # Ric = 2 K g in three dimensions
@@ -532,14 +511,12 @@ class HyperbolicMetric(_SpaceForm):
     _sign = -1.0
     _GUARD = 0.999
 
-    def domain_guard(self, x):
-        return np.sqrt(_dot3(x, x)) < self._GUARD * self.radius
-
     def domain_margin(self, x):
         return (self._GUARD * self.radius - np.sqrt(_dot3(x, x))) / self.radius
 
     def injectivity_bound(self, p):
-        # chart-limited: proper distance from p to the guard sphere
+        # chart-limited: proper distance from p to the sphere |x| = 0.995 R,
+        # inside the guard sphere at 0.999 R
         r = np.linalg.norm(np.asarray(p, dtype=float))
         to_edge = 2.0 * self.radius * (
             np.arctanh(0.995) - np.arctanh(min(r / self.radius, 0.99))
@@ -559,12 +536,12 @@ class SchwarzschildMetric(MetricField):
     kind = "schwarzschild"
 
     def __init__(self, mass=1.0, horizon_margin=0.05):
-        if mass <= 0:
+        self.mass = _number(mass, "mass")
+        self.horizon_margin = _number(horizon_margin, "horizon_margin")
+        if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if horizon_margin <= 0:
+        if self.horizon_margin <= 0:
             raise ValueError("horizon_margin must be positive")
-        self.mass = float(mass)
-        self.horizon_margin = float(horizon_margin)
 
     def acceleration(self, x, v):
         # g = delta + h x x^T with h = psi / r^2 gives
@@ -592,10 +569,6 @@ class SchwarzschildMetric(MetricField):
     def scalar_derivatives(self, p):
         return np.zeros(3), 0.0  # the slice is scalar-flat
 
-    def domain_guard(self, x):
-        r = np.sqrt(_dot3(x, x))
-        return r > 2.0 * self.mass * (1.0 + self.horizon_margin)
-
     def domain_margin(self, x):
         r = np.sqrt(_dot3(x, x))
         return (r - 2.0 * self.mass * (1.0 + self.horizon_margin)) / self.mass
@@ -622,10 +595,25 @@ class SchwarzschildMetric(MetricField):
         return {"mass": self.mass, "horizon_margin": self.horizon_margin}
 
 
+def _is_number(value):
+    """Whether ``value`` is a real number and no boolean.  Float and int come
+    first: isinstance answers them by their type, where ``numbers.Real``
+    alone goes through the slower ABC machinery."""
+    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+
+
+def _number(value, name):
+    """``value`` of the ``name`` parameter as a float; a boolean, a string or
+    anything else that is no real number raises ValueError, naming it."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _exponents(e, name):
     """The exponents (e1, e2, e3) of a monomial of the ``name`` parameter."""
     e = tuple(e)
-    if len(e) != 3 or any(k < 0 or k != int(k) for k in e):
+    if len(e) != 3 or not all(_is_number(k) and k >= 0 and k == int(k) for k in e):
         raise ValueError(f"{name}: exponents {list(e)} are not three non-negative integers")
     return tuple(int(k) for k in e)
 
@@ -641,30 +629,32 @@ class ConformalMetric(_ConformallyFlat):
     kind = "conformal"
 
     def __init__(self, phi_poly):
-        self.poly_terms = [(float(c), _exponents(e, "phi_poly")) for c, e in phi_poly]
-        self.phi = _Polynomial(
+        self.poly_terms = [
+            (_number(c, "phi_poly coefficient"), _exponents(e, "phi_poly")) for c, e in phi_poly
+        ]
+        self._phi = _Polynomial(
             [e for _, e in self.poly_terms], [c for c, _ in self.poly_terms]
         )
-        self._grad = self.phi.gradient()
-        self._hess = self._grad.gradient()
-        self._d3 = self._hess.gradient()
+        self._phi_grad = self._phi.gradient()
+        self._phi_hess = self._phi_grad.gradient()
+        self._d3 = self._phi_hess.gradient()
         self._d4 = self._d3.gradient()
 
-    def _phi(self, x):
-        return self.phi(x)
-
-    def _phi_grad(self, x):
-        return self._grad(x)
-
-    def _phi_hess(self, x):
-        return self._hess(x)
+    def ricci_along(self, x, n):
+        # Ric = -(Hess phi - dphi dphi) - (Lap phi + |dphi|^2) delta in three
+        # dimensions, with flat derivatives of phi
+        grad, hess = self._phi_grad(x), self._phi_hess(x)
+        dphi_n = _dot3(grad, n)
+        hess_nn = _dot3(n, _apply_sym3(hess, n))
+        lap = hess[..., 0, 0] + hess[..., 1, 1] + hess[..., 2, 2] + _dot3(grad, grad)
+        return dphi_n * dphi_n - hess_nn - lap * _dot3(n, n)
 
     def scalar_derivatives(self, p):
         # Sc = -E u with E = exp(-2 phi) and u = 4 Lap phi + 2 |d phi|^2, and
         # Delta_g f = E (Lap f + d phi . d f) in three dimensions; every
         # derivative here is flat
-        d1, d2, d3, d4 = self._grad(p), self._hess(p), self._d3(p), self._d4(p)
-        e = np.exp(-2.0 * self.phi(p))
+        d1, d2, d3, d4 = self._phi_grad(p), self._phi_hess(p), self._d3(p), self._d4(p)
+        e = np.exp(-2.0 * self._phi(p))
         lap = np.trace(d2)
         grad_lap = np.einsum("caa->c", d3)
         d1_sq = d1 @ d1
@@ -691,7 +681,7 @@ class PolynomialMetric(MetricField):
 
     ``terms`` is an iterable of ``(a, b, coef, (e1, e2, e3))``; entries are
     symmetrized automatically.  Derivatives are exact, by exponent shifts.
-    The chart guard accepts points where g stays positive-definite.
+    The chart is where g is positive definite.
     """
 
     kind = "polynomial_perturbation"
@@ -700,9 +690,9 @@ class PolynomialMetric(MetricField):
     def __init__(self, terms):
         exps, coefs, stored = [], [], []
         for a, b, c, e in terms:
-            if not {a, b} <= {0, 1, 2}:
+            if isinstance(a, bool) or isinstance(b, bool) or not {a, b} <= {0, 1, 2}:
                 raise ValueError(f"terms: entry ({a}, {b}) is not an index pair in 0..2")
-            a, b, c, e = int(a), int(b), float(c), _exponents(e, "terms")
+            a, b, c, e = int(a), int(b), _number(c, "terms coefficient"), _exponents(e, "terms")
             if sum(e) > self.MAX_DEGREE:
                 raise ValueError("perturbation terms must have total degree <= 4")
             coef = np.zeros((3, 3))
@@ -769,19 +759,17 @@ class PolynomialMetric(MetricField):
         cov_hess = hess - np.einsum("cab,c->ab", gamma[0, 0], grad)
         return grad, float(np.einsum("ab,ab->", np.linalg.inv(g), cov_hess))
 
-    @staticmethod
-    def domain_guard_values(g):
-        # Sylvester criterion on the 3x3 leading minors
-        m1 = g[..., 0, 0]
-        m2 = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-        m3 = np.linalg.det(g)
-        return (m1 > 0) & (m2 > 0) & (m3 > 0)
-
-    def domain_guard(self, x):
-        return self.domain_guard_values(self.metric(x))
-
     def domain_margin(self, x):
-        return np.linalg.eigvalsh(self.metric(x))[..., 0]
+        # the smallest leading principal minor, by cofactors as in
+        # _solve_sym3: positive exactly where g is (Sylvester's criterion)
+        g = self.metric(x)
+        g00, g01, g02 = g[..., 0, 0], g[..., 0, 1], g[..., 0, 2]
+        g11, g12, g22 = g[..., 1, 1], g[..., 1, 2], g[..., 2, 2]
+        minor2 = g00 * g11 - g01 * g01
+        det = g00 * (g11 * g22 - g12 * g12) + g01 * (g02 * g12 - g01 * g22) + g02 * (
+            g01 * g12 - g02 * g11
+        )
+        return np.minimum(np.minimum(g00, minor2), det)
 
     def params(self):
         return {"terms": [[a, b, c, list(e)] for a, b, c, e in self.terms]}

@@ -438,6 +438,27 @@ def test_defaults_come_from_the_config_dataclasses():
         ({"metric": {"kind": "round_sphere", "radius": float("inf")}},
          "Infinity is not a finite number"),
         ({"point": [0, 0, float("-inf")]}, "-Infinity is not a finite number"),
+        # a boolean or a string is no number, though True == 1 and "2" reads as 2
+        ({"geodesic": {"rel_tol": True}}, "geodesic.rel_tol"),
+        ({"geodesic": {"abs_tol": "1e-12"}}, "geodesic.abs_tol"),
+        ({"optimizer": {"gradient_tol": True}}, "optimizer.gradient_tol"),
+        ({"optimizer": {"area_rtol": True}}, "optimizer.area_rtol"),
+        ({"metric": {"kind": "schwarzschild", "mass": True}}, "mass must be a number"),
+        ({"metric": {"kind": "schwarzschild", "horizon_margin": True}},
+         "horizon_margin must be a number"),
+        ({"metric": {"kind": "round_sphere", "radius": "2"}}, "radius must be a number"),
+        ({"metric": {"kind": "conformal", "phi_poly": [["0.1", [2, 0, 0]]]}},
+         "phi_poly coefficient must be a number"),
+        ({"metric": {"kind": "conformal", "phi_poly": [[0.1, [True, 0, 0]]]}},
+         "phi_poly: exponents [True, 0, 0]"),
+        ({"metric": {"kind": "polynomial_perturbation",
+                     "terms": [[0, 0, 0.05, [True, 0, 0]]]}}, "terms: exponents [True, 0, 0]"),
+        ({"metric": {"kind": "polynomial_perturbation",
+                     "terms": [[True, False, "0.05", [2, 0, 0]]]}}, "terms: entry (True, False)"),
+        ({"metric": {"kind": "polynomial_perturbation", "terms": [[0, 0, "0.05", [2, 0, 0]]]}},
+         "terms coefficient must be a number"),
+        # a count's integer check runs before its rung check
+        ({"ladder": {"n": 6.5}}, "ladder.n must be an integer, got 6.5"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
@@ -494,13 +515,31 @@ def test_out_that_is_not_a_directory_exits_2(capsys, tmp_path, sub):
     assert captured.err.count("\n") == 1
 
 
-def test_integral_floats_are_integer_settings():
+def test_integral_floats_are_integer_settings(monkeypatch):
     config = RunConfig({"optimizer": {"max_degree": 3.0, "max_iters": 2.0},
-                        "geodesic": {"max_steps": 1000.0}})
+                        "geodesic": {"max_steps": 1000.0},
+                        "grid": {"n_theta": 8.0, "n_phi": 16.0}, "ladder": {"n": 6.0}})
     assert config.optimizer_config == OptimizeConfig(max_degree=3, max_iters=2)
     assert type(config.optimizer_config.max_degree) is int
     assert type(config.optimizer_config.max_iters) is int
     assert type(config.geodesic_config.max_steps) is int
+    # the report echoes config.data, so its counts are ints too
+    for section, key in (("grid", "n_theta"), ("grid", "n_phi"), ("ladder", "n"),
+                         ("optimizer", "max_degree"), ("optimizer", "max_iters"),
+                         ("geodesic", "max_steps")):
+        assert type(config.data[section][key]) is int, key
+    grid = config.grid
+    assert (type(grid.n_theta), type(grid.n_phi)) == (int, int)
+    seen = {}
+
+    def ladder(metric, p, mode, rho0, n, grid, **kwargs):
+        seen["n"] = n
+        raise ConfigError("stop after the ladder's arguments")
+
+    monkeypatch.setattr(cli, "radius_ladder", ladder)
+    with pytest.raises(ConfigError):
+        cli.cmd_expansion(config)
+    assert type(seen["n"]) is int
 
 
 def test_import_leaves_scipy_solvers_unloaded():

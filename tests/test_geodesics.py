@@ -294,6 +294,17 @@ class TestGeodesicFan:
             shot.append(fan.shooting_grid == [grid.n_theta, grid.n_phi])
         assert shot == [False, False, True]
 
+    def test_rejects_another_points_packet(self, cfg):
+        # a packet's frame fixes the fan's directions, so one built at
+        # another point would shoot a wrong fan without an error
+        metric = SchwarzschildMetric(1.0)
+        packet = curvature_packet(metric, [0.0, 6.0, 0.0])
+        with pytest.raises(ValueError, match="not at the fan's centre"):
+            GeodesicFan(metric, [4.0, 0.0, 0.0], build_grid(16, 32), 0.2, cfg, packet=packet)
+        fan = GeodesicFan(metric, [4.0, 0.0, 0.0], build_grid(16, 32), 0.2, cfg,
+                          packet=curvature_packet(metric, [4.0, 0.0, 0.0]))
+        assert fan.diagnostics()["speed_drift"] <= 1e-12
+
     def test_deterministic_rebuild(self, grid, cfg):
         metric = RoundSphereMetric()
         p = np.array([0.1, 0.0, 0.0])

@@ -255,6 +255,9 @@ class TestClosedFormsPerKind:
         for kind, cls in _KINDS.items():
             for name in ("action", "ricci_along", "scalar_derivatives"):
                 assert getattr(cls, name) is not getattr(MetricField, name), (kind, name)
+            # a kind states its chart once, as domain_margin, whose sign the
+            # guard reads
+            assert cls.domain_guard is MetricField.domain_guard, kind
         # a fan on a kind without ``acceleration`` contracts g and dg through
         # the metric object it holds, which is how the benchmark's counting
         # proxy sees each right-hand side of a Euclidean fan
@@ -270,6 +273,19 @@ class TestClosedFormsPerKind:
                 if getattr(cls, name) is not getattr(MetricField, name)
             }
             assert overriding == {"polynomial_perturbation"}, name
+
+    def test_margin_sign_is_positive_definiteness(self):
+        # the smallest leading minor against the smallest eigenvalue, on
+        # points that straddle the chart boundary (about 31% inside)
+        metric = PolynomialMetric([
+            [0, 0, 0.3, [1, 0, 0]], [0, 1, 0.2, [0, 1, 1]], [2, 2, -0.25, [2, 0, 0]],
+            [1, 2, 0.1, [0, 0, 1]], [1, 1, -0.4, [0, 1, 0]], [0, 2, 0.35, [0, 0, 2]],
+        ])
+        x = 2.0 * np.random.default_rng(5).normal(size=(20_000, 3))
+        inside = np.linalg.eigvalsh(metric.metric(x))[:, 0] > 0.0
+        assert 0.2 < np.mean(inside) < 0.4
+        assert np.array_equal(metric.domain_margin(x) > 0.0, inside)
+        assert np.array_equal(metric.domain_guard(x), inside)
 
     def test_acceleration_matches_contractions(self):
         rng = np.random.default_rng(59)
