@@ -231,7 +231,7 @@ def integrate(fun, y0, t_end, t_eval, rtol, atol, max_evals, check):
         rejected = False
         while True:
             if h_abs < min_step:
-                raise StepLimit(f"integration step size underflowed at t = {t!r}")
+                raise StepLimit(f"integration step size underflowed at t = {float(t)!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)

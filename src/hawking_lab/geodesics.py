@@ -65,7 +65,7 @@ import numpy as np
 
 from . import _dop853
 from .errors import DomainError, DomainExit, PerturbationTooLarge, RadiusOutOfRange
-from .harmonics import HarmonicField, _expand, _tables
+from .harmonics import HarmonicField, synthesize
 from .manifold import _dot3, curvature_packet, geodesic_acceleration, metric_action
 from .surface import build_grid, extrinsic_geometry
 
@@ -243,8 +243,6 @@ class GeodesicFan:
         w[0] *= 0.5
         w[-1] *= 0.5
         self._bary_w = w
-        # harmonic basis factors per (grid, degree), for this fan's shapes
-        self._basis = {}
 
     def _upsampled(self, fields):
         """Fields [x - p, v] (N_shot, 6, ...) on the shooting grid as [x, v]
@@ -292,23 +290,13 @@ class GeodesicFan:
             "spectral_tail": self.spectral_tail,
         }
 
-    def basis_tables(self, grid, degree):
-        """The real harmonic basis factors of degree ``degree`` on ``grid``
-        (:func:`harmonics._tables`), built once per fan, so that every shape
-        read from it and every search on it shares them."""
-        key = (grid.n_theta, grid.n_phi, degree)
-        if key not in self._basis:
-            self._basis[key] = _tables(grid, degree)
-        return self._basis[key]
-
     def shape_values(self, w, grid=None):
         """Node values on ``grid`` (the surface grid by default) of a shape:
         a :class:`~hawking_lab.harmonics.HarmonicField`, or node values on
         the surface grid, returned as they are."""
         if not isinstance(w, HarmonicField):
             return w
-        grid = self.grid if grid is None else grid
-        return _expand(w.coeffs, grid, w.max_degree, self.basis_tables(grid, w.max_degree))
+        return synthesize(w, self.grid if grid is None else grid)
 
     def _reaches(self, s):
         """Whether the per-node arclengths ``s`` lie within the sampled range."""

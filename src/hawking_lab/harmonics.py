@@ -12,11 +12,10 @@ degree-1 modes.
 Mode (l, m) is a Legendre function of order |m| in colatitude times 1,
 sqrt(2) cos(m phi) or sqrt(2) sin(|m| phi), so :func:`project` and
 :func:`expand` run as one longitude sum per order and one colatitude sum per
-mode (Schaeffer, G^3 2013).  They build these factors on every call; a
-caller that transforms several fields on one grid within one call (the
-Galerkin residual, the optimizer's search) builds them once and passes them
-to ``_project`` and ``_expand``.  No basis matrix is formed and nothing is
-cached.
+mode (Schaeffer, G^3 2013).  The factors are built once per grid and
+degree, on first use, and kept on the grid with its other tables
+(:meth:`SphereGrid.cached`), so they live as long as the grid does.  No
+basis matrix is formed.
 
 The Euler-Lagrange left-hand side ``E = 2 Lap H + H (H^2 - 4 D + 2 Ric(N, N))``
 is assembled once, weakly, as node densities (:func:`willmore_densities`;
@@ -102,11 +101,14 @@ def _longitude_rows(phi, max_degree):
 
 
 def _tables(grid, max_degree):
-    """The colatitude and longitude factors of the real basis on ``grid``
-    (:func:`_legendre_table`, :func:`_longitude_rows`)."""
-    return (
-        _legendre_table(grid.theta_axis, max_degree),
-        _longitude_rows(grid.phi_axis, max_degree),
+    """The colatitude and longitude factors of the real basis on ``grid``,
+    built once per grid and degree and kept on it (:meth:`SphereGrid.cached`)."""
+    return grid.cached(
+        ("harmonics", max_degree),
+        lambda: (
+            _legendre_table(grid.theta_axis, max_degree),
+            _longitude_rows(grid.phi_axis, max_degree),
+        ),
     )
 
 
@@ -114,13 +116,8 @@ def project(values, grid, max_degree):
     """``Y @ values`` for the real orthonormal harmonics Y of degree at most
     ``max_degree`` at the nodes, unweighted, for values (N,) or (N, C): one
     longitude sum per order, then one colatitude sum per mode."""
-    return _project(values, grid, max_degree, _tables(grid, max_degree))
-
-
-def _project(values, grid, max_degree, tables):
-    """:func:`project` with the basis factors ``tables`` of :func:`_tables`."""
     values = np.asarray(values, dtype=float)
-    legendre, rows = tables
+    legendre, rows = _tables(grid, max_degree)
     f = values.reshape(grid.n_theta, grid.n_phi, -1)
     sums = rows @ f  # (n_theta, orders, C)
     coeffs = np.empty(((max_degree + 1) ** 2, f.shape[2]))
@@ -133,13 +130,8 @@ def _project(values, grid, max_degree, tables):
 def expand(coeffs, grid, max_degree):
     """``Y.T @ coeffs``, the transpose of :func:`project`: node values of the
     expansion with coefficients (modes,) or (modes, C)."""
-    return _expand(coeffs, grid, max_degree, _tables(grid, max_degree))
-
-
-def _expand(coeffs, grid, max_degree, tables):
-    """:func:`expand` with the basis factors ``tables`` of :func:`_tables`."""
     coeffs = np.asarray(coeffs, dtype=float)
-    legendre, rows = tables
+    legendre, rows = _tables(grid, max_degree)
     c = coeffs.reshape(coeffs.shape[0], -1)
     sums = np.empty((grid.n_theta, 2 * max_degree + 1, c.shape[1]))
     for m in range(-max_degree, max_degree + 1):
@@ -315,12 +307,11 @@ def _galerkin_fields(surface, densities):
     moments ``c = Y g`` of the weak densities synthesize to ``Y^T c`` on the
     round sphere; divided by the Jacobian ``dmu / dOmega`` they become node
     fields r with ``int r Y dmu = c``, and no Gram matrix of the surface
-    measure is solved.  One set of basis factors serves both transforms.
+    measure is solved.
     """
     grid = surface.grid
     L = galerkin_degree(grid)
-    tables = _tables(grid, L)
-    fields = _expand(_project(np.column_stack(densities), grid, L, tables), grid, L, tables)
+    fields = expand(project(np.column_stack(densities), grid, L), grid, L)
     fields /= (surface.area_element / grid.sin_theta)[:, np.newaxis]
     r_e, r_h = fields.T
     H = surface.mean_curvature

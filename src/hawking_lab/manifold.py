@@ -610,11 +610,23 @@ def _number(value, name):
     return float(value)
 
 
+def _entries(value, name, width, form):
+    """The entries of the list parameter ``name``, each checked to be a list
+    of ``width`` items (``form`` in messages) before any is unpacked."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of {form} entries, got {value!r}")
+    for entry in value:
+        if not isinstance(entry, (list, tuple)) or len(entry) != width:
+            raise ValueError(f"{name}: entry {entry!r} is not of the form {form}")
+    return value
+
+
 def _exponents(e, name):
     """The exponents (e1, e2, e3) of a monomial of the ``name`` parameter."""
-    e = tuple(e)
-    if len(e) != 3 or not all(_is_number(k) and k >= 0 and k == int(k) for k in e):
-        raise ValueError(f"{name}: exponents {list(e)} are not three non-negative integers")
+    if not isinstance(e, (list, tuple)) or len(e) != 3 or not all(
+        _is_number(k) and k >= 0 and k == int(k) for k in e
+    ):
+        raise ValueError(f"{name}: exponents {e!r} are not three non-negative integers")
     return tuple(int(k) for k in e)
 
 
@@ -630,7 +642,8 @@ class ConformalMetric(_ConformallyFlat):
 
     def __init__(self, phi_poly):
         self.poly_terms = [
-            (_number(c, "phi_poly coefficient"), _exponents(e, "phi_poly")) for c, e in phi_poly
+            (_number(c, "phi_poly coefficient"), _exponents(e, "phi_poly"))
+            for c, e in _entries(phi_poly, "phi_poly", 2, "[coef, [e1, e2, e3]]")
         ]
         self._phi = _Polynomial(
             [e for _, e in self.poly_terms], [c for c, _ in self.poly_terms]
@@ -689,8 +702,8 @@ class PolynomialMetric(MetricField):
 
     def __init__(self, terms):
         exps, coefs, stored = [], [], []
-        for a, b, c, e in terms:
-            if isinstance(a, bool) or isinstance(b, bool) or not {a, b} <= {0, 1, 2}:
+        for a, b, c, e in _entries(terms, "terms", 4, "[a, b, coef, [e1, e2, e3]]"):
+            if not all(_is_number(k) and k in (0, 1, 2) for k in (a, b)):
                 raise ValueError(f"terms: entry ({a}, {b}) is not an index pair in 0..2")
             a, b, c, e = int(a), int(b), _number(c, "terms coefficient"), _exponents(e, "terms")
             if sum(e) > self.MAX_DEGREE:
@@ -891,10 +904,13 @@ def curvature_packet(metric, p):
     """Assemble the full curvature packet at ``p`` (frame components)."""
     p = _as_points(p)
     _guard(metric, p)
-    g = metric.metric(p)
-    _, ricci, scalar = _curvature_from(
-        g, metric.metric_deriv(p), metric.metric_deriv2(p)
-    )
+    # a metric that overflows at p is reported, not carried on as nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = metric.metric(p)
+        _, ricci, scalar = _curvature_from(g, metric.metric_deriv(p), metric.metric_deriv2(p))
+    for name, values in (("g", g), ("the Ricci tensor", ricci)):
+        if not np.isfinite(values).all():
+            raise DomainError(f"{name} of the {metric.kind} metric is not finite at {p.tolist()}")
     frame = _orthonormal_frame(g)
     ric_f = np.einsum("ma,nb,ab->mn", frame, frame, ricci)
     ric_f = 0.5 * (ric_f + ric_f.T)
@@ -941,6 +957,8 @@ _PARAMS = {kind: _parameters(cls) for kind, cls in _KINDS.items()}
 
 def metric_from_config(spec):
     """Instantiate a metric from a config dict ``{"kind": ..., ...params}``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"metric must be an object, got {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in _KINDS:

@@ -78,8 +78,8 @@ from .harmonics import (
     HarmonicField,
     _check_band_limit,
     _galerkin_residual,
-    _project,
     _shifted_bilaplacian_eigenvalues,
+    project,
     willmore_densities,
 )
 from .manifold import _dot3
@@ -210,9 +210,6 @@ class _SurfaceEvaluator:
         self.cfg = cfg
         self.K = K
         self.n_coeff = (cfg.max_degree + 1) ** 2 - 4  # degrees >= 2
-        # the shape basis factors, for every expansion and projection here;
-        # the fan holds them, so every evaluator on it shares one build
-        self._tables = fan.basis_tables(fan.grid, cfg.max_degree)
 
     def shape(self, coeffs):
         """The shape field of the degree 2..L coefficients ``coeffs``."""
@@ -283,9 +280,7 @@ class _SurfaceEvaluator:
         radial = (1.0 - w) * v_n  # psi_rho
         lam = (radial @ g_e) / (radial @ g_h)  # int E psi_rho / int H psi_rho
         # psi_k = -rho phi_k v_n, so int (E - lam H) psi_k dmu = -rho moments[k]
-        moments = _project(
-            v_n * (g_e - lam * g_h), self.fan.grid, self.cfg.max_degree, self._tables
-        )[4:]
+        moments = project(v_n * (g_e - lam * g_h), self.fan.grid, self.cfg.max_degree)[4:]
         return np.sqrt(surf.area / (16.0 * np.pi) ** 3) * rho * moments, densities
 
 

@@ -61,7 +61,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Tensor-product quadrature grid on the unit 2-sphere."""
+    """Tensor-product quadrature grid on the unit 2-sphere.  It keeps every
+    table built from its nodes, its own and the harmonic basis, for its
+    lifetime (:meth:`cached`)."""
 
     n_theta: int
     n_phi: int
@@ -106,13 +108,18 @@ class SphereGrid:
             series.append(np.linalg.solve(at_nodes.T, at_target.T).T)
         return tuple(series)
 
+    def cached(self, key, build):
+        """The grid's table ``key``, built by ``build()`` on first use and
+        kept for the grid's lifetime."""
+        if key not in self._diff_cache:
+            self._diff_cache[key] = build()
+        return self._diff_cache[key]
+
     def _theta_matrices(self):
         """d/d theta1 of the colatitude series through the nodes."""
-        if "theta" not in self._diff_cache:
-            self._diff_cache["theta"] = self._colatitude_series(
-                self.theta_axis, derivative=True
-            )
-        return self._diff_cache["theta"]
+        return self.cached(
+            "theta", lambda: self._colatitude_series(self.theta_axis, derivative=True)
+        )
 
     def _spectrum(self, values):
         """Fourier coefficients in theta2, shape (C, n_theta, n_phi // 2 + 1),
@@ -155,15 +162,14 @@ class SphereGrid:
         """The colatitude series at the fine colatitudes, ``(even, odd)``,
         and the longitude interpolation matrix (fine n_phi, n_phi) of
         :meth:`upsample`, built once per fine grid shape."""
-        key = ("upsample", fine.n_theta, fine.n_phi)
-        if key not in self._diff_cache:
+        def build():
             even, odd = self._colatitude_series(fine.theta_axis)
             padded = np.fft.rfft(np.eye(self.n_phi), axis=0) * (fine.n_phi / self.n_phi)
             if fine.n_phi > self.n_phi:
                 padded[-1] *= 0.5
-            lon = np.fft.irfft(padded, n=fine.n_phi, axis=0)
-            self._diff_cache[key] = (even, odd, lon)
-        return self._diff_cache[key]
+            return even, odd, np.fft.irfft(padded, n=fine.n_phi, axis=0)
+
+        return self.cached(("upsample", fine.n_theta, fine.n_phi), build)
 
     def upsample(self, values, fine):
         """A node field's values at the nodes of the grid ``fine``, which has
@@ -183,10 +189,9 @@ class SphereGrid:
         """Largest magnitude of a node field's series coefficients (Fourier
         in longitude, divided by n_phi, then cosine or sine in colatitude)
         over the top two colatitude degrees and the top two Fourier modes."""
-        if "series" not in self._diff_cache:
-            self._diff_cache["series"] = self._colatitude_series()
+        series = self.cached("series", self._colatitude_series)
         spectrum, _ = self._spectrum(values)
-        coeffs = np.abs(_by_parity(spectrum, *self._diff_cache["series"])) / self.n_phi
+        coeffs = np.abs(_by_parity(spectrum, *series)) / self.n_phi
         return float(max(np.max(coeffs[:, -2:]), np.max(coeffs[..., -2:])))
 
     def dphi(self, values):

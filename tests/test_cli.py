@@ -299,6 +299,28 @@ def test_optimize_builds_each_surface_once(capsys, tmp_path, monkeypatch, metric
     assert (len(solves), len(surfaces), len(perturbations)) == counts
 
 
+def test_commands_build_each_basis_table_once(capsys, tmp_path, monkeypatch):
+    # the harmonic basis factors are a table of their grid: every shape,
+    # projection and Galerkin test on one grid and degree shares one build
+    from hawking_lab import harmonics
+
+    builds = []
+    legendre_table = harmonics._legendre_table
+
+    def counted(theta, max_degree):
+        builds.append((len(theta), max_degree))
+        return legendre_table(theta, max_degree)
+
+    monkeypatch.setattr(harmonics, "_legendre_table", counted)
+    config = {**SCHWARZSCHILD_SEARCH, "ladder": {"rho0": 0.2, "n": 6}}
+    for command in ("optimize", "expansion", "el-residual"):
+        builds.clear()
+        code, _ = run(capsys, tmp_path, command, config)
+        assert code in (0, 1), command
+        assert builds, command
+        assert len(builds) == len(set(builds)), (command, builds)
+
+
 def test_commands_upsample_reads_not_fans(capsys, tmp_path, monkeypatch):
     # a read upsamples its six fields and speed_drift its last sample; the
     # whole fan (17 samples of six fields) stays on its shooting grid
@@ -459,6 +481,15 @@ def test_defaults_come_from_the_config_dataclasses():
          "terms coefficient must be a number"),
         # a count's integer check runs before its rung check
         ({"ladder": {"n": 6.5}}, "ladder.n must be an integer, got 6.5"),
+        # a malformed entry is named before it is unpacked or hashed
+        ({"metric": {"kind": "conformal", "phi_poly": [[0.1, 5]]}}, "phi_poly"),
+        ({"metric": {"kind": "conformal", "phi_poly": 5}}, "phi_poly"),
+        ({"metric": {"kind": "conformal", "phi_poly": [[0.1]]}}, "phi_poly"),
+        ({"metric": {"kind": "conformal", "phi_poly": {"a": 1}}}, "phi_poly"),
+        ({"metric": {"kind": "polynomial_perturbation", "terms": [[[0], 0, 0.1, [1, 0, 0]]]}},
+         "terms"),
+        ({"metric": {"kind": "polynomial_perturbation", "terms": [[0, 0, 0.1]]}}, "terms"),
+        ({"metric": "x"}, "metric"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
@@ -468,6 +499,32 @@ def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
     path.write_text(json.dumps(config))
     assert main(["curvature", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["curvature", "expansion", "optimize", "bartnik",
+                                     "el-residual"])
+def test_metric_not_finite_at_the_point_exits_2(capsys, tmp_path, command):
+    # exp(2 phi) overflows at p: no report of nan, which is not JSON
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "metric": {"kind": "conformal", "phi_poly": [[800.0, [1, 0, 0]]]},
+        "point": [1, 0, 0],
+    }))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "DomainError" in err and "conformal" in err
+
+
+def test_step_limit_prints_a_plain_float(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "metric": {"kind": "polynomial_perturbation", "terms": [[0, 0, -2.0, [2, 0, 0]]]},
+        "ladder": {"rho0": 0.9, "n": 5},
+    }))
+    assert main(["expansion", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "StepLimit" in err and "np.float64" not in err
 
 
 def test_overflowing_number_literal_exits_2(capsys, tmp_path):

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hawking_lab.cli import _ladder_table, _write_csv
+from hawking_lab.cli import _ladder_table, _write_csv, main
 from hawking_lab.errors import RadiusOutOfRange
 from hawking_lab.expansion import (
     bartnik_lower_bound,
@@ -271,3 +273,41 @@ class TestLadderCsv:
         _write_csv(p2, *_ladder_table(ladder, pred))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "rho,area,willmore,hawking,predicted_leading"
+
+
+# the polynomial kind is not conformally flat, so its c5 carries |S|^2 / 90
+# with S the traceless Ricci tensor; fixed regression cases, read through the
+# command line as a run reads them
+SIX_TERM = [[0, 0, 0.3, [1, 0, 0]], [0, 1, 0.2, [0, 1, 1]], [2, 2, -0.25, [2, 0, 0]],
+            [1, 2, 0.1, [0, 0, 1]], [1, 1, -0.4, [0, 1, 0]], [0, 2, 0.35, [0, 0, 2]]]
+FIVE_TERM = [[0, 0, 0.02, [2, 0, 0]], [0, 1, 0.015, [1, 1, 0]], [1, 1, -0.01, [0, 2, 1]],
+             [2, 2, 0.008, [1, 0, 2]], [0, 2, 0.012, [0, 3, 0]]]
+
+
+@pytest.mark.parametrize("mode", ["optimal", "unperturbed"])
+@pytest.mark.parametrize(
+    "terms, point, rho0, n",
+    [
+        (SIX_TERM, [0.1, -0.05, 0.08], 0.2, 6),
+        (FIVE_TERM, [0.3, 0.2, -0.1], 0.8, 8),
+    ],
+    ids=["six_term", "five_term"],
+)
+def test_polynomial_kind_expansion(capsys, tmp_path, terms, point, rho0, n, mode):
+    config = {
+        "metric": {"kind": "polynomial_perturbation", "terms": terms},
+        "point": point,
+        "mode": mode,
+        "grid": {"n_theta": 24, "n_phi": 48},
+        "ladder": {"rho0": rho0, "n": n},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["expansion", "--config", str(path)]) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    fit, predicted = report["fit"], report["predicted"]
+    for name, rel in (("c3", 1e-8), ("c5", 1e-5)):
+        err = fit[f"{name}_error"]
+        # the read's own error bar is tight, so it is a real test
+        assert err <= rel * abs(fit[name]), name
+        assert abs(fit[name] - predicted[name]) <= 3.0 * err, name
