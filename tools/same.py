@@ -4,9 +4,9 @@ fixed list of runs and name every run whose output differs.
     python tools/same.py OLD_TREE NEW_TREE
 
 Each tree is a checkout of this repository.  Each runs in its own
-subprocess, with the tree's ``src`` first on ``sys.path``, and that process
-calls ``hawking_lab.cli.main`` once per run with ``--out`` to a fresh
-directory.  A run's stdout, stderr, exit code and every ``--out`` file are
+subprocess, with the tree's ``src`` first on ``sys.path`` and one BLAS
+thread, and that process calls ``hawking_lab.cli.main`` once per run with
+``--out`` to a fresh directory.  A run's stdout, stderr, exit code and every ``--out`` file are
 compared, after the tree's and the work directory's paths are replaced by
 placeholders (a warning names the file it came from).  For each run that
 differs the check prints its name, the first differing key and the largest
@@ -25,6 +25,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -100,6 +101,13 @@ def runs():
     return out
 
 
+def _clean(text, paths):
+    """``text`` with each path in ``paths`` replaced by its placeholder."""
+    for path, placeholder in paths.items():
+        text = text.replace(path, placeholder)
+    return text
+
+
 def _worker(tree, runs_path, results_path):
     """Run every listed run through ``cli.main`` of ``tree`` in this process."""
     sys.path.insert(0, str(Path(tree) / "src"))
@@ -123,19 +131,14 @@ def _worker(tree, runs_path, results_path):
                                      "--out", str(out_dir)])
                 except SystemExit as exc:
                     code = exc.code
-            files = {}
-            if out_dir.is_dir():
-                files = {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
-
-            def clean(text):
-                return text.replace(str(run_dir), "<run>").replace(str(Path(tree)), "<tree>")
-
+            files = sorted(out_dir.iterdir()) if out_dir.is_dir() else []
+            paths = {str(run_dir): "<run>", str(tree): "<tree>"}
             results.append({
                 "name": name,
                 "code": code,
-                "stdout": clean(stdout.getvalue()),
-                "stderr": clean(stderr.getvalue()),
-                "files": {k: clean(v) for k, v in files.items()},
+                "stdout": _clean(stdout.getvalue(), paths),
+                "stderr": _clean(stderr.getvalue(), paths),
+                "files": {p.name: _clean(p.read_text(), paths) for p in files},
             })
     Path(results_path).write_text(json.dumps(results))
 
@@ -175,10 +178,9 @@ def _parts(result):
 
 
 def _number(value):
+    """A JSON number, or text that reads as one, as a float; else None."""
     if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -186,8 +188,10 @@ def _number(value):
 
 
 def _same(x, y):
-    return x == y or (_number(x) is not None and math.isnan(_number(x))
-                      and _number(y) is not None and math.isnan(_number(y)))
+    """Equal, or both NaN."""
+    x_num, y_num = _number(x), _number(y)
+    return x == y or (x_num is not None and y_num is not None
+                      and math.isnan(x_num) and math.isnan(y_num))
 
 
 def difference(old, new):
@@ -232,9 +236,11 @@ def main(argv=None):
         runs_path = Path(work) / "runs.json"
         runs_path.write_text(json.dumps(listed))
         results = [Path(work) / "old.json", Path(work) / "new.json"]
+        # one BLAS thread per tree, as the benchmark runs
+        env = {**os.environ, **{f"{lib}_NUM_THREADS": "1" for lib in ("OMP", "OPENBLAS", "MKL")}}
         procs = [
             subprocess.Popen([sys.executable, __file__, "--worker", str(tree.resolve()),
-                              str(runs_path), str(path)])
+                              str(runs_path), str(path)], env=env)
             for tree, path in zip((args.old, args.new), results)
         ]
         if [proc.wait() for proc in procs] != [0, 0]:
