@@ -407,7 +407,10 @@ def cmd_expansion(config):
     pred = predicted_coefficients(ladder.packet, mode, K)
     comparison = compare_report(fit, pred, **config.data["tolerances"])
     report = _report_skeleton("expansion", config)
-    report["fit"] = {"radii": ladder.radii, "masses": ladder.masses, **asdict(fit)}
+    report["fit"] = {
+        "radii": ladder.radii, "masses": ladder.masses,
+        "evaluation_grids": ladder.evaluation_grids, **asdict(fit),
+    }
     report["predicted"] = {"c3": pred.c3, "c5": pred.c5, "mode": pred.mode}
     report["comparison"] = {**asdict(comparison), "passed": comparison.passed}
     report["fan"] = ladder.fan.diagnostics()

@@ -15,7 +15,9 @@ which is spectrally accurate and needs no basis choice.
 
 Every rung is read from one geodesic fan, the one
 :func:`geodesics.sphere_fan` shoots for the ladder's width rho0, through
-:meth:`geodesics.GeodesicFan.surface`.
+:meth:`geodesics.GeodesicFan.mass_surface`: on the fan's shooting grid
+where that grid holds the read, which gives the surface grid's masses to
+rounding at a fraction of its nodes, and otherwise on the surface grid.
 
 Rung values are the surfaces' own masses, with no correction: the spectral
 angular derivatives leave the flat unit sphere's W - 16 pi and
@@ -49,6 +51,12 @@ __all__ = [
 MODES = ("optimal", "unperturbed")
 # the fewest rungs a ladder takes: 2n - 1 >= 9, so c7 and its error exist
 MIN_RUNGS = 5
+# a rung mass's rounding, in units of eps 16 pi sqrt(A / (16 pi)^3)
+# (:func:`fit_coefficients`): a +-1-ulp perturbation of a read's positions
+# and velocities moves the mass by a standard deviation of 0.43 to 0.69 of
+# these units (at most 1.27), on the shooting grid and on the surface grid,
+# on Schwarzschild, flat, round-sphere and polynomial ladders
+MASS_ROUNDING_ULPS = 1.0
 
 
 def _chebyshev_angles(n):
@@ -61,7 +69,9 @@ def _chebyshev_angles(n):
 class LadderResult:
     """Chebyshev radius ladder of width ``rho0`` with per-radius mass data.
 
-    ``fan`` is the geodesic fan every rung was read from.
+    ``fan`` is the geodesic fan every rung was read from, and
+    ``evaluation_grids`` holds ``[n_theta, n_phi]`` of the grid each rung's
+    mass was evaluated on (:meth:`geodesics.GeodesicFan.mass_surface`).
     """
 
     mode: str
@@ -71,6 +81,7 @@ class LadderResult:
     masses: np.ndarray      # generalized Hawking mass at the given K
     areas: np.ndarray
     willmores: np.ndarray
+    evaluation_grids: list
     packet: object = field(repr=False, default=None)
     fan: object = field(repr=False, default=None)
 
@@ -102,14 +113,17 @@ def radius_ladder(metric, p, mode, rho0, n, grid, K=0, cfg=None):
     masses = np.empty(n)
     areas = np.empty(n)
     willmores = np.empty(n)
+    grids = []
     for k, rho in enumerate(radii):
-        report = hawking_mass(fan.surface(rho, wbar.copy_with(rho**2 * wbar.coeffs)), K)
+        surface = fan.mass_surface(rho, wbar.copy_with(rho**2 * wbar.coeffs))
+        report = hawking_mass(surface, K)
         masses[k] = report.generalized
         areas[k] = report.area
         willmores[k] = report.willmore
+        grids.append([surface.grid.n_theta, surface.grid.n_phi])
     return LadderResult(
         mode=mode, K=int(K), rho0=float(rho0), radii=radii, masses=masses,
-        areas=areas, willmores=willmores, packet=packet, fan=fan,
+        areas=areas, willmores=willmores, evaluation_grids=grids, packet=packet, fan=fan,
     )
 
 
@@ -152,8 +166,12 @@ def fit_coefficients(rho0, values):
     over k < n.  The columns of V[j, k] = T_(2k+1)(rho_j / rho0) are
     orthogonal, so a = (2/n) V^T m with no solve.  Each ``c<d>_error`` is
     the change in ``c<d>`` when the top term is dropped, which is also the
-    least-squares refit without it; ``condition_number``, that of V, is 1 to
-    rounding.
+    least-squares refit without it, plus the masses' rounding, which the
+    top term does not see; ``condition_number``, that of V, is 1 to
+    rounding.  A mass rounds at MASS_ROUNDING_ULPS units of
+    eps 16 pi sqrt(A / (16 pi)^3), the rounding of 16 pi - W at the mass's
+    scale, here with the area A = 4 pi rho_j^2, so eps rho_j / 2; c<d>
+    takes the rungs' levels through its row of the read, as a 2-norm.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -163,13 +181,17 @@ def fit_coefficients(rho0, values):
         raise ValueError("mass values must be finite")
     if not rho0 > 0.0:
         raise ValueError("rho0 must be positive")
-    basis = np.cos(np.outer(_chebyshev_angles(n), np.arange(1, 2 * n, 2)))
+    angles = _chebyshev_angles(n)
+    basis = np.cos(np.outer(angles, np.arange(1, 2 * n, 2)))
     series = (2.0 / n) * (values @ basis)
     # rows T_1, T_3, ..., T_(2n-1); columns rho, rho^3, rho^5, rho^7
     powers = np.arange(1, 8, 2)
     to_monomial = _chebyshev_to_monomial(2 * n - 1)[1::2, powers] / float(rho0) ** powers
     c1, c3, c5, c7 = (series @ to_monomial).tolist()
-    e1, e3, e5, e7 = np.abs(series[-1] * to_monomial[-1]).tolist()
+    truncation = np.abs(series[-1] * to_monomial[-1])
+    level = MASS_ROUNDING_ULPS * 0.5 * np.finfo(float).eps * rho0 * np.cos(angles)
+    rows = (2.0 / n) * (basis @ to_monomial)  # c<d> = sum_j m_j rows[j, d]
+    e1, e3, e5, e7 = (truncation + np.sqrt(level**2 @ rows**2)).tolist()
     return ExpansionFit(c1, e1, c3, e3, c5, e5, c7, e7, float(np.linalg.cond(basis)))
 
 

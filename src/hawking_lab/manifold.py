@@ -900,34 +900,50 @@ def _orthonormal_frame(g):
     return np.where(_LOWER, np.linalg.inv(np.linalg.cholesky(g)), 0.0)
 
 
+def _require_finite(metric, p, name, values):
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} of the {metric.kind} metric is not finite at {p.tolist()}")
+
+
 def curvature_packet(metric, p):
-    """Assemble the full curvature packet at ``p`` (frame components)."""
+    """Assemble the full curvature packet at ``p`` (frame components).
+
+    A metric that is singular at ``p``, or a packet with a value that is not
+    finite (a metric that overflows there), raises DomainError: a report of
+    nan or inf is not JSON.
+    """
     p = _as_points(p)
     _guard(metric, p)
-    # a metric that overflows at p is reported, not carried on as nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a metric that overflows or is singular at p is reported, not carried on as nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = metric.metric(p)
-        _, ricci, scalar = _curvature_from(g, metric.metric_deriv(p), metric.metric_deriv2(p))
-    for name, values in (("g", g), ("the Ricci tensor", ricci)):
-        if not np.isfinite(values).all():
-            raise DomainError(f"{name} of the {metric.kind} metric is not finite at {p.tolist()}")
-    frame = _orthonormal_frame(g)
-    ric_f = np.einsum("ma,nb,ab->mn", frame, frame, ricci)
-    ric_f = 0.5 * (ric_f + ric_f.T)
-    sc = float(scalar)
-    traceless = ric_f - (sc / 3.0) * np.eye(3)
-    grad_chart, laplacian = metric.scalar_derivatives(p)
-    grad_f = frame @ grad_chart
-    return CurvaturePacket(
-        point=np.array(p, dtype=float),
-        frame=frame,
-        ricci=ric_f,
-        scalar=sc,
-        traceless=traceless,
-        traceless_norm_sq=float(np.sum(traceless * traceless)),
-        scalar_laplacian=laplacian,
-        scalar_gradient=grad_f,
-    )
+        _require_finite(metric, p, "g", g)
+        try:
+            _, ricci, scalar = _curvature_from(
+                g, metric.metric_deriv(p), metric.metric_deriv2(p)
+            )
+            frame = _orthonormal_frame(g)
+        except np.linalg.LinAlgError:
+            raise DomainError(f"g of the {metric.kind} metric is singular at {p.tolist()}") from None
+        _require_finite(metric, p, "the Ricci tensor", ricci)
+        ric_f = np.einsum("ma,nb,ab->mn", frame, frame, ricci)
+        ric_f = 0.5 * (ric_f + ric_f.T)
+        sc = float(scalar)
+        traceless = ric_f - (sc / 3.0) * np.eye(3)
+        grad_chart, laplacian = metric.scalar_derivatives(p)
+        packet = CurvaturePacket(
+            point=np.array(p, dtype=float),
+            frame=frame,
+            ricci=ric_f,
+            scalar=sc,
+            traceless=traceless,
+            traceless_norm_sq=float(np.sum(traceless * traceless)),
+            scalar_laplacian=laplacian,
+            scalar_gradient=frame @ grad_chart,
+        )
+    for name, value in packet.as_dict().items():
+        _require_finite(metric, p, f"the packet's {name}", value)
+    return packet
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,29 @@ def test_commands_build_each_basis_table_once(capsys, tmp_path, monkeypatch):
         assert len(builds) == len(set(builds)), (command, builds)
 
 
+def test_expansion_reads_no_rung_on_the_surface_grid(capsys, tmp_path, monkeypatch):
+    # a rung's mass is evaluated on the fan's shooting grid; only a read that
+    # grid does not hold goes to the 48x96 surface grid (4608 nodes)
+    from hawking_lab import geodesics
+
+    nodes = []
+    geometry = geodesics.extrinsic_geometry
+
+    def counted(metric, grid, *args, **kwargs):
+        nodes.append(grid.n_nodes)
+        return geometry(metric, grid, *args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "extrinsic_geometry", counted)
+    config = {**SCHWARZSCHILD_SEARCH, "grid": {"n_theta": 48, "n_phi": 96},
+              "ladder": {"rho0": 0.2, "n": 6}}
+    code, report = run(capsys, tmp_path, "expansion", config)
+    assert code == 0
+    shot = report["fan"]["shooting_grid"]
+    assert shot[0] * shot[1] < 4608
+    assert nodes == [shot[0] * shot[1]] * 6
+    assert report["fit"]["evaluation_grids"] == [shot] * 6
+
+
 def test_commands_upsample_reads_not_fans(capsys, tmp_path, monkeypatch):
     # a read upsamples its six fields and speed_drift its last sample; the
     # whole fan (17 samples of six fields) stays on its shooting grid
@@ -490,6 +513,12 @@ def test_defaults_come_from_the_config_dataclasses():
          "terms"),
         ({"metric": {"kind": "polynomial_perturbation", "terms": [[0, 0, 0.1]]}}, "terms"),
         ({"metric": "x"}, "metric"),
+        # a metric singular at the point, or one whose packet overflows there,
+        # exits 2 at the packet: no LinAlgError traceback and no inf in a report
+        ({"metric": {"kind": "round_sphere", "radius": 1e-200}, "point": [0.1, 0, 0]},
+         "DomainError: g of the round_sphere metric is singular"),
+        ({"metric": {"kind": "round_sphere", "radius": 1e-150}, "point": [1e-170, 0, 0]},
+         "DomainError: the packet's traceless_norm_sq of the round_sphere metric is not finite"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):

@@ -13,7 +13,7 @@ from hawking_lab.expansion import (
     predicted_coefficients,
     radius_ladder,
 )
-from hawking_lab.geodesics import GeodesicConfig
+from hawking_lab.geodesics import GeodesicConfig, GeodesicFan
 from hawking_lab.manifold import (
     ConformalMetric,
     EuclideanMetric,
@@ -311,3 +311,30 @@ def test_polynomial_kind_expansion(capsys, tmp_path, terms, point, rho0, n, mode
         # the read's own error bar is tight, so it is a real test
         assert err <= rel * abs(fit[name]), name
         assert abs(fit[name] - predicted[name]) <= 3.0 * err, name
+
+
+@pytest.mark.parametrize("read", ["shooting_grid", "surface_grid"])
+def test_error_covers_the_masses_rounding(capsys, tmp_path, monkeypatch, read):
+    # at rho0 = 0.1 the masses are about 4e-5 and their rounding, not the
+    # dropped Chebyshev term, sets the error of c3 and c5.  Read on the
+    # surface grid without the rounding term in e, |delta| is 9.2 e (c3) and
+    # 4.95 e (c5); with it, 0.16 e and 0.070 e, and on the shooting grid
+    # 0.27 e and 0.28 e
+    if read == "surface_grid":
+        monkeypatch.setattr(GeodesicFan, "mass_surface", GeodesicFan.surface)
+    config = {
+        "metric": {"kind": "polynomial_perturbation", "terms": SIX_TERM},
+        "point": [0.1, -0.05, 0.08],
+        "mode": "unperturbed",
+        "grid": {"n_theta": 32, "n_phi": 64},
+        "ladder": {"rho0": 0.1, "n": 6},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["expansion", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    fit, predicted = report["fit"], report["predicted"]
+    for name, ceiling in (("c3", 1e-10), ("c5", 1e-6)):
+        err = fit[f"{name}_error"]
+        assert abs(fit[name] - predicted[name]) <= 3.0 * err, name
+        assert err <= ceiling * abs(fit[name]), name

@@ -416,6 +416,14 @@ def spy_shot_reads(monkeypatch):
     return taken
 
 
+# flat space in linear coordinates: every mass is 0, but the geodesic
+# spheres are ellipsoids in the chart
+LINEAR_FLAT = PolynomialMetric(
+    [(0, 0, 0.3, (0, 0, 0)), (0, 1, 0.2, (0, 0, 0)), (2, 2, -0.25, (0, 0, 0)),
+     (1, 2, 0.1, (0, 0, 0))]
+)
+
+
 class TestShootingGridRead:
     # every kind, the polynomial one included
     KIND_CASES = [
@@ -455,6 +463,28 @@ class TestShootingGridRead:
             assert np.max(np.abs(got - want)) <= bound
         masses = [hawking_mass(fan.surface_from(read)).hawking for read in (shot, ref)]
         assert abs(masses[0] - masses[1]) <= 3e-16
+
+    @pytest.mark.parametrize("s_max", [0.21, 0.84])
+    @pytest.mark.parametrize(
+        "metric, p", KIND_CASES + [(LINEAR_FLAT, (0.1, -0.2, 0.15))],
+        ids=["euclidean", "round_sphere", "hyperbolic", "schwarzschild", "conformal", "polynomial",
+             "linear_flat"],
+    )
+    def test_mass_surface_matches_the_surface_grid_mass(self, cfg, metric, p, s_max):
+        # a ladder's rungs on the shooting grid: the shape rho^2 w-bar at
+        # rungs of a ladder of width 0.9 s_max, every one held by its
+        # shooting grid.  Measured: masses 7.2e-16 (Schwarzschild, s_max =
+        # 0.84, on 16x32), else at most 2.1e-16
+        grid = build_grid(48, 96)
+        fan = GeodesicFan(metric, np.array(p), grid, s_max, cfg)
+        wbar = optimal_perturbation(fan.packet, grid).wbar
+        for rho in 0.9 * s_max * np.cos([np.pi / 24, 11 * np.pi / 24]):
+            shape = wbar.copy_with(rho**2 * wbar.coeffs)
+            surface = fan.mass_surface(rho, shape)
+            assert surface.grid is fan._shot
+            for K in (0, 1):
+                masses = [hawking_mass(s, K).generalized for s in (surface, fan.surface(rho, shape))]
+                assert abs(masses[0] - masses[1]) <= 2e-15, (rho, K)
 
     def test_unresolved_read_falls_back(self, monkeypatch, cfg):
         # |w| = 0.05 at degree 8 on a fan shot on 12x24: read there, the

@@ -46,3 +46,37 @@ def test_the_run_list_is_fixed():
     runs = same.runs()
     assert len(runs) == 374
     assert len({name for name, _, _ in runs}) == 374
+
+
+def test_numeric_folds_list_indices_per_command():
+    report = {"fit": {"masses": [1.0, 2.0, 3.0], "c3": 0.25}, "passed": True}
+    old = [_result("ladder/x/expansion", report), _result("ladder/x/el-residual", report)]
+    new = copy.deepcopy(old)
+    changed = copy.deepcopy(report)
+    changed["fit"]["masses"] = [1.25, 2.0, 2.5]
+    new[0] = _result("ladder/x/expansion", changed)
+    new[0]["files"]["ladder.csv"] = "rho,m\n0.1,2.25\n"
+    lines, agree = same.numeric(old, new)
+    assert agree
+    assert lines == [
+        "expansion:",
+        "  --out expansion.json: fit.masses.*: 0.5",
+        "  --out ladder.csv: *.1: 0.25",
+        "  stdout: fit.masses.*: 0.5",
+    ]
+    assert same.numeric(old, old) == ([], True)
+
+
+def test_numeric_disagrees_on_text_keys_and_exit_codes():
+    report = {"fit": {"c3": 0.25}, "passed": True}
+    old = [_result("a/expansion", report)]
+    new = copy.deepcopy(old)
+    changed = {"fit": {"c3": 0.25, "grids": [[12, 24]]}, "passed": False}
+    new[0] = {**_result("a/expansion", changed), "code": 1, "stderr": "FAILED check: c3\n"}
+    lines, agree = same.numeric(old, new)
+    assert not agree
+    assert "a/expansion: exit code 0 -> 1" in lines
+    assert "a/expansion: text differs at 'stdout: passed'" in lines
+    assert "a/expansion: only the new tree writes 'stdout: fit.grids.0.0'" in lines
+    assert "a/expansion: only the new tree writes 'stderr: 0'" in lines
+    assert not any("<end>" in line for line in lines if line.startswith("  "))

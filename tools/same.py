@@ -12,6 +12,14 @@ placeholders (a warning names the file it came from).  For each run that
 differs the check prints its name, the first differing key and the largest
 numeric difference; it exits 1 if any run differs and 0 otherwise.
 
+    python tools/same.py --numeric OLD_TREE NEW_TREE
+
+is for changes that are meant to re-round.  Per command it prints the
+largest absolute difference at each key path, with list indices (and CSV
+line numbers) folded to ``*``, then every run whose exit code moved and
+every key whose text differs other than as a number, or that only one tree
+writes.  It exits 0 when the exit codes and all non-numeric text agree.
+
 The list holds every command at K = 0 and K = 1 on one 24x48 config per
 metric kind (the polynomial kind as the six-term fixture, and linear flat
 space as well), every fixture of the ``ladder``, ``optimize`` and
@@ -216,6 +224,50 @@ def difference(old, new):
     return line + f"; largest numeric difference {largest:.3g} at {where!r}"
 
 
+def _fold(key):
+    """A key of :func:`_parts` with its list indices, or a CSV key's line
+    number, as ``*``."""
+    part, sep, path = key.partition(": ")
+    items = path.split(".")
+    if part.endswith(".csv"):
+        items[0] = "*"
+    else:
+        items = ["*" if item.isdigit() else item for item in items]
+    return part + sep + ".".join(items)
+
+
+def numeric(old_results, new_results):
+    """``(lines, agree)`` of a re-rounding comparison: per command, the
+    largest absolute difference at each folded key path, then each moved
+    exit code and each key that differs other than as a number; ``agree``
+    when there are none of the latter two."""
+    largest, moved, other = {}, [], []
+    for old, new in zip(old_results, new_results, strict=True):
+        if difference(old, new) is None:
+            continue
+        name, command = old["name"], old["name"].rsplit("/", 1)[-1]
+        if old["code"] != new["code"]:
+            moved.append(f"{name}: exit code {old['code']} -> {new['code']}")
+        a, b = _parts(old), _parts(new)
+        per_key = largest.setdefault(command, {})
+        for key in list(a) + [k for k in b if k not in a]:
+            if key == "exit code" or (key in a and key in b and _same(a[key], b[key])):
+                continue
+            x, y = _number(a.get(key)), _number(b.get(key))
+            if x is None or y is None or key.endswith("<end>"):  # <end>: a line count
+                where = "only the old tree writes" if key not in b else (
+                    "only the new tree writes" if key not in a else "text differs at")
+                other.append(f"{name}: {where} {key!r}")
+            else:
+                folded = _fold(key)
+                per_key[folded] = max(per_key.get(folded, 0.0), abs(x - y))
+    lines = []
+    for command, per_key in sorted(largest.items()):
+        lines.append(f"{command}:")
+        lines += [f"  {key}: {value:.3g}" for key, value in sorted(per_key.items())]
+    return lines + moved + other, not (moved or other)
+
+
 def compare(old_results, new_results):
     """One line per run whose results differ, in list order."""
     lines = []
@@ -230,6 +282,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="source tree of the old behaviour")
     parser.add_argument("new", type=Path, help="source tree of the new behaviour")
+    parser.add_argument("--numeric", action="store_true",
+                        help="report the largest difference per key, for a re-rounding change")
     args = parser.parse_args(argv)
     listed = runs()
     with tempfile.TemporaryDirectory() as work:
@@ -248,12 +302,13 @@ def main(argv=None):
             return 2
         old, new = (json.loads(path.read_text()) for path in results)
     lines = compare(old, new)
-    for line in lines:
+    report, agree = numeric(old, new) if args.numeric else (lines, not lines)
+    for line in report:
         print(line)
     codes = Counter(result["code"] for result in new)
     print(f"{len(listed) - len(lines)} of {len(listed)} runs identical;"
           f" exit codes of the new tree: {dict(sorted(codes.items()))}")
-    return 1 if lines else 0
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
