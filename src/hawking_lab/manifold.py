@@ -941,8 +941,12 @@ def curvature_packet(metric, p):
             scalar_laplacian=laplacian,
             scalar_gradient=frame @ grad_chart,
         )
-    for name, value in packet.as_dict().items():
-        _require_finite(metric, p, f"the packet's {name}", value)
+    # frame components and |S|^2 may overflow where g and Ric do not; the
+    # traceless part holds the frame Ricci tensor and Sc
+    numbers = (packet.scalar, packet.traceless_norm_sq, packet.scalar_laplacian)
+    _require_finite(metric, p, "the curvature packet", np.concatenate(
+        [packet.frame.ravel(), packet.traceless.ravel(), packet.scalar_gradient, numbers]
+    ))
     return packet
 
 

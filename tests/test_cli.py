@@ -518,7 +518,7 @@ def test_defaults_come_from_the_config_dataclasses():
         ({"metric": {"kind": "round_sphere", "radius": 1e-200}, "point": [0.1, 0, 0]},
          "DomainError: g of the round_sphere metric is singular"),
         ({"metric": {"kind": "round_sphere", "radius": 1e-150}, "point": [1e-170, 0, 0]},
-         "DomainError: the packet's traceless_norm_sq of the round_sphere metric is not finite"),
+         "DomainError: the curvature packet of the round_sphere metric is not finite"),
     ],
 )
 def test_bad_config_values_exit_2(capsys, tmp_path, config, key):
