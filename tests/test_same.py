@@ -73,10 +73,13 @@ def test_numeric_disagrees_on_text_keys_and_exit_codes():
     new = copy.deepcopy(old)
     changed = {"fit": {"c3": 0.25, "grids": [[12, 24]]}, "passed": False}
     new[0] = {**_result("a/expansion", changed), "code": 1, "stderr": "FAILED check: c3\n"}
+    old.append(_result("b/expansion", report))
+    new.append({**_result("b/expansion", changed), "stderr": ""})
     lines, agree = same.numeric(old, new)
     assert not agree
     assert "a/expansion: exit code 0 -> 1" in lines
-    assert "a/expansion: text differs at 'stdout: passed'" in lines
-    assert "a/expansion: only the new tree writes 'stdout: fit.grids.0.0'" in lines
-    assert "a/expansion: only the new tree writes 'stderr: 0'" in lines
+    assert "expansion: text differs at 'stdout: passed' in 2 runs, first a/expansion" in lines
+    assert ("expansion: only the new tree writes 'stdout: fit.grids.*.*' in 2 runs,"
+            " first a/expansion") in lines
+    assert "expansion: only the new tree writes 'stderr: *' in 1 runs, first a/expansion" in lines
     assert not any("<end>" in line for line in lines if line.startswith("  "))

@@ -16,9 +16,10 @@ numeric difference; it exits 1 if any run differs and 0 otherwise.
 
 is for changes that are meant to re-round.  Per command it prints the
 largest absolute difference at each key path, with list indices (and CSV
-line numbers) folded to ``*``, then every run whose exit code moved and
-every key whose text differs other than as a number, or that only one tree
-writes.  It exits 0 when the exit codes and all non-numeric text agree.
+line numbers) folded to ``*``, then every run whose exit code moved, and
+every folded key whose text differs other than as a number, or that only
+one tree writes, with its number of runs.  It exits 0 when the exit codes
+and all non-numeric text agree.
 
 The list holds every command at K = 0 and K = 1 on one 24x48 config per
 metric kind (the polynomial kind as the six-term fixture, and linear flat
@@ -238,10 +239,11 @@ def _fold(key):
 
 def numeric(old_results, new_results):
     """``(lines, agree)`` of a re-rounding comparison: per command, the
-    largest absolute difference at each folded key path, then each moved
-    exit code and each key that differs other than as a number; ``agree``
-    when there are none of the latter two."""
-    largest, moved, other = {}, [], []
+    largest absolute difference at each folded key path; then each moved
+    exit code, and each folded key that differs other than as a number,
+    with its count of runs and the first of them; ``agree`` when there are
+    none of the latter two."""
+    largest, moved, other = {}, [], {}
     for old, new in zip(old_results, new_results, strict=True):
         if difference(old, new) is None:
             continue
@@ -255,9 +257,11 @@ def numeric(old_results, new_results):
                 continue
             x, y = _number(a.get(key)), _number(b.get(key))
             if x is None or y is None or key.endswith("<end>"):  # <end>: a line count
-                where = "only the old tree writes" if key not in b else (
-                    "only the new tree writes" if key not in a else "text differs at")
-                other.append(f"{name}: {where} {key!r}")
+                where = ("only the old tree writes" if key not in b else
+                         "only the new tree writes" if key not in a else "text differs at")
+                runs = other.setdefault((command, where, _fold(key)), [])
+                if name not in runs:
+                    runs.append(name)
             else:
                 folded = _fold(key)
                 per_key[folded] = max(per_key.get(folded, 0.0), abs(x - y))
@@ -265,7 +269,10 @@ def numeric(old_results, new_results):
     for command, per_key in sorted(largest.items()):
         lines.append(f"{command}:")
         lines += [f"  {key}: {value:.3g}" for key, value in sorted(per_key.items())]
-    return lines + moved + other, not (moved or other)
+    lines += moved
+    lines += [f"{command}: {where} {key!r} in {len(runs)} runs, first {runs[0]}"
+              for (command, where, key), runs in other.items()]
+    return lines, not (moved or other)
 
 
 def compare(old_results, new_results):
