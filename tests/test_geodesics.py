@@ -509,6 +509,8 @@ class TestShootingGridRead:
         for got, want in zip(read, ref):
             assert np.max(np.abs(got - want)) <= 1e-14
         assert np.max(np.abs(unguarded - ref[0])) >= 1e-7
+        # nor does its mass read stay on the shooting grid
+        assert fan.mass_surface(rho, shape).grid is grid
 
 
 def solve_ivp_integrate(metric, x0, v0, t_end, cfg, t_eval=None):
