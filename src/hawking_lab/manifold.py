@@ -54,6 +54,7 @@ Index conventions for the arrays returned here:
 
 import inspect
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -941,12 +942,13 @@ def curvature_packet(metric, p):
             scalar_laplacian=laplacian,
             scalar_gradient=frame @ grad_chart,
         )
-    # frame components and |S|^2 may overflow where g and Ric do not; the
-    # traceless part holds the frame Ricci tensor and Sc
-    numbers = (packet.scalar, packet.traceless_norm_sq, packet.scalar_laplacian)
-    _require_finite(metric, p, "the curvature packet", np.concatenate(
-        [packet.frame.ravel(), packet.traceless.ravel(), packet.scalar_gradient, numbers]
-    ))
+    # the frame and |S|^2 may overflow where g and Ric do not.  |S|^2 is not
+    # finite unless the traceless part is, which holds Sc and the frame
+    # Ricci tensor, and a frame component that overflows reaches that
+    # tensor (as inf, or as nan from inf * 0)
+    numbers = (packet.traceless_norm_sq, packet.scalar_laplacian, *packet.scalar_gradient.tolist())
+    if not all(map(math.isfinite, numbers)):
+        raise DomainError(f"the curvature packet of the {metric.kind} metric is not finite at {p.tolist()}")
     return packet
 
 
